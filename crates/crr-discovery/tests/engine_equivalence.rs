@@ -11,10 +11,10 @@
 
 use crr_core::{serialize, LocateStrategy};
 use crr_data::{RowSet, Table};
-use crr_datasets::{electricity, GenConfig};
+use crr_datasets::{electricity, tax, GenConfig};
 use crr_discovery::{
     DiscoveryConfig, DiscoverySession, FitEngine, MetricsSink, PredicateGen, PredicateSpace,
-    QueueOrder, ShardedDiscovery,
+    QueueOrder, ShardSpec, ShardedDiscovery, SplitStrategy,
 };
 
 /// Single-shard run through the session front door.
@@ -56,6 +56,76 @@ fn setup(rows: usize) -> (Table, DiscoveryConfig, PredicateSpace) {
     let space = PredicateGen::binary(64).generate(&t, &[minute], target, 0);
     let cfg = DiscoveryConfig::new(vec![minute], target, 0.25);
     (t, cfg, space)
+}
+
+fn tax_setup(rows: usize) -> (Table, DiscoveryConfig, PredicateSpace) {
+    let ds = tax(&GenConfig { rows, seed: 7 });
+    let t = ds.table;
+    let salary = t.attr("salary").unwrap();
+    let state = t.attr("state").unwrap();
+    let target = t.attr("tax").unwrap();
+    let space = PredicateGen::binary(8).generate(&t, &[salary, state], target, 7);
+    let cfg = DiscoveryConfig::new(vec![salary], target, 2.0);
+    (t, cfg, space)
+}
+
+/// 64-bit FNV-1a: a hash fixed by its definition, so pinned values do not
+/// move with the toolchain's `Hasher`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the exact output of default-config discovery: every split
+/// strategy on electricity and tax, plus a 4-shard quantile run on tax.
+/// A refactor of the search loop must leave every hash unchanged; a
+/// deliberate behaviour change re-records them and says why.
+#[test]
+fn default_discovery_output_is_pinned() {
+    let mut got: Vec<(String, u64)> = Vec::new();
+    for (name, (t, base, space)) in [("electricity", setup(2000)), ("tax", tax_setup(2000))] {
+        for split in [
+            SplitStrategy::BestResidual,
+            SplitStrategy::BestVariance,
+            SplitStrategy::FirstApplicable,
+        ] {
+            let mut cfg = base.clone();
+            cfg.split = split;
+            let d = discover(&t, &t.all_rows(), &cfg, &space).unwrap();
+            got.push((format!("{name}/{split:?}"), fnv1a(&fingerprint(&d))));
+        }
+    }
+    let (t, cfg, space) = tax_setup(2000);
+    let salary = t.attr("salary").unwrap();
+    let d = DiscoverySession::on(&t)
+        .predicates(space)
+        .config(cfg)
+        .sharded(ShardSpec::by_key(salary).quantile().shards(4))
+        .run()
+        .unwrap();
+    assert_eq!(d.shards.len(), 4);
+    got.push(("tax/quantile-4".to_string(), fnv1a(&fingerprint(&d))));
+
+    let expected: Vec<(String, u64)> = [
+        ("electricity/BestResidual", 0x3171_cd9a_1ae8_c402),
+        ("electricity/BestVariance", 0x9066_32fa_8649_3492),
+        ("electricity/FirstApplicable", 0x9c0d_a530_89d6_d1e4),
+        ("tax/BestResidual", 0x179a_5041_fa67_bc21),
+        ("tax/BestVariance", 0x7008_ed07_4d5e_8f6d),
+        ("tax/FirstApplicable", 0x397a_8e30_4453_55e8),
+        ("tax/quantile-4", 0x876a_e624_8ccd_98b1),
+    ]
+    .into_iter()
+    .map(|(k, h)| (k.to_string(), h))
+    .collect();
+    let show = |v: &[(String, u64)]| {
+        v.iter()
+            .map(|(k, h)| format!("{k}={h:#018x}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(show(&got), show(&expected));
 }
 
 #[test]
