@@ -1,5 +1,5 @@
 //! Tracked benchmark output: the `bench` experiment writes
-//! `BENCH_discovery.json`, and CI (`scripts/ci.sh --check-bench`) re-parses
+//! `BENCH_discovery.json`, and CI (`scripts/ci.sh`, via `--check`) re-parses
 //! and validates it so a regressed or malformed emitter fails the build.
 //!
 //! The workspace deliberately carries no serde; rendering and re-parsing
@@ -21,16 +21,19 @@ pub use crr_obs::json::{parse, Json};
 /// byte-equal to the `moments` cell) and the per-kernel `kernels` array;
 /// v4 added the `boundary` and `balance_permille` fields on sharded cells
 /// (equal-width vs quantile shard planning, both required per dataset,
-/// each with its plan's min/max shard-size balance).
-pub const SCHEMA: &str = "crr-bench-discovery-v4";
+/// each with its plan's min/max shard-size balance); v5 dropped the
+/// `rescan` and `interpreted` engine labels, the `speedup` array and the
+/// `end_to_end` kernel cell — discovery has one engine, and its slow
+/// references live in tests.
+pub const SCHEMA: &str = "crr-bench-discovery-v5";
 
 /// Boundary labels a sharded cell may carry; every dataset must measure
 /// both, so the adaptive (quantile) planner is always benchmarked against
 /// the equal-width geometry it replaced as the default.
 pub const BOUNDARY_CELLS: [&str; 2] = ["equal_width", "quantile"];
 
-/// Kernel labels the `kernels` array may carry; all three must appear.
-pub const KERNEL_CELLS: [&str; 3] = ["predicate_scan", "gram_accumulate", "end_to_end"];
+/// Kernel labels the `kernels` array may carry; both must appear.
+pub const KERNEL_CELLS: [&str; 2] = ["predicate_scan", "gram_accumulate"];
 
 /// One timed discovery run: a (dataset, size, engine) cell.
 #[derive(Debug, Clone)]
@@ -39,8 +42,8 @@ pub struct BenchRecord {
     pub dataset: String,
     /// Instance size |I| actually used.
     pub rows: usize,
-    /// Fit engine label (`moments`, `rescan`), or `sharded` for the
-    /// multi-shard cell (moments engine under a key-range shard plan).
+    /// `moments` for a whole-instance run, or `sharded` for the
+    /// multi-shard cell (the same engine under a key-range shard plan).
     pub engine: String,
     /// Best-of-reps wall-clock discovery time, seconds.
     pub learn_secs: f64,
@@ -50,21 +53,6 @@ pub struct BenchRecord {
     pub trained: usize,
     /// RMSE of the discovered rule set over the instance.
     pub rmse: f64,
-}
-
-/// Moments-vs-rescan comparison at one (dataset, size) point.
-#[derive(Debug, Clone)]
-pub struct SpeedupEntry {
-    /// Dataset label.
-    pub dataset: String,
-    /// Instance size.
-    pub rows: usize,
-    /// Sufficient-statistics engine time, seconds.
-    pub moments_secs: f64,
-    /// Row-rescan baseline time, seconds.
-    pub rescan_secs: f64,
-    /// `rescan_secs / moments_secs` — above 1.0 means moments is faster.
-    pub ratio: f64,
 }
 
 /// Sharded-vs-single comparison at one (dataset, size) point: the same
@@ -93,18 +81,19 @@ pub struct ShardedEntry {
     pub ratio: f64,
 }
 
-/// Interpreted-vs-compiled scan-kernel throughput at one dataset point.
+/// Scan-kernel throughput at one dataset point: the compiled kernel
+/// against the row-at-a-time reference it must reproduce.
 #[derive(Debug, Clone)]
 pub struct KernelEntry {
     /// Dataset label.
     pub dataset: String,
     /// Instance size the kernel was measured over.
     pub rows: usize,
-    /// Which kernel: `predicate_scan` (rows filtered per second),
-    /// `gram_accumulate` (rows accumulated per second) or `end_to_end`
-    /// (whole discovery runs measured as rows per second).
+    /// Which kernel: `predicate_scan` (rows filtered per second) or
+    /// `gram_accumulate` (rows accumulated per second).
     pub kernel: String,
-    /// Interpreted (row-at-a-time) throughput, rows/second.
+    /// Row-at-a-time reference throughput (`Predicate::eval`,
+    /// `Moments::add_row`), rows/second.
     pub interpreted_per_sec: f64,
     /// Compiled (columnar, cache-blocked) throughput, rows/second.
     pub compiled_per_sec: f64,
@@ -118,11 +107,9 @@ pub struct KernelEntry {
 pub struct BenchReport {
     /// Every timed cell.
     pub records: Vec<BenchRecord>,
-    /// Engine comparisons, one per (dataset, size).
-    pub speedup: Vec<SpeedupEntry>,
     /// Sharded-vs-single comparisons, one per dataset at its largest size.
     pub sharded: Vec<ShardedEntry>,
-    /// Per-kernel interpreted-vs-compiled throughput cells.
+    /// Per-kernel reference-vs-compiled throughput cells.
     pub kernels: Vec<KernelEntry>,
 }
 
@@ -149,25 +136,6 @@ pub fn render(report: &BenchReport) -> String {
             r.rules,
             r.trained,
             num(r.rmse),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"speedup\": [");
-    for (i, s) in report.speedup.iter().enumerate() {
-        let comma = if i + 1 < report.speedup.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"rows\": {}, \"moments_secs\": {}, \
-             \"rescan_secs\": {}, \"ratio\": {}}}{comma}",
-            esc(&s.dataset),
-            s.rows,
-            num(s.moments_secs),
-            num(s.rescan_secs),
-            num(s.ratio),
         );
     }
     let _ = writeln!(out, "  ],");
@@ -242,17 +210,13 @@ fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
 /// one-line summary; on failure, a message naming the first violation.
 ///
 /// Checks: the schema tag; a non-empty `records` array whose entries carry
-/// every required key with finite numbers and known engine labels; each
-/// dataset measured at ≥ 2 sizes with the `moments`, `rescan` *and*
-/// `interpreted` engines at each size; the `interpreted` cell (moments
-/// engine, interpreted scan kernel) reporting *exactly* the same rules,
-/// trained-model count and RMSE as the `moments` cell — the compiled
-/// kernels must be a pure accelerator, never a semantic change; a
-/// non-empty `speedup` array with finite, positive ratios; a non-empty
-/// `sharded` array whose cells have ≥ 2 shards, positive timings and a
-/// boundary label from [`BOUNDARY_CELLS`], with both boundaries measured
-/// for every sharded dataset; and a non-empty `kernels` array covering
-/// all of [`KERNEL_CELLS`] with positive throughputs.
+/// every required key with finite numbers and a known engine label
+/// (`moments` or `sharded`); each dataset measured at ≥ 2 sizes with a
+/// `moments` record at each size; a non-empty `sharded` array whose cells
+/// have ≥ 2 shards, positive timings and a boundary label from
+/// [`BOUNDARY_CELLS`], with both boundaries measured for every sharded
+/// dataset; and a non-empty `kernels` array covering all of
+/// [`KERNEL_CELLS`] with positive throughputs.
 pub fn validate(text: &str) -> Result<String, String> {
     let doc = parse(text)?;
     let schema = str_key(&doc, "schema", "document")?;
@@ -267,19 +231,13 @@ pub fn validate(text: &str) -> Result<String, String> {
     if records.is_empty() {
         return Err("'records' is empty".to_string());
     }
-    // (dataset, rows) -> engines seen there, with the (rules, trained,
-    // rmse) triple each one reported.
-    type Outcome = (String, f64, f64, f64);
-    let mut cells: Vec<(String, u64, Vec<Outcome>)> = Vec::new();
+    // (dataset, rows) -> engine labels seen there.
+    let mut cells: Vec<(String, u64, Vec<String>)> = Vec::new();
     for (i, r) in records.iter().enumerate() {
         let ctx = format!("records[{i}]");
         let dataset = str_key(r, "dataset", &ctx)?.to_string();
         let engine = str_key(r, "engine", &ctx)?.to_string();
-        if engine != "moments"
-            && engine != "rescan"
-            && engine != "sharded"
-            && engine != "interpreted"
-        {
+        if engine != "moments" && engine != "sharded" {
             return Err(format!("{ctx}: unknown engine '{engine}'"));
         }
         let rows = finite_num(r, "rows", &ctx)?;
@@ -289,38 +247,22 @@ pub fn validate(text: &str) -> Result<String, String> {
         if finite_num(r, "learn_secs", &ctx)? < 0.0 {
             return Err(format!("{ctx}: negative learn_secs"));
         }
-        let rules = finite_num(r, "rules", &ctx)?;
-        let trained = finite_num(r, "trained", &ctx)?;
-        let rmse = finite_num(r, "rmse", &ctx)?;
-        let key = (dataset, rows as u64);
-        let outcome = (engine, rules, trained, rmse);
+        for key in ["rules", "trained", "rmse"] {
+            finite_num(r, key, &ctx)?;
+        }
+        let rows = rows as u64;
         match cells
             .iter_mut()
-            .find(|(d, n, _)| *d == key.0 && *n == key.1)
+            .find(|(d, n, _)| *d == dataset && *n == rows)
         {
-            Some((_, _, engines)) => engines.push(outcome),
-            None => cells.push((key.0, key.1, vec![outcome])),
+            Some((_, _, engines)) => engines.push(engine),
+            None => cells.push((dataset, rows, vec![engine])),
         }
     }
     let mut datasets: Vec<&str> = Vec::new();
     for (dataset, rows, engines) in &cells {
-        for want in ["moments", "rescan", "interpreted"] {
-            if !engines.iter().any(|(e, ..)| e == want) {
-                return Err(format!("{dataset}@{rows}: engine '{want}' never measured"));
-            }
-        }
-        // The interpreted cell is the oracle run of the same moments
-        // configuration: any divergence means the compiled kernels changed
-        // a search decision.
-        let find = |name: &str| engines.iter().find(|(e, ..)| e == name);
-        if let (Some(m), Some(i)) = (find("moments"), find("interpreted")) {
-            if m.1 != i.1 || m.2 != i.2 || m.3 != i.3 {
-                return Err(format!(
-                    "{dataset}@{rows}: interpreted-kernel cell diverges from the moments cell \
-                     (rules {} vs {}, trained {} vs {}, rmse {} vs {})",
-                    m.1, i.1, m.2, i.2, m.3, i.3
-                ));
-            }
+        if !engines.iter().any(|e| e == "moments") {
+            return Err(format!("{dataset}@{rows}: engine 'moments' never measured"));
         }
         if !datasets.contains(&dataset.as_str()) {
             datasets.push(dataset);
@@ -333,24 +275,6 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
 
-    let speedup = doc
-        .get("speedup")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'speedup' missing or not an array")?;
-    if speedup.is_empty() {
-        return Err("'speedup' is empty".to_string());
-    }
-    for (i, s) in speedup.iter().enumerate() {
-        let ctx = format!("speedup[{i}]");
-        str_key(s, "dataset", &ctx)?;
-        finite_num(s, "rows", &ctx)?;
-        finite_num(s, "moments_secs", &ctx)?;
-        finite_num(s, "rescan_secs", &ctx)?;
-        let ratio = finite_num(s, "ratio", &ctx)?;
-        if ratio <= 0.0 {
-            return Err(format!("{ctx}: non-positive ratio {ratio}"));
-        }
-    }
     let sharded = doc
         .get("sharded")
         .and_then(Json::as_arr)
@@ -442,11 +366,9 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "ok: {} records over {} dataset(s), {} speedup point(s), {} sharded cell(s), \
-         {} kernel cell(s)",
+        "ok: {} records over {} dataset(s), {} sharded cell(s), {} kernel cell(s)",
         records.len(),
         datasets.len(),
-        speedup.len(),
         sharded.len(),
         kernels.len()
     ))
@@ -460,23 +382,14 @@ mod tests {
         let mut report = BenchReport::default();
         for dataset in ["electricity", "tax"] {
             for rows in [1000usize, 2000] {
-                for engine in ["moments", "rescan", "interpreted"] {
-                    report.records.push(BenchRecord {
-                        dataset: dataset.into(),
-                        rows,
-                        engine: engine.into(),
-                        learn_secs: 0.25,
-                        rules: 12,
-                        trained: 4,
-                        rmse: 0.05,
-                    });
-                }
-                report.speedup.push(SpeedupEntry {
+                report.records.push(BenchRecord {
                     dataset: dataset.into(),
                     rows,
-                    moments_secs: 0.2,
-                    rescan_secs: 0.3,
-                    ratio: 1.5,
+                    engine: "moments".into(),
+                    learn_secs: 0.25,
+                    rules: 12,
+                    trained: 4,
+                    rmse: 0.05,
                 });
             }
             for boundary in BOUNDARY_CELLS {
@@ -509,30 +422,9 @@ mod tests {
     fn render_round_trips_through_validate() {
         let text = render(&sample());
         let summary = validate(&text).expect("valid");
-        assert!(summary.contains("12 records"), "{summary}");
+        assert!(summary.contains("4 records"), "{summary}");
         assert!(summary.contains("2 dataset"), "{summary}");
-        assert!(summary.contains("6 kernel cell(s)"), "{summary}");
-    }
-
-    #[test]
-    fn diverging_interpreted_cell_is_rejected() {
-        let mut report = sample();
-        let r = report
-            .records
-            .iter_mut()
-            .find(|r| r.engine == "interpreted")
-            .unwrap();
-        r.rmse += 1e-9;
-        let err = validate(&render(&report)).expect_err("must fail");
-        assert!(err.contains("diverges"), "{err}");
-    }
-
-    #[test]
-    fn missing_interpreted_cell_is_rejected() {
-        let mut report = sample();
-        report.records.retain(|r| r.engine != "interpreted");
-        let err = validate(&render(&report)).expect_err("must fail");
-        assert!(err.contains("interpreted"), "{err}");
+        assert!(summary.contains("4 kernel cell(s)"), "{summary}");
     }
 
     #[test]
@@ -543,9 +435,9 @@ mod tests {
         assert!(err.contains("kernels"), "{err}");
 
         let mut report = sample();
-        report.kernels.retain(|k| k.kernel != "end_to_end");
+        report.kernels.retain(|k| k.kernel != "gram_accumulate");
         let err = validate(&render(&report)).expect_err("must fail");
-        assert!(err.contains("end_to_end"), "{err}");
+        assert!(err.contains("gram_accumulate"), "{err}");
 
         let mut report = sample();
         report.kernels[0].kernel = "warp_scan".into();
@@ -634,11 +526,17 @@ mod tests {
     }
 
     #[test]
-    fn single_engine_runs_are_rejected() {
+    fn retired_engine_labels_are_rejected() {
         let mut report = sample();
-        report.records.retain(|r| r.engine == "moments");
-        let err = validate(&render(&report)).expect_err("one engine must fail");
-        assert!(err.contains("rescan"), "{err}");
+        report.records[0].engine = "rescan".into();
+        let err = validate(&render(&report)).expect_err("rescan is retired");
+        assert!(err.contains("unknown engine 'rescan'"), "{err}");
+
+        // A size measured only under sharding has no whole-instance cell.
+        let mut report = sample();
+        report.records[0].engine = "sharded".into();
+        let err = validate(&render(&report)).expect_err("moments cell is required");
+        assert!(err.contains("'moments' never measured"), "{err}");
     }
 
     // Parser internals are tested where they live, in `crr_obs::json`;

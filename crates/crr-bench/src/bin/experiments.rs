@@ -21,35 +21,34 @@
 //! cargo run --release -p crr-bench --bin experiments -- --check BENCH_discovery.json
 //! ```
 //!
-//! `bench` times discovery with the sufficient-statistics fit engine
-//! against the row-rescan baseline on Electricity and Tax at three sizes
-//! each, plus sharded cells per dataset at the largest size (1-shard
-//! baseline vs `--shards N` key-range shards, default 4, under both
-//! equal-width and quantile boundary placement, through the cross-shard
-//! model pool and the Algorithm 2 merge), and writes the result to
+//! `bench` times discovery on Electricity and Tax at three sizes each,
+//! plus sharded cells per dataset at the largest size (1-shard baseline vs
+//! `--shards N` key-range shards, default 4, under both equal-width and
+//! quantile boundary placement, through the cross-shard model pool and the
+//! Algorithm 2 merge) and per-kernel throughput cells (compiled kernels
+//! vs. their row-at-a-time references), and writes the result to
 //! `BENCH_discovery.json` (or the `--bench-json` path).
 //!
 //! `--check <path>` re-parses any previously written tracked artifact and
 //! fails the process unless it is complete and finite — the CI gate. The
 //! file's own `schema` tag picks the validator, so one flag covers every
-//! artifact; the legacy spellings (`--check-bench`, `--check-metrics`,
-//! `--check-analysis`, `--check-serving`, `--check-stream`) remain as
-//! aliases that force the artifact kind instead of sniffing it.
+//! artifact. An unknown flag or experiment name fails with a usage line
+//! rather than being skipped.
 //!
 //! Observability artifacts ride along:
 //!
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- --metrics-out metrics.json bench
-//! cargo run --release -p crr-bench --bin experiments -- --check-metrics metrics.json
+//! cargo run --release -p crr-bench --bin experiments -- --check metrics.json
 //! ```
 //!
 //! `--metrics-out` re-runs each bench cell once with an enabled
 //! `MetricsSink` (timed reps stay uninstrumented), adds a fault-harness
 //! cell with one injected fit failure, asserts the counter invariants
-//! in-process (moments runs never rescan, cross-shard pool hits + misses
+//! in-process (no run rescans rows, cross-shard pool hits + misses
 //! reconcile with probes, the injected-fault count matches the plan), and
 //! writes the snapshots as `metrics.json`.
-//! `--check-metrics` re-validates such a file — see EXPERIMENTS.md,
+//! `--check` re-validates such a file — see EXPERIMENTS.md,
 //! section "Benchmark artifact schemas", for both layouts.
 //!
 //! Static verification (also excluded from `all`):
@@ -57,7 +56,7 @@
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- analyze
 //! cargo run --release -p crr-bench --bin experiments -- --analysis-json out.json analyze
-//! cargo run --release -p crr-bench --bin experiments -- --check-analysis analysis.json
+//! cargo run --release -p crr-bench --bin experiments -- --check analysis.json
 //! ```
 //!
 //! `analyze` discovers rules on Electricity and Tax — once unsharded,
@@ -69,7 +68,7 @@
 //! artifact — the sharded ones against their emitted proof obligations,
 //! the repaired one against its bundled repair obligations. The reports
 //! are written as `analysis.json` (or the `--analysis-json` path); any
-//! `unsound` finding aborts in-process. `--check-analysis` re-validates
+//! `unsound` finding aborts in-process. `--check` re-validates
 //! such a file — the CI gate refusing artifacts that fail their own
 //! verification.
 //!
@@ -94,7 +93,7 @@
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- serving
 //! cargo run --release -p crr-bench --bin experiments -- --serving-json out.json serving
-//! cargo run --release -p crr-bench --bin experiments -- --check-serving BENCH_serving.json
+//! cargo run --release -p crr-bench --bin experiments -- --check BENCH_serving.json
 //! ```
 //!
 //! `serving` discovers a rule set on Electricity, stands up a live
@@ -105,7 +104,7 @@
 //! `max_in_flight` — must shed `503`s, never reset connections), and a
 //! hot-swap churn cell that drives accepted and rejected swaps while
 //! pinning in-flight answers byte-identical to offline evaluation. The
-//! result is written as `BENCH_serving.json`; `--check-serving`
+//! result is written as `BENCH_serving.json`; `--check`
 //! re-validates it — the CI gate for the serving runtime.
 //!
 //! The streaming-maintenance benchmark (also excluded from `all`):
@@ -113,7 +112,7 @@
 //! ```text
 //! cargo run --release -p crr-bench --bin experiments -- stream
 //! cargo run --release -p crr-bench --bin experiments -- --stream-json out.json stream
-//! cargo run --release -p crr-bench --bin experiments -- --check-stream BENCH_stream.json
+//! cargo run --release -p crr-bench --bin experiments -- --check BENCH_stream.json
 //! ```
 //!
 //! `stream` discovers on a base slice of Electricity and Tax, replays an
@@ -124,7 +123,7 @@
 //! predictions byte-identical to offline evaluation; at the Electricity
 //! headline scale the incremental path must beat rediscovery by the
 //! `crr-stream-v1` speedup floor. The result is written as
-//! `BENCH_stream.json`; `--check-stream` re-validates it.
+//! `BENCH_stream.json`; `--check` re-validates it.
 //!
 //! Absolute numbers differ from the paper (different hardware, synthetic
 //! stand-in datasets); the *shape* — who wins, by what factor, where
@@ -139,8 +138,8 @@ use crr_core::LocateStrategy;
 use crr_data::{RowSet, ShardSpec, Table};
 use crr_datasets::{abalone, airquality, birdmap, electricity, paper_sizes, tax, GenConfig};
 use crr_discovery::{
-    compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, FitEngine, PredicateGen,
-    PredicateSpace, QueueOrder, ScanKernel, ShardedDiscovery,
+    compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, PredicateGen,
+    PredicateSpace, QueueOrder, ShardedDiscovery,
 };
 use crr_impute::{impute_with_rules, mask_random};
 use crr_models::ModelKind;
@@ -163,50 +162,23 @@ fn run_discovery(
 }
 
 /// `--check <path>`: one gate for every tracked artifact. The file's own
-/// `schema` tag picks the validator; the legacy per-artifact spellings
-/// (`--check-bench`, `--check-metrics`, `--check-analysis`,
-/// `--check-serving`, `--check-stream`) force `kind` instead of sniffing,
-/// so a mislabeled file can't dodge its intended gate.
+/// `schema` tag picks the validator.
 ///
 /// Prints the validator's summary and returns on success; prints the first
 /// violation and exits non-zero otherwise.
-fn check_artifact(path: &str, kind: Option<&str>) {
+fn check_artifact(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let sniffed;
-    let kind = match kind {
-        Some(k) => k,
-        None => {
-            let schema = bench_json::parse(&text)
-                .ok()
-                .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
-            sniffed = schema;
-            match sniffed.as_deref() {
-                Some(s) if s.starts_with("crr-bench-discovery-") => "bench",
-                Some(s) if s.starts_with("crr-metrics-") => "metrics",
-                Some(s) if s.starts_with("crr-analysis-") => "analysis",
-                Some(s) if s.starts_with("crr-serving-") => "serving",
-                Some(s) if s.starts_with("crr-stream-") => "stream",
-                Some(s) => {
-                    eprintln!("{path}: INVALID: unrecognized artifact schema '{s}'");
-                    std::process::exit(1);
-                }
-                None => {
-                    eprintln!(
-                        "{path}: INVALID: no 'schema' tag to dispatch on \
-                         (is this a tracked artifact?)"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-    };
-    let result = match kind {
-        "bench" => bench_json::validate(&text),
-        "metrics" => metrics_json::validate(&text),
-        "analysis" => analysis_json::validate(&text),
-        "serving" => serving_json::validate(&text),
-        "stream" => stream_json::validate(&text),
-        other => unreachable!("unknown artifact kind '{other}'"),
+    let schema = bench_json::parse(&text)
+        .ok()
+        .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
+    let result = match schema.as_deref() {
+        Some(s) if s.starts_with("crr-bench-discovery-") => bench_json::validate(&text),
+        Some(s) if s.starts_with("crr-metrics-") => metrics_json::validate(&text),
+        Some(s) if s.starts_with("crr-analysis-") => analysis_json::validate(&text),
+        Some(s) if s.starts_with("crr-serving-") => serving_json::validate(&text),
+        Some(s) if s.starts_with("crr-stream-") => stream_json::validate(&text),
+        Some(s) => Err(format!("unrecognized artifact schema '{s}'")),
+        None => Err("no 'schema' tag to dispatch on (is this a tracked artifact?)".to_string()),
     };
     match result {
         Ok(summary) => println!("{path}: {summary}"),
@@ -330,6 +302,35 @@ fn mutate_repair_guard_cmd(path: &str) {
     }
 }
 
+/// The paper's tables and figures, in the order `all` (or no experiment
+/// argument) runs them.
+const PAPER_EXPERIMENTS: [&str; 13] = [
+    "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table3",
+    "table4", "ablation",
+];
+
+/// Tracked benchmarks, run only when named.
+const TRACKED_EXPERIMENTS: [&str; 4] = ["bench", "analyze", "serving", "stream"];
+
+/// Rejects the command line: prints `msg` and a usage line, exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    eprintln!(
+        "usage: experiments [--scale F] [--time-budget MS] [--max-fits N] [--shards N] \
+         [--bench-json P] [--metrics-out P] [--analysis-json P] [--serving-json P] \
+         [--stream-json P] [--artifact-out P] [all | EXPERIMENT...]"
+    );
+    eprintln!(
+        "       experiments --check ARTIFACT | --analyze-artifact P | --mutate-repair-guard P"
+    );
+    eprintln!(
+        "EXPERIMENT is one of: all {} {}",
+        PAPER_EXPERIMENTS.join(" "),
+        TRACKED_EXPERIMENTS.join(" ")
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
@@ -350,21 +351,11 @@ fn main() {
             }
             "--check" => {
                 let path = it.next().expect("--check needs an artifact path");
-                check_artifact(path, None);
-                return;
-            }
-            "--check-bench" => {
-                let path = it.next().expect("--check-bench needs a path");
-                check_artifact(path, Some("bench"));
+                check_artifact(path);
                 return;
             }
             "--analysis-json" => {
                 analysis_json_path = it.next().expect("--analysis-json needs a path").clone();
-            }
-            "--check-analysis" => {
-                let path = it.next().expect("--check-analysis needs a path");
-                check_artifact(path, Some("analysis"));
-                return;
             }
             "--artifact-out" => {
                 artifact_out = Some(it.next().expect("--artifact-out needs a path").clone());
@@ -382,26 +373,11 @@ fn main() {
             "--serving-json" => {
                 serving_json_path = it.next().expect("--serving-json needs a path").clone();
             }
-            "--check-serving" => {
-                let path = it.next().expect("--check-serving needs a path");
-                check_artifact(path, Some("serving"));
-                return;
-            }
             "--stream-json" => {
                 stream_json_path = it.next().expect("--stream-json needs a path").clone();
             }
-            "--check-stream" => {
-                let path = it.next().expect("--check-stream needs a path");
-                check_artifact(path, Some("stream"));
-                return;
-            }
             "--metrics-out" => {
                 metrics_out = Some(it.next().expect("--metrics-out needs a path").clone());
-            }
-            "--check-metrics" => {
-                let path = it.next().expect("--check-metrics needs a path");
-                check_artifact(path, Some("metrics"));
-                return;
             }
             "--scale" => {
                 scale = it
@@ -430,7 +406,14 @@ fn main() {
                     .expect("--max-fits needs a count");
                 budget = budget.with_max_fits(n);
             }
-            other => experiments.push(other.to_string()),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag '{flag}'")),
+            name if name == "all"
+                || PAPER_EXPERIMENTS.contains(&name)
+                || TRACKED_EXPERIMENTS.contains(&name) =>
+            {
+                experiments.push(name.to_string());
+            }
+            name => usage_error(&format!("unknown experiment '{name}'")),
         }
     }
     if !budget.is_unlimited() {
@@ -440,13 +423,7 @@ fn main() {
         set_global_budget(budget);
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = vec![
-            "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-            "table3", "table4", "ablation",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+        experiments = PAPER_EXPERIMENTS.iter().map(|e| e.to_string()).collect();
     }
     let total = Instant::now();
     for exp in &experiments {
@@ -469,7 +446,7 @@ fn main() {
             "analyze" => analyze_cmd(scale, &analysis_json_path, shards, artifact_out.as_deref()),
             "serving" => serving_cmd(scale, &serving_json_path),
             "stream" => stream_cmd(scale, &stream_json_path, artifact_out.as_deref()),
-            other => eprintln!("unknown experiment: {other}"),
+            other => unreachable!("experiment '{other}' passed argument validation"),
         }
         eprintln!("[{exp} took {:?}]", start.elapsed());
     }
@@ -1110,14 +1087,14 @@ fn ablation(scale: f64) {
     );
 }
 
-/// Tracked benchmark: the sufficient-statistics fit engine vs. the
-/// row-rescan baseline, on Electricity and Tax at three instance sizes,
-/// plus a sharded cell per dataset at the largest size (1-shard vs
-/// `shards`-way key-range plan). Pure Algorithm 1 (no compaction) in the
-/// engine cells; the sharded cells include the cross-shard Algorithm 2
-/// merge, which is part of what they measure. Best-of-reps wall clock.
-/// Writes the machine-readable report to `path` (`--bench-json`), which
-/// `--check-bench` / `scripts/ci.sh` re-validate.
+/// Tracked benchmark: discovery on Electricity and Tax at three instance
+/// sizes, plus a sharded cell per dataset at the largest size (1-shard vs
+/// `shards`-way key-range plan) and per-kernel throughput cells. Pure
+/// Algorithm 1 (no compaction) in the whole-instance cells; the sharded
+/// cells include the cross-shard Algorithm 2 merge, which is part of what
+/// they measure. Best-of-reps wall clock. Writes the machine-readable
+/// report to `path` (`--bench-json`), which `--check` / `scripts/ci.sh`
+/// re-validate.
 ///
 /// With `metrics_out` set, each cell is re-run once with an enabled
 /// [`crr_discovery::MetricsSink`] (kept out of the timed reps), a
@@ -1145,147 +1122,76 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         for size in sizes {
             let sc = make(scaled(size, scale), 42);
             let rows = sc.rows();
-            let mut secs_by_engine = [f64::INFINITY; 3];
-            // rules / trained / rmse of the compiled moments cell — the
-            // interpreted cell must reproduce them exactly (the compiled
-            // kernels are accelerators, never a semantic change).
-            let mut moments_outcome: Option<(usize, usize, f64)> = None;
-            for (ei, (label, engine, kernel)) in [
-                ("moments", FitEngine::Moments, ScanKernel::Compiled),
-                ("rescan", FitEngine::Rescan, ScanKernel::Compiled),
-                ("interpreted", FitEngine::Moments, ScanKernel::Interpreted),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let opts = CrrOptions {
-                    engine,
-                    compact: false,
-                    predicates_per_attr: per_attr,
-                    ..Default::default()
-                };
-                let (cfg, space) = crr_inputs(&sc, &opts);
-                let cfg = cfg.with_kernel(kernel);
-                let mut found = None;
-                for _ in 0..reps {
-                    let session = DiscoverySession::on(sc.table())
-                        .rows(rows.clone())
-                        .predicates(space.clone())
-                        .config(cfg.clone());
-                    let start = Instant::now();
-                    let d = session.run().expect("discovery");
-                    secs_by_engine[ei] = secs_by_engine[ei].min(start.elapsed().as_secs_f64());
-                    found = Some(d);
-                }
-                let d = found.expect("at least one rep");
-                let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
-                match label {
-                    "moments" => {
-                        moments_outcome = Some((d.rules.len(), d.stats.models_trained, rep.rmse));
-                    }
-                    "interpreted" => {
-                        let (mr, mt, mrmse) = moments_outcome.expect("moments cell measured first");
-                        assert_eq!(
-                            (mr, mt),
-                            (d.rules.len(), d.stats.models_trained),
-                            "{name}@{}: interpreted kernel changed the discovered rules",
-                            rows.len()
-                        );
-                        assert_eq!(
-                            mrmse.to_bits(),
-                            rep.rmse.to_bits(),
-                            "{name}@{}: interpreted kernel changed the RMSE",
-                            rows.len()
-                        );
-                    }
-                    _ => {}
-                }
-                table_rows.push(vec![
-                    name.to_string(),
-                    rows.len().to_string(),
-                    label.to_string(),
-                    format!("{:.4}", secs_by_engine[ei]),
-                    d.rules.len().to_string(),
-                    d.stats.models_trained.to_string(),
-                    format!("{:.4}", rep.rmse),
-                ]);
-                report.records.push(bench_json::BenchRecord {
-                    dataset: name.to_string(),
-                    rows: rows.len(),
-                    engine: label.to_string(),
-                    learn_secs: secs_by_engine[ei],
-                    rules: d.rules.len(),
-                    trained: d.stats.models_trained,
-                    rmse: rep.rmse,
-                });
-                if metrics_out.is_some() && label != "interpreted" {
-                    // One extra instrumented run per cell, outside the timed
-                    // reps so the tracked numbers stay uninstrumented (the
-                    // interpreted oracle cell is not re-instrumented: it is
-                    // the same moments configuration under the slow kernel).
-                    // The in-process asserts pin the invariants
-                    // --check-metrics re-verifies from the file.
-                    let cfg = cfg.clone().with_metrics(MetricsSink::enabled());
-                    let dm =
-                        run_discovery(sc.table(), &rows, &cfg, &space).expect("metered discovery");
-                    let m = &dm.metrics;
-                    assert_eq!(
-                        m.count("queue", "rules_emitted"),
-                        Some(dm.rules.len() as u64),
-                        "{name}@{}/{label}: rules_emitted drifted",
-                        rows.len()
-                    );
-                    match engine {
-                        FitEngine::Moments => assert_eq!(
-                            m.count("fits", "rescans"),
-                            Some(0),
-                            "{name}@{}/moments: engine rescanned rows",
-                            rows.len()
-                        ),
-                        FitEngine::Rescan => assert_eq!(
-                            m.count("fits", "moments_solves"),
-                            Some(0),
-                            "{name}@{}/rescan: engine used moments",
-                            rows.len()
-                        ),
-                    }
-                    metric_runs.push(metrics_json::MetricsRun {
-                        dataset: name.to_string(),
-                        rows: rows.len(),
-                        engine: label.to_string(),
-                        expected_fault_events: None,
-                        shard_rows: Vec::new(),
-                        snapshot: dm.metrics,
-                    });
-                }
+            let opts = CrrOptions {
+                compact: false,
+                predicates_per_attr: per_attr,
+                ..Default::default()
+            };
+            let (cfg, space) = crr_inputs(&sc, &opts);
+            let mut secs = f64::INFINITY;
+            let mut found = None;
+            for _ in 0..reps {
+                let session = DiscoverySession::on(sc.table())
+                    .rows(rows.clone())
+                    .predicates(space.clone())
+                    .config(cfg.clone());
+                let start = Instant::now();
+                let d = session.run().expect("discovery");
+                secs = secs.min(start.elapsed().as_secs_f64());
+                found = Some(d);
             }
-            report.speedup.push(bench_json::SpeedupEntry {
+            let d = found.expect("at least one rep");
+            let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
+            table_rows.push(vec![
+                name.to_string(),
+                rows.len().to_string(),
+                "moments".to_string(),
+                format!("{secs:.4}"),
+                d.rules.len().to_string(),
+                d.stats.models_trained.to_string(),
+                format!("{:.4}", rep.rmse),
+            ]);
+            report.records.push(bench_json::BenchRecord {
                 dataset: name.to_string(),
                 rows: rows.len(),
-                moments_secs: secs_by_engine[0],
-                rescan_secs: secs_by_engine[1],
-                ratio: secs_by_engine[1] / secs_by_engine[0],
+                engine: "moments".to_string(),
+                learn_secs: secs,
+                rules: d.rules.len(),
+                trained: d.stats.models_trained,
+                rmse: rep.rmse,
             });
-            if size == sizes[sizes.len() - 1] {
-                // Per-kernel throughput cells at the largest size, plus the
-                // end-to-end cell from the engine timings above
-                // (interpreted kernel vs compiled, both moments engine).
-                let opts = CrrOptions {
-                    compact: false,
-                    predicates_per_attr: per_attr,
-                    ..Default::default()
-                };
-                let (cfg, space) = crr_inputs(&sc, &opts);
-                kernel_microbench(
-                    &mut report,
-                    name,
-                    sc.table(),
-                    &rows,
-                    &cfg,
-                    &space,
-                    secs_by_engine[2],
-                    secs_by_engine[0],
+            if metrics_out.is_some() {
+                // One extra instrumented run per cell, outside the timed
+                // reps so the tracked numbers stay uninstrumented. The
+                // in-process asserts pin the invariants --check re-verifies
+                // from the file.
+                let cfg = cfg.clone().with_metrics(MetricsSink::enabled());
+                let dm = run_discovery(sc.table(), &rows, &cfg, &space).expect("metered discovery");
+                let m = &dm.metrics;
+                assert_eq!(
+                    m.count("queue", "rules_emitted"),
+                    Some(dm.rules.len() as u64),
+                    "{name}@{}: rules_emitted drifted",
+                    rows.len()
                 );
+                assert_eq!(
+                    m.count("fits", "rescans"),
+                    Some(0),
+                    "{name}@{}: the linear family rescanned rows",
+                    rows.len()
+                );
+                metric_runs.push(metrics_json::MetricsRun {
+                    dataset: name.to_string(),
+                    rows: rows.len(),
+                    engine: "moments".to_string(),
+                    expected_fault_events: None,
+                    shard_rows: Vec::new(),
+                    snapshot: dm.metrics,
+                });
+            }
+            if size == sizes[sizes.len() - 1] {
+                // Per-kernel throughput cells at the largest size.
+                kernel_microbench(&mut report, name, sc.table(), &rows, &cfg, &space);
             }
         }
     }
@@ -1344,43 +1250,6 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         }
         let d = quantile_found.expect("at least one quantile rep");
         let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
-        // Acceptance pin: the compiled kernels must be byte-identical under
-        // the adaptive N-way plan too. One untimed interpreted-kernel run
-        // of the same spec; rule conditions, biases and RMSE must all match.
-        let di = DiscoverySession::on(sc.table())
-            .rows(rows.clone())
-            .predicates(space.clone())
-            .config(
-                cfg.clone()
-                    .with_shard_threads(shards.min(4))
-                    .with_kernel(ScanKernel::Interpreted),
-            )
-            .sharded(ShardSpec::by_key(key).quantile().shards(shards))
-            .run()
-            .expect("interpreted sharded discovery");
-        assert_eq!(
-            d.rules.len(),
-            di.rules.len(),
-            "{name}: interpreted kernel changed the sharded rule count"
-        );
-        for (ra, rb) in d.rules.rules().iter().zip(di.rules.rules()) {
-            assert_eq!(
-                ra.condition(),
-                rb.condition(),
-                "{name}: interpreted kernel changed a sharded condition"
-            );
-            assert_eq!(
-                ra.rho().to_bits(),
-                rb.rho().to_bits(),
-                "{name}: interpreted kernel changed a sharded rho"
-            );
-        }
-        let repi = di.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
-        assert_eq!(
-            rep.rmse.to_bits(),
-            repi.rmse.to_bits(),
-            "{name}: interpreted kernel changed the sharded RMSE"
-        );
         table_rows.push(vec![
             name.to_string(),
             rows.len().to_string(),
@@ -1472,18 +1341,12 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         }
     }
     print_table(
-        "Tracked benchmark: fit engines (best of reps)",
+        "Tracked benchmark: discovery (best of reps)",
         &[
             "Dataset", "|I|", "Engine", "Learn(s)", "#Rules", "#Trained", "RMSE",
         ],
         &table_rows,
     );
-    for s in &report.speedup {
-        println!(
-            "  {}@{}: moments {:.4}s vs rescan {:.4}s -> {:.2}x",
-            s.dataset, s.rows, s.moments_secs, s.rescan_secs, s.ratio
-        );
-    }
     for s in &report.sharded {
         println!(
             "  {}@{}: 1 shard {:.4}s vs {} shards ({}, balance {}‰) {:.4}s -> {:.2}x",
@@ -1548,12 +1411,10 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
 }
 
 /// Per-kernel throughput cells for one dataset at one size: times the
-/// interpreted row-at-a-time predicate scan against the compiled
+/// row-at-a-time `Predicate::eval` scan against the compiled
 /// cache-blocked kernel over every space predicate, and the per-row
 /// `Moments::add_row` gather against the batched `Moments::add_rows`
-/// column pass, asserting bit-identical results in-process; the
-/// `end_to_end` cell reuses the engine-cell wall clocks passed in.
-#[allow(clippy::too_many_arguments)]
+/// column pass, asserting bit-identical results in-process.
 fn kernel_microbench(
     report: &mut bench_json::BenchReport,
     dataset: &str,
@@ -1561,8 +1422,6 @@ fn kernel_microbench(
     rows: &RowSet,
     cfg: &DiscoveryConfig,
     space: &PredicateSpace,
-    interpreted_e2e_secs: f64,
-    compiled_e2e_secs: f64,
 ) {
     use crr_core::CompiledConjunction;
     use crr_data::NumericSnapshot;
@@ -1651,15 +1510,6 @@ fn kernel_microbench(
         "gram_accumulate",
         accumulated / i_best.max(1e-9),
         accumulated / c_best.max(1e-9),
-    );
-
-    // End-to-end: whole discovery runs as rows/second, from the engine
-    // cells (moments engine under each kernel, best of reps).
-    push(
-        report,
-        "end_to_end",
-        n as f64 / interpreted_e2e_secs.max(1e-9),
-        n as f64 / compiled_e2e_secs.max(1e-9),
     );
 }
 

@@ -13,7 +13,7 @@
 //!
 //! Four submodules emit the machine-readable artifacts the tracked
 //! benchmark writes and CI re-validates: [`bench_json`]
-//! (`BENCH_discovery.json` — engine timings), [`metrics_json`]
+//! (`BENCH_discovery.json` — discovery timings), [`metrics_json`]
 //! (`metrics.json` — observability snapshots from `crr_obs`-instrumented
 //! runs, including a fault-injection harness cell), [`analysis_json`]
 //! (`analysis.json` — `crr-analyze` static-verifier reports over the
@@ -38,8 +38,8 @@ use crr_core::{RuleIndex, RuleSet};
 use crr_data::{AttrId, RowSet, Table};
 use crr_datasets::{abalone, airquality, birdmap, electricity, tax, Dataset, GenConfig};
 use crr_discovery::{
-    compact_on_data, Budget, DiscoveryConfig, DiscoverySession, FitEngine, PredicateGen,
-    PredicateSpace, QueueOrder,
+    compact_on_data, Budget, DiscoveryConfig, DiscoverySession, PredicateGen, PredicateSpace,
+    QueueOrder,
 };
 use crr_models::{FitConfig, ModelKind};
 use std::sync::OnceLock;
@@ -246,11 +246,6 @@ pub struct CrrOptions {
     /// Per-run resource budget; falls back to the process-wide
     /// [`global_budget`] when `None`.
     pub budget: Option<Budget>,
-    /// Fit engine: incremental sufficient statistics (the default) or the
-    /// row-rescan baseline it is benchmarked against.
-    pub engine: FitEngine,
-    /// Worker threads for the shared-pool probe scan (1 = sequential).
-    pub pool_scan_threads: usize,
 }
 
 impl Default for CrrOptions {
@@ -264,8 +259,6 @@ impl Default for CrrOptions {
             rho_max: None,
             generator: None,
             budget: None,
-            engine: FitEngine::Moments,
-            pool_scan_threads: 1,
         }
     }
 }
@@ -280,9 +273,7 @@ pub fn crr_inputs(sc: &Scenario, opts: &CrrOptions) -> (DiscoveryConfig, Predica
     let mut cfg = DiscoveryConfig::new(sc.inputs.clone(), sc.target, rho)
         .with_kind(opts.kind)
         .with_order(opts.order)
-        .with_sharing(opts.share)
-        .with_engine(opts.engine)
-        .with_pool_scan_threads(opts.pool_scan_threads);
+        .with_sharing(opts.share);
     if opts.kind == ModelKind::Mlp {
         // Keep per-partition MLP fits affordable in sweeps.
         cfg.fit.mlp.epochs = 60;

@@ -1,6 +1,6 @@
 //! The `metrics.json` artifact: structured observability snapshots from
 //! instrumented discovery runs, written by `experiments -- bench
-//! --metrics-out` and re-validated by `--check-metrics` so a drifted
+//! --metrics-out` and re-validated by `--check` so a drifted
 //! emitter or a broken counter invariant fails CI, not a reader.
 //!
 //! Like [`crate::bench_json`], rendering and parsing ride on the
@@ -22,8 +22,11 @@ use std::fmt::Write as _;
 /// the planner counters (`shards.plan_*`, `shards.steal_assists`, the
 /// `shards.balance_permille` gauge) and the per-run `shard_rows` array,
 /// whose sum must equal the run's row count — previously sharded runs
-/// never recorded how the rows actually split.
-pub const SCHEMA: &str = "crr-metrics-v6";
+/// never recorded how the rows actually split; v7 dropped the `rescan`
+/// engine label and the row-at-a-time scan counter from the `kernels`
+/// section (discovery has one engine) and requires at least one `sharded`
+/// run per document.
+pub const SCHEMA: &str = "crr-metrics-v7";
 
 /// Sections every enabled-sink snapshot must carry (the sink always emits
 /// the full schema, zeros included, so file shape is run-independent).
@@ -56,8 +59,8 @@ pub struct MetricsRun {
     pub dataset: String,
     /// Instance size |I|.
     pub rows: usize,
-    /// Fit engine label (`moments`, `rescan`), or `sharded` for a
-    /// multi-shard run (moments engine under a key-range shard plan).
+    /// `moments` for a whole-instance run, or `sharded` for a multi-shard
+    /// run (the same engine under a key-range shard plan).
     pub engine: String,
     /// For the fault-harness run: how many injected faults the plan fired,
     /// which `metrics.faults.injected_failures` must equal. `None` for
@@ -121,18 +124,16 @@ fn uint(obj: &Json, section: &str, key: &str, ctx: &str) -> Result<u64, String> 
 /// present per run), this enforces the counter invariants the
 /// instrumentation promises:
 ///
-/// * a `moments`-engine run never rescans rows (`fits.rescans == 0`), and
-///   so does a `sharded` run (which uses the moments engine per shard);
-/// * a `rescan`-engine run never touches the moments path
-///   (`fits.moments_solves == 0`, `fits.declined_singular == 0`,
-///   `moments.add_row_ops == 0`);
+/// * the engine label is `moments` or `sharded`, and at least one run is
+///   `sharded`;
+/// * no run rescans rows (`fits.rescans == 0`): the benchmarked linear
+///   family always fits from sufficient statistics;
 /// * the cross-shard pool accounting reconciles in **every** run:
 ///   `shards.cross_pool_hits + shards.cross_pool_misses ==
 ///   shards.cross_pool_probes` (all three are zero when unsharded);
 /// * the scan-kernel ledger balances in **every** run: each split filters
-///   both of its sides through exactly one engine, so
-///   `kernels.compiled_scans + kernels.interpreted_scans ==
-///   2 × queue.splits`;
+///   both of its sides through the compiled kernel, so
+///   `kernels.compiled_scans == 2 × queue.splits`;
 /// * a `sharded` run actually ran at least two shards (`shards.run >= 2`),
 ///   carries a `shard_rows` array with one entry per shard run whose sum
 ///   equals the run's `rows` (no shard plan may lose or duplicate rows),
@@ -160,13 +161,14 @@ pub fn validate(text: &str) -> Result<String, String> {
         return Err("'runs' is empty".to_string());
     }
     let mut fault_runs = 0usize;
+    let mut sharded_runs = 0usize;
     for (i, r) in runs.iter().enumerate() {
         let ctx = format!("runs[{i}]");
         let engine = r
             .get("engine")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("{ctx}: missing 'engine'"))?;
-        if engine != "moments" && engine != "rescan" && engine != "sharded" {
+        if engine != "moments" && engine != "sharded" {
             return Err(format!("{ctx}: unknown engine '{engine}'"));
         }
         r.get("dataset")
@@ -202,79 +204,61 @@ pub fn validate(text: &str) -> Result<String, String> {
         }
         let splits = uint(m, "queue", "splits", &ctx)?;
         let cscans = uint(m, "kernels", "compiled_scans", &ctx)?;
-        let iscans = uint(m, "kernels", "interpreted_scans", &ctx)?;
-        if cscans + iscans != 2 * splits {
+        if cscans != 2 * splits {
             return Err(format!(
                 "{ctx}: scan-kernel ledger does not balance \
-                 ({cscans} compiled + {iscans} interpreted != 2 x {splits} splits)"
+                 ({cscans} compiled scans != 2 x {splits} splits)"
             ));
         }
-        match engine {
-            "moments" | "sharded" => {
-                let rescans = uint(m, "fits", "rescans", &ctx)?;
-                if rescans != 0 {
-                    return Err(format!(
-                        "{ctx}: {engine} engine recorded {rescans} row rescans"
-                    ));
-                }
-                if engine == "sharded" {
-                    let run = uint(m, "shards", "run", &ctx)?;
-                    if run < 2 {
-                        return Err(format!("{ctx}: sharded run executed fewer than 2 shards"));
-                    }
-                    let rows = r
-                        .get("rows")
-                        .and_then(Json::as_num)
-                        .ok_or_else(|| format!("{ctx}: missing 'rows'"))?;
-                    let shard_rows = r
-                        .get("shard_rows")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("{ctx}: sharded run missing 'shard_rows'"))?;
-                    if shard_rows.len() as u64 != run {
-                        return Err(format!(
-                            "{ctx}: 'shard_rows' has {} entries but the run executed {run} shards",
-                            shard_rows.len()
-                        ));
-                    }
-                    let mut sum = 0.0f64;
-                    for (j, v) in shard_rows.iter().enumerate() {
-                        let n = v
-                            .as_num()
-                            .ok_or_else(|| format!("{ctx}: shard_rows[{j}] is not a number"))?;
-                        if !n.is_finite() || n < 1.0 || n.fract() != 0.0 {
-                            return Err(format!(
-                                "{ctx}: shard_rows[{j}] is not a positive integer ({n})"
-                            ));
-                        }
-                        sum += n;
-                    }
-                    if sum != rows {
-                        return Err(format!(
-                            "{ctx}: shard rows do not sum to the table rows \
-                             ({sum} != {rows}) — the plan lost or duplicated rows"
-                        ));
-                    }
-                    let balance = uint(m, "shards", "balance_permille", &ctx)?;
-                    if balance > 1000 {
-                        return Err(format!(
-                            "{ctx}: shards.balance_permille gauge out of range ({balance})"
-                        ));
-                    }
-                }
+        let rescans = uint(m, "fits", "rescans", &ctx)?;
+        if rescans != 0 {
+            return Err(format!(
+                "{ctx}: {engine} run recorded {rescans} row rescans"
+            ));
+        }
+        if engine == "sharded" {
+            sharded_runs += 1;
+            let run = uint(m, "shards", "run", &ctx)?;
+            if run < 2 {
+                return Err(format!("{ctx}: sharded run executed fewer than 2 shards"));
             }
-            _ => {
-                for key in ["moments_solves", "declined_singular"] {
-                    let n = uint(m, "fits", key, &ctx)?;
-                    if n != 0 {
-                        return Err(format!("{ctx}: rescan engine recorded {n} '{key}' events"));
-                    }
-                }
-                let adds = uint(m, "moments", "add_row_ops", &ctx)?;
-                if adds != 0 {
+            let rows = r
+                .get("rows")
+                .and_then(Json::as_num)
+                .ok_or_else(|| format!("{ctx}: missing 'rows'"))?;
+            let shard_rows = r
+                .get("shard_rows")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| format!("{ctx}: sharded run missing 'shard_rows'"))?;
+            if shard_rows.len() as u64 != run {
+                return Err(format!(
+                    "{ctx}: 'shard_rows' has {} entries but the run executed {run} shards",
+                    shard_rows.len()
+                ));
+            }
+            let mut sum = 0.0f64;
+            for (j, v) in shard_rows.iter().enumerate() {
+                let n = v
+                    .as_num()
+                    .ok_or_else(|| format!("{ctx}: shard_rows[{j}] is not a number"))?;
+                if !n.is_finite() || n < 1.0 || n.fract() != 0.0 {
                     return Err(format!(
-                        "{ctx}: rescan engine recorded {adds} moments add-row ops"
+                        "{ctx}: shard_rows[{j}] is not a positive integer ({n})"
                     ));
                 }
+                sum += n;
+            }
+            if sum != rows {
+                return Err(format!(
+                    "{ctx}: shard rows do not sum to the table rows \
+                     ({sum} != {rows}) — the plan lost or duplicated rows"
+                ));
+            }
+            let balance = uint(m, "shards", "balance_permille", &ctx)?;
+            if balance > 1000 {
+                return Err(format!(
+                    "{ctx}: shards.balance_permille gauge out of range ({balance})"
+                ));
             }
         }
         if engine != "sharded" && r.get("shard_rows").is_some() {
@@ -301,8 +285,11 @@ pub fn validate(text: &str) -> Result<String, String> {
             }
         }
     }
+    if sharded_runs == 0 {
+        return Err("no 'sharded' run: the shard-plan invariants went unchecked".to_string());
+    }
     Ok(format!(
-        "ok: {} run(s), {fault_runs} fault-harness",
+        "ok: {} run(s), {sharded_runs} sharded, {fault_runs} fault-harness",
         runs.len()
     ))
 }
@@ -330,34 +317,6 @@ mod tests {
         sink.snapshot()
     }
 
-    fn sample() -> Vec<MetricsRun> {
-        vec![
-            MetricsRun {
-                dataset: "electricity".into(),
-                rows: 2880,
-                engine: "moments".into(),
-                expected_fault_events: None,
-                shard_rows: Vec::new(),
-                snapshot: snap_with(0),
-            },
-            MetricsRun {
-                dataset: "electricity".into(),
-                rows: 2880,
-                engine: "moments".into(),
-                expected_fault_events: Some(1),
-                shard_rows: Vec::new(),
-                snapshot: snap_with(1),
-            },
-        ]
-    }
-
-    #[test]
-    fn render_round_trips_through_validate() {
-        let summary = validate(&render(&sample())).expect("valid");
-        assert!(summary.contains("2 run(s)"), "{summary}");
-        assert!(summary.contains("1 fault-harness"), "{summary}");
-    }
-
     fn sharded_sink() -> MetricsSink {
         let sink = MetricsSink::enabled();
         sink.add(Counter::QueuePops, 7);
@@ -377,6 +336,36 @@ mod tests {
             shard_rows: vec![2880, 2880, 2880, 2880],
             snapshot: sharded_sink().snapshot(),
         }
+    }
+
+    fn sample() -> Vec<MetricsRun> {
+        vec![
+            MetricsRun {
+                dataset: "electricity".into(),
+                rows: 2880,
+                engine: "moments".into(),
+                expected_fault_events: None,
+                shard_rows: Vec::new(),
+                snapshot: snap_with(0),
+            },
+            MetricsRun {
+                dataset: "electricity".into(),
+                rows: 2880,
+                engine: "moments".into(),
+                expected_fault_events: Some(1),
+                shard_rows: Vec::new(),
+                snapshot: snap_with(1),
+            },
+            sharded_run(),
+        ]
+    }
+
+    #[test]
+    fn render_round_trips_through_validate() {
+        let summary = validate(&render(&sample())).expect("valid");
+        assert!(summary.contains("3 run(s)"), "{summary}");
+        assert!(summary.contains("1 sharded"), "{summary}");
+        assert!(summary.contains("1 fault-harness"), "{summary}");
     }
 
     #[test]
@@ -436,10 +425,29 @@ mod tests {
 
     #[test]
     fn engine_inconsistency_is_rejected() {
+        // A run that fitted from materialized rows is not the benchmarked
+        // moments engine.
         let mut runs = sample();
-        runs[0].engine = "rescan".into(); // but the snapshot has moments_solves=5
+        let sink = MetricsSink::enabled();
+        sink.add(Counter::QueuePops, 7);
+        sink.add(Counter::Rescans, 5);
+        runs[0].snapshot = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
-        assert!(err.contains("moments_solves"), "{err}");
+        assert!(err.contains("5 row rescans"), "{err}");
+
+        // The retired engine label no longer validates.
+        let mut runs = sample();
+        runs[0].engine = "rescan".into();
+        let err = validate(&render(&runs)).expect_err("must fail");
+        assert!(err.contains("unknown engine 'rescan'"), "{err}");
+    }
+
+    #[test]
+    fn documents_without_a_sharded_run_are_rejected() {
+        let mut runs = sample();
+        runs.retain(|r| r.engine != "sharded");
+        let err = validate(&render(&runs)).expect_err("must fail");
+        assert!(err.contains("no 'sharded' run"), "{err}");
     }
 
     #[test]
@@ -495,9 +503,9 @@ mod tests {
     #[test]
     fn empty_or_mislabeled_documents_are_rejected() {
         assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-metrics-v6\", \"runs\": []}").is_err());
+        assert!(validate("{\"schema\": \"crr-metrics-v7\", \"runs\": []}").is_err());
         assert!(validate("{\"schema\": \"other\", \"runs\": [1]}").is_err());
-        // The v5 tag is stale now that sharded runs carry shard_rows.
-        assert!(validate("{\"schema\": \"crr-metrics-v5\", \"runs\": [1]}").is_err());
+        // The v6 tag is stale now that the rescan label is retired.
+        assert!(validate("{\"schema\": \"crr-metrics-v6\", \"runs\": [1]}").is_err());
     }
 }

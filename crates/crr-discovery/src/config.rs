@@ -20,46 +20,6 @@ pub enum QueueOrder {
     Random(u64),
 }
 
-/// Which fitting engine the search loop uses for the linear family
-/// (F1/F2). The MLP always takes the direct path — it has no sufficient
-/// statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FitEngine {
-    /// Sufficient statistics: every queue entry carries the partition's
-    /// [`crr_models::Moments`] `(XᵀX, Xᵀy, yᵀy, Σx, Σy, n)`, maintained
-    /// incrementally across splits (the smaller child is re-accumulated,
-    /// the larger is the parent minus the sibling) and solved via Cholesky —
-    /// O(min(|child|)·d²) per split plus O(d³) per fit instead of an
-    /// O(n·d²) normal-equation rebuild at every pop.
-    #[default]
-    Moments,
-    /// Rebuild the normal equations from the partition's rows at every
-    /// queue pop — the pre-moments behavior, kept as the benchmark baseline
-    /// that `BENCH_discovery.json` tracks the moments speed-up against.
-    Rescan,
-}
-
-/// Which predicate-evaluation path the discovery hot loops use.
-///
-/// Both paths are byte-identical by contract — the compiled kernels
-/// reproduce [`crr_core::Predicate::eval`]'s semantics exactly (nulls,
-/// NaN, cross-kind constants included), pinned by the proptest suite in
-/// `crr-core` and the engine-identity invariant of the tracked benchmark.
-/// The interpreted path is kept as the oracle and as the baseline the
-/// per-kernel bench cells measure the compiled speed-up against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanKernel {
-    /// Compile each conjunction/predicate once per (condition, table)
-    /// pair and evaluate columnar in cache-blocked batches
-    /// ([`crr_core::CompiledConjunction`]), with batched Gram
-    /// accumulation (`Moments::add_rows`) during partition builds.
-    #[default]
-    Compiled,
-    /// Row-at-a-time `Predicate::eval` / `Moments::add_row` — the
-    /// pre-kernel behavior, kept as the oracle baseline.
-    Interpreted,
-}
-
 /// How split predicates are chosen when a partition admits no model
 /// (Algorithm 1 line 19).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,13 +62,6 @@ pub struct DiscoveryConfig {
     /// Algorithm 1 into a plain top-down learner — the ablation the paper's
     /// Figure 9 "CRR searching" vs. regression-tree comparison isolates.
     pub share_models: bool,
-    /// Partitions smaller than this are accepted with a forced (fallback)
-    /// model rather than split further — the VC-dimension stop of §V-A2.
-    /// `None` derives it from the model family (`d + 1` for linear).
-    pub min_partition: Option<usize>,
-    /// Hard cap on split candidates evaluated per partition, bounding split
-    /// cost on huge predicate spaces.
-    pub max_split_candidates: usize,
     /// Resource limits for the run (deadline, expansions, fits). Checked at
     /// each priority-queue pop; tripping degrades gracefully to a
     /// best-so-far ruleset tagged with a [`crate::DiscoveryOutcome`].
@@ -119,11 +72,6 @@ pub struct DiscoveryConfig {
     /// Test-only fault injection consulted before every model fit. `None`
     /// in production configs.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Fitting engine for the linear family; see [`FitEngine`].
-    pub engine: FitEngine,
-    /// Predicate-evaluation path for the scan hot loops; see
-    /// [`ScanKernel`]. Both settings produce byte-identical rule sets.
-    pub kernel: ScanKernel,
     /// Worker threads for the shared-pool scan at each pop (lines 7–10).
     /// `1` scans sequentially; higher values fan the per-model share tests
     /// out over scoped threads once the pool and partition are large enough
@@ -158,29 +106,13 @@ impl DiscoveryConfig {
             order: QueueOrder::Decrease,
             split: SplitStrategy::BestResidual,
             share_models: true,
-            min_partition: None,
-            max_split_candidates: 64,
             budget: Budget::unlimited(),
             cancel: None,
             faults: None,
-            engine: FitEngine::Moments,
-            kernel: ScanKernel::Compiled,
             pool_scan_threads: 1,
             shard_threads: 1,
             metrics: MetricsSink::disabled(),
         }
-    }
-
-    /// Switches the fitting engine for the linear family.
-    pub fn with_engine(mut self, engine: FitEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Switches the predicate-evaluation path for the scan hot loops.
-    pub fn with_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Sets the shared-pool scan parallelism (1 = sequential). Zero is
@@ -257,11 +189,12 @@ impl DiscoveryConfig {
         Ok(())
     }
 
-    /// The effective minimum partition size (VC-dimension guard).
-    pub fn effective_min_partition(&self) -> usize {
-        self.min_partition
-            .unwrap_or_else(|| self.fit.min_samples(self.inputs.len()))
-            .max(1)
+    /// The minimum partition size worth splitting — the VC-dimension stop
+    /// of §V-A2, derived from the model family (`d + 1` for linear).
+    /// Partitions at or below it accept their best model, forced if need
+    /// be, instead of splitting further.
+    pub fn min_partition(&self) -> usize {
+        self.fit.min_samples(self.inputs.len()).max(1)
     }
 }
 
@@ -276,7 +209,7 @@ mod tests {
         assert!(cfg.share_models);
         assert_eq!(cfg.fit.kind, ModelKind::Linear);
         // Linear with one feature: 2 samples minimum.
-        assert_eq!(cfg.effective_min_partition(), 2);
+        assert_eq!(cfg.min_partition(), 2);
     }
 
     #[test]
@@ -288,7 +221,7 @@ mod tests {
         assert_eq!(cfg.fit.kind, ModelKind::Mlp);
         assert_eq!(cfg.order, QueueOrder::Increase);
         assert!(!cfg.share_models);
-        assert_eq!(cfg.effective_min_partition(), 4);
+        assert_eq!(cfg.min_partition(), 4);
     }
 
     #[test]
@@ -308,12 +241,5 @@ mod tests {
             .with_shard_threads(4)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn explicit_min_partition_wins() {
-        let mut cfg = DiscoveryConfig::new(vec![AttrId(0)], AttrId(1), 0.5);
-        cfg.min_partition = Some(10);
-        assert_eq!(cfg.effective_min_partition(), 10);
     }
 }

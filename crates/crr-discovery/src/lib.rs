@@ -102,8 +102,8 @@
 //! // The frozen snapshot travels with the result ...
 //! let m = &result.metrics;
 //! assert_eq!(m.count("queue", "pops"), Some(result.stats.partitions_explored as u64));
-//! // ... every trained model came from a moments solve or a fallback,
-//! // never a row rescan (the default engine is FitEngine::Moments) ...
+//! // ... every trained model came from a moments solve or a fallback:
+//! // the linear family never re-reads partition rows to fit ...
 //! assert_eq!(m.count("fits", "rescans"), Some(0));
 //! // ... and it serializes to JSON without serde.
 //! assert!(m.to_json(0).contains("\"pool\""));
@@ -129,12 +129,12 @@ pub mod sharded;
 pub use artifact::{RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact};
 pub use budget::{Budget, CancelToken, DiscoveryOutcome};
 pub use compaction::{compact, compact_on_data, CompactionStats};
-pub use config::{DiscoveryConfig, FitEngine, QueueOrder, ScanKernel, SplitStrategy};
+pub use config::{DiscoveryConfig, QueueOrder, SplitStrategy};
 pub use error::DiscoveryError;
 pub use faults::{inject_dirty_cells, FaultPlan};
 pub use parallel::Task;
 pub use predicates::{PredicateGen, PredicateSpace};
-pub use search::{share_fit_rows, share_fit_snapshot, Discovery, DiscoveryStats};
+pub use search::{Discovery, DiscoveryStats};
 pub use session::DiscoverySession;
 pub use sharded::{
     guard_predicates, PlanBoundary, ProofObligations, ShardGuard, ShardOutcome, ShardedDiscovery,
@@ -154,7 +154,7 @@ pub use crr_obs::{MetricsSink, MetricsSnapshot};
 pub mod prelude {
     pub use crate::artifact::RuleSetArtifact;
     pub use crate::budget::{Budget, CancelToken, DiscoveryOutcome};
-    pub use crate::config::{DiscoveryConfig, FitEngine, QueueOrder, ScanKernel, SplitStrategy};
+    pub use crate::config::{DiscoveryConfig, QueueOrder, SplitStrategy};
     pub use crate::error::DiscoveryError;
     pub use crate::faults::FaultPlan;
     pub use crate::session::DiscoverySession;

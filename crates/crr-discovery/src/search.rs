@@ -23,14 +23,15 @@
 //! [`NumericSnapshot`] — column-major buffers of every input plus the
 //! target, with a fit-readiness bitmask — is built once per run, and each
 //! queue entry carries its partition's fit-ready row indices into those
-//! buffers. Under the default [`FitEngine::Moments`], entries additionally
-//! carry the partition's [`Moments`] `(XᵀX, Xᵀy, yᵀy, Σx, Σy, n)`:
+//! buffers. For the linear family (F1/F2), entries additionally carry the
+//! partition's [`Moments`] `(XᵀX, Xᵀy, yᵀy, Σx, Σy, n)`:
 //!
 //! * a split re-accumulates the *smaller* child in O(|child|·d²) and derives
 //!   the larger sibling by subtraction from the parent (exact over the split
 //!   because addition of per-row outer products is what built the parent);
 //! * a fit solves the cached normal equations in O(d³) instead of an
-//!   O(n·d²) rebuild at every pop;
+//!   O(n·d²) rebuild at every pop (the MLP, which has no sufficient
+//!   statistics, is the one family fitted from materialized rows);
 //! * residual scans (`ρ`, the shared-pool probes, the sharing index) stream
 //!   the columnar buffers, reproducing [`Regressor::predict`] bitwise for
 //!   affine models so every reported `ρ` stays honest.
@@ -43,11 +44,11 @@
 //! the sequential scan.
 
 use crate::{
-    DiscoveryConfig, DiscoveryError, DiscoveryOutcome, FitEngine, PredicateSpace, QueueOrder,
-    Result, ScanKernel, SplitStrategy,
+    DiscoveryConfig, DiscoveryError, DiscoveryOutcome, PredicateSpace, QueueOrder, Result,
+    SplitStrategy,
 };
 use crr_core::{CompiledConjunction, Conjunction, Crr, Dnf, Predicate, RuleSet};
-use crr_data::{AttrId, AttrType, NumericSnapshot, RowSet, Table};
+use crr_data::{AttrId, NumericSnapshot, RowSet, Table};
 use crr_models::{
     fit_model, try_fit_from_moments, ConstantModel, Model, ModelKind, Moments, Regressor,
     Translation,
@@ -62,6 +63,11 @@ use std::time::{Duration, Instant};
 /// Minimum `|pool| × |fit rows|` before the shared-pool scan fans out over
 /// threads — below this the probes are cheaper than the spawns.
 const PARALLEL_SCAN_MIN_WORK: usize = 4096;
+
+/// Cap on split candidates scored per partition: `choose_split` samples
+/// the available predicates at an even stride, bounding split cost on huge
+/// predicate spaces.
+const MAX_SPLIT_CANDIDATES: usize = 64;
 
 /// Counters describing one discovery run — the raw material of the paper's
 /// learning-time and #rules plots.
@@ -114,7 +120,7 @@ pub struct Discovery {
 
 /// Priority-queue entry: a conjunction, its partition, the predicates still
 /// available for splitting it, and the partition's fit state (snapshot row
-/// indices plus, under the moments engine, cached sufficient statistics).
+/// indices plus, for the linear family, cached sufficient statistics).
 struct Entry {
     /// Queue priority (see [`QueueOrder`]).
     priority: f64,
@@ -126,8 +132,8 @@ struct Entry {
     /// indices into the run's [`NumericSnapshot`] buffers.
     fit: Vec<u32>,
     /// Sufficient statistics over `fit`, maintained across splits. `None`
-    /// under [`FitEngine::Rescan`] or for families without sufficient
-    /// statistics (the MLP).
+    /// for the MLP, which has no sufficient statistics, and for runs with
+    /// no input attributes.
     moments: Option<Moments>,
     /// Indices into the predicate space usable for further splits.
     avail: Vec<u32>,
@@ -246,7 +252,7 @@ pub(crate) fn run_search(
     // freezes the seed shard's list into the cross-shard pool. Adopted
     // cross-shard models are deliberately absent (already frozen).
     let mut published: Vec<Arc<Model>> = Vec::new();
-    let min_partition = cfg.effective_min_partition();
+    let min_partition = cfg.min_partition();
 
     // One pass over the table: columnar numeric buffers + readiness mask.
     // Complete rows holding NaN/±Inf surface here as the same typed error
@@ -264,9 +270,8 @@ pub(crate) fn run_search(
         })?;
     // Moments apply to the linear family only; the MLP has no sufficient
     // statistics, and with zero features every fit is a constant anyway.
-    let use_moments = cfg.engine == FitEngine::Moments
-        && matches!(cfg.fit.kind, ModelKind::Linear | ModelKind::Ridge)
-        && !cfg.inputs.is_empty();
+    let use_moments =
+        matches!(cfg.fit.kind, ModelKind::Linear | ModelKind::Ridge) && !cfg.inputs.is_empty();
 
     // Global fallback for partitions with no usable (X, Y) pairs at all.
     let global_fallback = global_midrange(table, cfg, rows);
@@ -277,7 +282,7 @@ pub(crate) fn run_search(
     let root_fit = snap.ready_rows(rows);
     let root_moments = if use_moments {
         mx.add(Ctr::MomentsAddRowOps, root_fit.len() as u64);
-        Some(accumulate_moments(&snap, &root_fit, cfg.kernel, mx))
+        Some(accumulate_moments(&snap, &root_fit, mx))
     } else {
         None
     };
@@ -307,11 +312,10 @@ pub(crate) fn run_search(
     // Residual scratch, reused across pops.
     let mut resid: Vec<f64> = Vec::new();
 
-    // Compile-once cache for the split chooser: under the compiled kernel
-    // every candidate predicate is compiled against this table exactly
-    // once per run instead of once per (pop, candidate).
-    let split_scratch =
-        (cfg.kernel == ScanKernel::Compiled).then(|| SplitScratch::build(table, space, cfg.target));
+    // Compile-once cache for the split chooser: every candidate predicate
+    // is compiled against this table exactly once per run instead of once
+    // per (pop, candidate).
+    let split_scratch = SplitScratch::build(table, space, cfg.target);
 
     // Line 4: main loop.
     while let Some(entry) = queue.pop() {
@@ -608,6 +612,8 @@ pub(crate) fn run_search(
                     ))
                 }
             },
+            // No sufficient statistics (the MLP, or no inputs): fit from
+            // the partition's materialized rows.
             None => {
                 mx.incr(Ctr::Rescans);
                 let (xs, y) = materialize(&snap, &fit);
@@ -648,20 +654,15 @@ pub(crate) fn run_search(
 
         // Lines 19–22: split the condition. The failed model's residuals
         // feed the default (model-tree) split criterion.
-        let residuals: Vec<(usize, f64)> = fit
-            .iter()
-            .zip(&resid)
-            .map(|(&r, &e)| (r as usize, e))
-            .collect();
         let t_split = mx.span();
         let chosen = choose_split(
             table,
             &rows,
-            cfg,
+            cfg.split,
             space,
             &avail,
-            &residuals,
-            split_scratch.as_ref(),
+            (&fit, &resid),
+            &split_scratch,
         );
         mx.record(Phase::SplitSelection, t_split);
         match chosen {
@@ -672,8 +673,8 @@ pub(crate) fn run_search(
                 // p and ¬p are filtered independently — on a null condition
                 // attribute *both* are false, so this is not a partition.
                 let t_scan = mx.span();
-                let yes = select_side(table, &rows, &p, cfg.kernel, mx);
-                let no = select_side(table, &rows, &np, cfg.kernel, mx);
+                let yes = select_side(table, &rows, &p, mx);
+                let no = select_side(table, &rows, &np, mx);
                 mx.record(Phase::PredScan, t_scan);
                 // Rows satisfying neither side have a null condition
                 // attribute; no condition can ever select them.
@@ -682,8 +683,7 @@ pub(crate) fn run_search(
                     avail.iter().copied().filter(|&i| i != split_idx).collect();
                 let yes_fit = intersect_sorted(&fit, yes.as_slice());
                 let no_fit = intersect_sorted(&fit, no.as_slice());
-                let (yes_m, no_m) =
-                    split_moments(moments, &snap, &fit, &yes_fit, &no_fit, cfg.kernel, mx);
+                let (yes_m, no_m) = split_moments(moments, &snap, &fit, &yes_fit, &no_fit, mx);
                 for (child_conj, child_rows, child_fit, child_m) in [
                     (conj.and(p), yes, yes_fit, yes_m),
                     (conj.and(np), no, no_fit, no_m),
@@ -739,61 +739,29 @@ pub(crate) fn run_search(
     })
 }
 
-/// Filters one side of a split — [`ScanKernel::Compiled`] runs the
-/// cache-blocked predicate kernel over the partition's row slice,
-/// [`ScanKernel::Interpreted`] the per-row `Predicate::eval` oracle. The two
-/// are byte-identical (pinned by `crr_core::compiled`'s equivalence tests
-/// and the kernel regression tests below).
-fn select_side(
-    table: &Table,
-    rows: &RowSet,
-    p: &Predicate,
-    kernel: ScanKernel,
-    mx: &MetricsSink,
-) -> RowSet {
+/// Filters one side of a split: the cache-blocked compiled predicate
+/// kernel over the partition's row slice (byte-identical to per-row
+/// `Predicate::eval`, pinned by `crr-core`'s `proptest_compiled`).
+fn select_side(table: &Table, rows: &RowSet, p: &Predicate, mx: &MetricsSink) -> RowSet {
     mx.add(Ctr::KernelScanRows, rows.len() as u64);
-    match kernel {
-        ScanKernel::Compiled => {
-            mx.incr(Ctr::KernelCompiledScans);
-            CompiledConjunction::from_preds(std::slice::from_ref(p), table).select(rows)
-        }
-        ScanKernel::Interpreted => {
-            mx.incr(Ctr::KernelInterpretedScans);
-            rows.filter(|r| p.eval(table, r))
-        }
-    }
+    mx.incr(Ctr::KernelCompiledScans);
+    CompiledConjunction::from_preds(std::slice::from_ref(p), table).select(rows)
 }
 
 /// Accumulates the sufficient statistics of `fit` rows from the snapshot
-/// buffers. [`ScanKernel::Compiled`] uses the batched cell-major
-/// [`Moments::add_rows`] kernel; [`ScanKernel::Interpreted`] the row-by-row
-/// gather. Both visit rows in ascending order with one accumulator chain
-/// per cell, so the sums are bitwise identical — and either way a child
-/// split re-accumulates in the same order, so parent = yes-child + no-child
-/// holds exactly as floating-point sums.
-fn accumulate_moments(
-    snap: &NumericSnapshot,
-    fit: &[u32],
-    kernel: ScanKernel,
-    mx: &MetricsSink,
-) -> Moments {
+/// buffers with the batched cell-major [`Moments::add_rows`] kernel. It
+/// visits rows in ascending order with one accumulator chain per cell, so
+/// the sums are bitwise those of row-by-row `Moments::add_row` (pinned by
+/// `add_rows`'s unit test) — and a child split re-accumulates in the same
+/// order, so parent = yes-child + no-child holds exactly as floating-point
+/// sums.
+fn accumulate_moments(snap: &NumericSnapshot, fit: &[u32], mx: &MetricsSink) -> Moments {
     let t = mx.span();
     let d = snap.num_inputs();
     let mut m = Moments::zeros(d);
-    match kernel {
-        ScanKernel::Compiled => {
-            mx.incr(Ctr::KernelBatchAccumulates);
-            let cols: Vec<&[f64]> = (0..d).map(|j| snap.input(j)).collect();
-            m.add_rows(&cols, snap.target(), fit);
-        }
-        ScanKernel::Interpreted => {
-            let mut x = vec![0.0; d];
-            for &r in fit {
-                snap.gather_x(r as usize, &mut x);
-                m.add_row(&x, snap.target()[r as usize]);
-            }
-        }
-    }
+    mx.incr(Ctr::KernelBatchAccumulates);
+    let cols: Vec<&[f64]> = (0..d).map(|j| snap.input(j)).collect();
+    m.add_rows(&cols, snap.target(), fit);
     mx.record(Phase::GramAccumulate, t);
     m
 }
@@ -809,7 +777,6 @@ fn split_moments(
     fit: &[u32],
     yes_fit: &[u32],
     no_fit: &[u32],
-    kernel: ScanKernel,
     mx: &MetricsSink,
 ) -> (Option<Moments>, Option<Moments>) {
     let Some(parent) = parent else {
@@ -822,12 +789,12 @@ fn split_moments(
         mx.incr(Ctr::SiblingSubtractions);
         mx.incr(Ctr::MomentsSubtractOps);
         if yes_fit.len() <= no_fit.len() {
-            let small = accumulate_moments(snap, yes_fit, kernel, mx);
+            let small = accumulate_moments(snap, yes_fit, mx);
             let mut large = parent;
             large.subtract(&small);
             (Some(small), Some(large))
         } else {
-            let small = accumulate_moments(snap, no_fit, kernel, mx);
+            let small = accumulate_moments(snap, no_fit, mx);
             let mut large = parent;
             large.subtract(&small);
             (Some(large), Some(small))
@@ -836,8 +803,8 @@ fn split_moments(
         mx.incr(Ctr::FullRebuilds);
         mx.add(Ctr::MomentsAddRowOps, (yes_fit.len() + no_fit.len()) as u64);
         (
-            Some(accumulate_moments(snap, yes_fit, kernel, mx)),
-            Some(accumulate_moments(snap, no_fit, kernel, mx)),
+            Some(accumulate_moments(snap, yes_fit, mx)),
+            Some(accumulate_moments(snap, no_fit, mx)),
         )
     }
 }
@@ -861,8 +828,8 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Rebuilds row-major `(xs, y)` from the snapshot buffers — the
-/// [`FitEngine::Rescan`] baseline and the MLP's raw-row path.
+/// Rebuilds row-major `(xs, y)` from the snapshot buffers — the raw-row
+/// fit path of the MLP, which has no sufficient statistics.
 fn materialize(snap: &NumericSnapshot, fit: &[u32]) -> (Vec<Vec<f64>>, Vec<f64>) {
     let d = snap.num_inputs();
     let mut xs = Vec::with_capacity(fit.len());
@@ -879,7 +846,7 @@ fn materialize(snap: &NumericSnapshot, fit: &[u32]) -> (Vec<Vec<f64>>, Vec<f64>)
 
 /// Midrange of the target over `fit` rows — the constant fallback when the
 /// moments solve declines, with the same min/max fold [`ConstantModel::fit`]
-/// uses so both engines produce the identical constant.
+/// uses, so the constant is the one `fit_model` would fall back to.
 fn midrange_of(snap: &NumericSnapshot, fit: &[u32]) -> f64 {
     let ty = snap.target();
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
@@ -1000,49 +967,6 @@ fn share_probe(
     }
 }
 
-/// Row-major variant of the shared-fit test: returns
-/// `(δ₀, max |r − δ₀|, fraction of rows within ρ_M of f + δ₀)`.
-///
-/// This is the pre-snapshot formulation, kept public as the benchmark
-/// baseline [`share_fit_snapshot`] is measured against.
-pub fn share_fit_rows(f: &Model, xs: &[Vec<f64>], y: &[f64], rho_max: f64) -> (f64, f64, f64) {
-    debug_assert!(!xs.is_empty());
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut residuals = Vec::with_capacity(xs.len());
-    for (x, &t) in xs.iter().zip(y) {
-        let r = t - f.predict(x);
-        lo = lo.min(r);
-        hi = hi.max(r);
-        residuals.push(r);
-    }
-    let delta0 = (lo + hi) / 2.0;
-    let mut max_dev = 0.0f64;
-    let mut within = 0usize;
-    for r in &residuals {
-        let dev = (r - delta0).abs();
-        max_dev = max_dev.max(dev);
-        if dev <= rho_max {
-            within += 1;
-        }
-    }
-    (delta0, max_dev, within as f64 / residuals.len() as f64)
-}
-
-/// Columnar variant of [`share_fit_rows`] over a snapshot — the engine the
-/// search loop uses, exported for the benchmark harness. Returns the same
-/// `(δ₀, max dev, fraction)` triple.
-pub fn share_fit_snapshot(
-    f: &Model,
-    snap: &NumericSnapshot,
-    fit: &[u32],
-    rho_max: f64,
-) -> (f64, f64, f64) {
-    let mut buf = Vec::new();
-    let p = share_probe(f, snap, fit, rho_max, &mut buf, ScanMode::Full);
-    (p.delta0, p.max_dev, p.within as f64 / fit.len() as f64)
-}
-
 /// Midrange and half-range of the target's finite values over a partition;
 /// `None` when no row has one. The midrange constant's worst absolute
 /// error on the partition is exactly the half-range, so drained rules
@@ -1083,18 +1007,11 @@ pub(crate) fn global_midrange(table: &Table, cfg: &DiscoveryConfig, rows: &RowSe
     }
 }
 
-/// Line 19: pick the split predicate among the available ones.
-///
-/// Only *separating* predicates qualify (both sides non-empty — this is
-/// what bounds the search tree at one leaf per tuple). `BestResidual`
-/// (default) scores each candidate by the weighted variance of the parent
-/// model's residuals per side — the model-tree criterion that surfaces
-/// regime attributes; `BestVariance` is the raw CART criterion \[9\].
-/// Per-run scratch for the compiled split chooser: every candidate
-/// predicate compiled against the table exactly once, plus the target
-/// column densified to a flat f64 buffer. NaN marks a null cell — the
-/// snapshot build already rejected non-finite data cells over the run's
-/// rows, so the sentinel is unambiguous.
+/// Per-run scratch for the split chooser: every candidate predicate
+/// compiled against the table exactly once, plus the target column
+/// densified to a flat f64 buffer. NaN marks a null cell — the snapshot
+/// build already rejected non-finite data cells over the run's rows, so
+/// the sentinel is unambiguous.
 struct SplitScratch<'t> {
     compiled: Vec<CompiledConjunction<'t>>,
     target: Vec<f64>,
@@ -1115,135 +1032,80 @@ impl<'t> SplitScratch<'t> {
     }
 }
 
+/// Line 19: pick the split predicate among the available ones.
+///
+/// Only *separating* predicates qualify (both sides non-empty — this is
+/// what bounds the search tree at one leaf per tuple). `BestResidual`
+/// (default) scores each candidate by the weighted variance of the parent
+/// model's residuals (`resid`, one per `fit` row) per side — the
+/// model-tree criterion that surfaces regime attributes; `BestVariance` is
+/// the raw CART criterion \[9\] over the partition's non-null targets;
+/// `FirstApplicable` takes the first separating candidate. At most
+/// [`MAX_SPLIT_CANDIDATES`] candidates are scored, spread evenly over
+/// `avail`.
 fn choose_split(
     table: &Table,
     rows: &RowSet,
-    cfg: &DiscoveryConfig,
+    split: SplitStrategy,
     space: &PredicateSpace,
     avail: &[u32],
-    residuals: &[(usize, f64)],
-    scratch: Option<&SplitScratch<'_>>,
+    (fit, resid): (&[u32], &[f64]),
+    scratch: &SplitScratch<'_>,
 ) -> Option<u32> {
-    let target = cfg.target;
-    let is_numeric_target = table.schema().attribute(target).ty() != AttrType::Str;
-    debug_assert!(is_numeric_target);
-    // Under the compiled kernel every candidate is a blocked columnar
-    // select into this reused buffer; a two-pointer merge of the (sorted)
-    // selection against the partition then feeds the *same* accumulators in
-    // the *same* row order as the interpreted per-row branch, so scores —
-    // and therefore the chosen split — are bitwise identical.
-    let mut sel: Vec<u32> = Vec::new();
-    // Rows the BestResidual criterion scores (ascending, mirrors `fit`).
-    let resid_rows: Vec<u32> = residuals.iter().map(|&(r, _)| r as u32).collect();
-    // Evaluate at most max_split_candidates, spread evenly over `avail`.
-    let stride = (avail.len() / cfg.max_split_candidates.max(1)).max(1);
-    let mut best: Option<(f64, u32)> = None;
-    for &idx in avail.iter().step_by(stride) {
-        let p = &space.predicates()[idx as usize];
-        if matches!(cfg.split, SplitStrategy::FirstApplicable) {
-            // Cheap separation check only.
-            let yes = match scratch {
-                Some(sc) => sc.compiled[idx as usize].count(rows.as_slice()),
-                None => rows.iter().filter(|&r| p.eval(table, r)).count(),
-            };
-            if yes > 0 && yes < rows.len() {
-                return Some(idx);
-            }
-            continue;
-        }
-        // Single pass: sum/sum-of-squares accumulation per side, over the
-        // scored quantity chosen by the strategy.
-        let (mut n1, mut s1, mut q1) = (0usize, 0.0f64, 0.0f64);
-        let (mut n2, mut s2, mut q2) = (0usize, 0.0f64, 0.0f64);
-        if let Some(sc) = scratch {
-            let cp = &sc.compiled[idx as usize];
-            match cfg.split {
-                SplitStrategy::BestResidual => {
-                    cp.select_into(&resid_rows, &mut sel);
-                    let mut j = 0;
-                    for &(r, resid) in residuals {
-                        if j < sel.len() && sel[j] == r as u32 {
-                            j += 1;
-                            n1 += 1;
-                            s1 += resid;
-                            q1 += resid * resid;
-                        } else {
-                            n2 += 1;
-                            s2 += resid;
-                            q2 += resid * resid;
-                        }
-                    }
-                }
-                _ => {
-                    cp.select_into(rows.as_slice(), &mut sel);
-                    let mut j = 0;
-                    for r in rows.iter() {
-                        let hit = j < sel.len() && sel[j] == r as u32;
-                        if hit {
-                            j += 1;
-                        }
-                        let v = sc.target[r];
-                        if v.is_nan() {
-                            continue;
-                        }
-                        if hit {
-                            n1 += 1;
-                            s1 += v;
-                            q1 += v * v;
-                        } else {
-                            n2 += 1;
-                            s2 += v;
-                            q2 += v * v;
-                        }
-                    }
-                }
-            }
+    let stride = (avail.len() / MAX_SPLIT_CANDIDATES).max(1);
+    let mut candidates = avail.iter().copied().step_by(stride);
+    let chosen = if split == SplitStrategy::FirstApplicable {
+        // Cheap separation check only.
+        candidates.find(|&idx| {
+            let yes = scratch.compiled[idx as usize].count(rows.as_slice());
+            yes > 0 && yes < rows.len()
+        })
+    } else {
+        // The scored rows (ascending) and the quantity scored on each.
+        let by_target: (Vec<u32>, Vec<f64>);
+        let (scored, values): (&[u32], &[f64]) = if split == SplitStrategy::BestVariance {
+            by_target = rows
+                .iter()
+                .filter(|&r| !scratch.target[r].is_nan())
+                .map(|r| (r as u32, scratch.target[r]))
+                .unzip();
+            (&by_target.0, &by_target.1)
         } else {
-            match cfg.split {
-                SplitStrategy::BestResidual => {
-                    for &(r, resid) in residuals {
-                        if p.eval(table, r) {
-                            n1 += 1;
-                            s1 += resid;
-                            q1 += resid * resid;
-                        } else {
-                            n2 += 1;
-                            s2 += resid;
-                            q2 += resid * resid;
-                        }
-                    }
-                }
-                _ => {
-                    for r in rows.iter() {
-                        let Some(v) = table.value_f64(r, target) else {
-                            continue;
-                        };
-                        if p.eval(table, r) {
-                            n1 += 1;
-                            s1 += v;
-                            q1 += v * v;
-                        } else {
-                            n2 += 1;
-                            s2 += v;
-                            q2 += v * v;
-                        }
-                    }
+            (fit, resid)
+        };
+        // Each candidate is a blocked columnar select into this reused
+        // buffer; a two-pointer merge of the (ascending) selection against
+        // the scored rows then accumulates both sides in row order.
+        let mut sel: Vec<u32> = Vec::new();
+        let mut best: Option<(f64, u32)> = None;
+        for idx in candidates {
+            scratch.compiled[idx as usize].select_into(scored, &mut sel);
+            let (mut n1, mut s1, mut q1) = (0usize, 0.0f64, 0.0f64);
+            let (mut n2, mut s2, mut q2) = (0usize, 0.0f64, 0.0f64);
+            let mut j = 0;
+            for (&r, &v) in scored.iter().zip(values) {
+                if j < sel.len() && sel[j] == r {
+                    j += 1;
+                    n1 += 1;
+                    s1 += v;
+                    q1 += v * v;
+                } else {
+                    n2 += 1;
+                    s2 += v;
+                    q2 += v * v;
                 }
             }
+            if n1 == 0 || n2 == 0 {
+                continue; // not separating
+            }
+            let score = split_score((n1, s1, q1), (n2, s2, q2));
+            if best.is_none_or(|(b, _)| score < b) {
+                best = Some((score, idx));
+            }
         }
-        if n1 == 0 || n2 == 0 {
-            continue; // not separating
-        }
-        let var = |n: usize, s: f64, q: f64| {
-            let m = s / n as f64;
-            (q / n as f64 - m * m).max(0.0)
-        };
-        let score = (n1 as f64 * var(n1, s1, q1) + n2 as f64 * var(n2, s2, q2)) / (n1 + n2) as f64;
-        if best.is_none_or(|(b, _)| score < b) {
-            best = Some((score, idx));
-        }
-    }
-    if best.is_none() && stride > 1 {
+        best.map(|(_, idx)| idx)
+    };
+    if chosen.is_none() && stride > 1 {
         // The strided sample missed every separating predicate (small
         // partitions need fine constants). Coverage quality beats split
         // cost here: the space's sorted-constant lookup finds one in
@@ -1252,7 +1114,17 @@ fn choose_split(
         // safe — a non-separating pick is simply rejected upstream.)
         return space.separating_candidate(table, rows);
     }
-    best.map(|(_, idx)| idx)
+    chosen
+}
+
+/// Weighted within-side variance of a split from each side's
+/// `(count, Σv, Σv²)` — the quantity `choose_split` minimizes.
+fn split_score((n1, s1, q1): (usize, f64, f64), (n2, s2, q2): (usize, f64, f64)) -> f64 {
+    let var = |n: usize, s: f64, q: f64| {
+        let m = s / n as f64;
+        (q / n as f64 - m * m).max(0.0)
+    };
+    (n1 as f64 * var(n1, s1, q1) + n2 as f64 * var(n2, s2, q2)) / (n1 + n2) as f64
 }
 
 #[cfg(test)]
@@ -1260,7 +1132,7 @@ mod tests {
     use super::*;
     use crate::{Budget, CancelToken, FaultPlan, PredicateGen};
     use crr_core::LocateStrategy;
-    use crr_data::{Schema, Value};
+    use crr_data::{AttrType, Schema, Value};
     use crr_models::ModelKind;
 
     /// Test-local positional entry over [`run_search`], standing in for
@@ -1453,40 +1325,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_coverage_and_accuracy() {
-        let t = two_segment_table();
-        let space = space_for(&t, 7);
-        for kind in [ModelKind::Linear, ModelKind::Ridge] {
-            let base = cfg_for(&t).with_kind(kind);
-            let m = discover(
-                &t,
-                &t.all_rows(),
-                &base.clone().with_engine(FitEngine::Moments),
-                &space,
-            )
-            .unwrap();
-            let r = discover(
-                &t,
-                &t.all_rows(),
-                &base.with_engine(FitEngine::Rescan),
-                &space,
-            )
-            .unwrap();
-            for d in [&m, &r] {
-                assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty(), "{kind:?}");
-            }
-            // Same search decisions on this well-conditioned data: the
-            // engines solve the same normal equations.
-            assert_eq!(m.rules.len(), r.rules.len(), "{kind:?}");
-            assert_eq!(m.stats.models_shared, r.stats.models_shared, "{kind:?}");
-            // OLS is exact on this data; ridge carries its λ-bias, but both
-            // stay well inside ρ_M.
-            let rep = m.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
-            assert!(rep.rmse < 1e-2, "{kind:?}: rmse {}", rep.rmse);
-        }
-    }
-
-    #[test]
     fn parallel_pool_scan_is_byte_identical() {
         // Force the parallel gate open: tiny threshold is not configurable,
         // so use enough rows that |pool| × |fit| crosses it.
@@ -1515,75 +1353,24 @@ mod tests {
     }
 
     #[test]
-    fn scan_kernels_are_byte_identical() {
-        // Nulls in the condition attribute exercise the kernel's null lane:
-        // such rows satisfy neither p nor ¬p, so `uncoverable_rows` must
-        // agree too. Both kernels must make identical search decisions and
-        // emit bitwise-identical rules.
-        let schema = Schema::new(vec![("x", AttrType::Float), ("y", AttrType::Float)]);
-        let mut t = Table::new(schema);
-        for i in 0..300 {
-            let x = i as f64;
-            let y = if x < 150.0 { 2.0 * x } else { 2.0 * x - 70.0 };
-            let xv = if i % 37 == 0 {
-                Value::Null
-            } else {
-                Value::Float(x)
-            };
-            t.push_row(vec![xv, Value::Float(y)]).unwrap();
-        }
-        let space = space_for(&t, 9);
-        for split in [
-            SplitStrategy::BestResidual,
-            SplitStrategy::BestVariance,
-            SplitStrategy::FirstApplicable,
-        ] {
-            let mut c_cfg = cfg_for(&t);
-            c_cfg.split = split;
-            let i_cfg = c_cfg.clone().with_kernel(ScanKernel::Interpreted);
-            let a = discover(&t, &t.all_rows(), &c_cfg, &space).unwrap();
-            let b = discover(&t, &t.all_rows(), &i_cfg, &space).unwrap();
-            assert_eq!(a.rules.len(), b.rules.len(), "{split:?}");
-            for (ra, rb) in a.rules.rules().iter().zip(b.rules.rules()) {
-                assert_eq!(ra.condition(), rb.condition(), "{split:?}");
-                assert_eq!(ra.rho().to_bits(), rb.rho().to_bits(), "{split:?}");
-            }
-            assert_eq!(a.stats.models_trained, b.stats.models_trained, "{split:?}");
-            assert_eq!(a.stats.models_shared, b.stats.models_shared, "{split:?}");
-            assert_eq!(
-                a.stats.uncoverable_rows, b.stats.uncoverable_rows,
-                "{split:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_counters_attribute_scans_to_one_engine() {
+    fn kernel_counters_balance_against_splits() {
         let t = two_segment_table();
-        let space = space_for(&t, 7);
-        for (kernel, live, dead) in [
-            (ScanKernel::Compiled, "compiled_scans", "interpreted_scans"),
-            (
-                ScanKernel::Interpreted,
-                "interpreted_scans",
-                "compiled_scans",
-            ),
-        ] {
-            let sink = MetricsSink::enabled();
-            let cfg = cfg_for(&t).with_kernel(kernel).with_metrics(sink.clone());
-            let d = discover(&t, &t.all_rows(), &cfg, &space).unwrap();
-            let count = |s, n| d.metrics.count(s, n).unwrap();
-            // Each split filters both sides through exactly one engine.
-            assert_eq!(count("kernels", live), 2 * count("queue", "splits"));
-            assert_eq!(count("kernels", dead), 0);
-            if kernel == ScanKernel::Compiled {
-                // Every moments build goes through the batched kernel:
-                // the root plus one per child re-accumulation/rebuild.
-                assert!(count("kernels", "batch_accumulates") >= 1);
-            } else {
-                assert_eq!(count("kernels", "batch_accumulates"), 0);
-            }
-        }
+        let sink = MetricsSink::enabled();
+        let cfg = cfg_for(&t).with_metrics(sink.clone());
+        let d = discover(&t, &t.all_rows(), &cfg, &space_for(&t, 7)).unwrap();
+        let count = |s, n| d.metrics.count(s, n).unwrap();
+        // Each split filters both of its sides through the compiled kernel.
+        assert!(count("queue", "splits") > 0);
+        assert_eq!(
+            count("kernels", "compiled_scans"),
+            2 * count("queue", "splits")
+        );
+        // Every moments build goes through the batched kernel: the root
+        // plus one per child re-accumulation or rebuild.
+        assert_eq!(
+            count("kernels", "batch_accumulates"),
+            1 + count("moments", "child_reaccumulations") + 2 * count("moments", "full_rebuilds")
+        );
     }
 
     #[test]
@@ -1719,13 +1506,33 @@ mod tests {
         }
     }
 
+    /// Row-major reference for [`share_probe`]: `(δ₀, max |r − δ₀|,
+    /// fraction of rows within ρ_M of f + δ₀)` from `Regressor::predict`
+    /// over materialized rows.
+    fn share_fit_rowwise(f: &Model, xs: &[Vec<f64>], y: &[f64], rho_max: f64) -> (f64, f64, f64) {
+        let residuals: Vec<f64> = xs.iter().zip(y).map(|(x, &t)| t - f.predict(x)).collect();
+        let lo = residuals.iter().fold(f64::INFINITY, |m, &r| m.min(r));
+        let hi = residuals.iter().fold(f64::NEG_INFINITY, |m, &r| m.max(r));
+        let delta0 = (lo + hi) / 2.0;
+        let mut max_dev = 0.0f64;
+        let mut within = 0usize;
+        for r in &residuals {
+            let dev = (r - delta0).abs();
+            max_dev = max_dev.max(dev);
+            if dev <= rho_max {
+                within += 1;
+            }
+        }
+        (delta0, max_dev, within as f64 / residuals.len() as f64)
+    }
+
     #[test]
     fn share_fit_computes_midrange() {
         let f = Model::Linear(crr_models::LinearModel::new(vec![1.0], 0.0));
         let xs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
         // y = x + 3 exactly: residuals all 3.
         let y: Vec<f64> = xs.iter().map(|x| x[0] + 3.0).collect();
-        let (d0, dev, frac) = share_fit_rows(&f, &xs, &y, 0.5);
+        let (d0, dev, frac) = share_fit_rowwise(&f, &xs, &y, 0.5);
         assert_eq!(d0, 3.0);
         assert_eq!(dev, 0.0);
         assert_eq!(frac, 1.0);
@@ -1755,7 +1562,7 @@ mod tests {
                 + count("fits", "rescans"),
             d.stats.models_trained as u64
         );
-        // The default engine never rescans rows.
+        // The linear family never fits from materialized rows.
         assert_eq!(count("fits", "rescans"), 0);
         // Pops never outnumber pushes, and the pool gauge is the final size.
         assert!(count("queue", "pops") <= count("queue", "pushes"));
@@ -1770,22 +1577,25 @@ mod tests {
     }
 
     #[test]
-    fn rescan_engine_records_no_moments_solves() {
+    fn mlp_fits_from_rows_without_moments_traffic() {
         let t = two_segment_table();
-        let sink = MetricsSink::enabled();
-        let cfg = cfg_for(&t)
-            .with_engine(FitEngine::Rescan)
-            .with_metrics(sink.clone());
-        let d = discover(&t, &t.all_rows(), &cfg, &space_for(&t, 7)).unwrap();
-        assert_eq!(d.metrics.count("fits", "moments_solves"), Some(0));
-        assert_eq!(d.metrics.count("fits", "declined_singular"), Some(0));
-        assert_eq!(
-            d.metrics.count("fits", "rescans"),
-            Some(d.stats.models_trained as u64)
-        );
-        // No moments flow at all on the rescan path.
-        assert_eq!(d.metrics.count("moments", "add_row_ops"), Some(0));
-        assert_eq!(d.metrics.count("moments", "sibling_subtractions"), Some(0));
+        let mut cfg = cfg_for(&t)
+            .with_kind(ModelKind::Mlp)
+            .with_metrics(MetricsSink::enabled());
+        cfg.rho_max = 20.0;
+        cfg.fit.mlp.epochs = 30;
+        let d = discover(&t, &t.all_rows(), &cfg, &space_for(&t, 3)).unwrap();
+        let count = |s, n| d.metrics.count(s, n).unwrap();
+        // Every MLP fit re-reads its partition's rows ...
+        assert!(d.stats.models_trained > 0);
+        assert_eq!(count("fits", "rescans"), d.stats.models_trained as u64);
+        assert_eq!(count("fits", "moments_solves"), 0);
+        assert_eq!(count("fits", "declined_singular"), 0);
+        // ... and no sufficient statistics are ever built or split.
+        assert_eq!(count("moments", "add_row_ops"), 0);
+        assert_eq!(count("moments", "sibling_subtractions"), 0);
+        assert_eq!(count("moments", "full_rebuilds"), 0);
+        assert_eq!(count("kernels", "batch_accumulates"), 0);
     }
 
     #[test]
@@ -1845,10 +1655,185 @@ mod tests {
         let fit = snap.ready_rows(&t.all_rows());
         let (xs, y) = materialize(&snap, &fit);
         let f = Model::Linear(crr_models::LinearModel::new(vec![1.0], 0.0));
-        let (d0r, devr, fracr) = share_fit_rows(&f, &xs, &y, cfg.rho_max);
-        let (d0s, devs, fracs) = share_fit_snapshot(&f, &snap, &fit, cfg.rho_max);
-        assert_eq!(d0r.to_bits(), d0s.to_bits());
-        assert_eq!(devr.to_bits(), devs.to_bits());
-        assert_eq!(fracr.to_bits(), fracs.to_bits());
+        let (d0r, devr, fracr) = share_fit_rowwise(&f, &xs, &y, cfg.rho_max);
+        let p = share_probe(
+            &f,
+            &snap,
+            &fit,
+            cfg.rho_max,
+            &mut Vec::new(),
+            ScanMode::Full,
+        );
+        assert_eq!(d0r.to_bits(), p.delta0.to_bits());
+        assert_eq!(devr.to_bits(), p.max_dev.to_bits());
+        assert_eq!(
+            fracr.to_bits(),
+            (p.within as f64 / fit.len() as f64).to_bits()
+        );
+    }
+
+    /// Row-at-a-time reference for [`choose_split`]: every candidate is
+    /// scored through `Predicate::eval` and `Table::value_f64` per row — no
+    /// compiled kernel, no selection merge. Same candidate stride, same
+    /// fallback and same score formula, so the two must agree exactly.
+    fn choose_split_rowwise(
+        table: &Table,
+        rows: &RowSet,
+        (split, target): (SplitStrategy, AttrId),
+        space: &PredicateSpace,
+        avail: &[u32],
+        (fit, resid): (&[u32], &[f64]),
+    ) -> Option<u32> {
+        let stride = (avail.len() / MAX_SPLIT_CANDIDATES).max(1);
+        let mut best: Option<(f64, u32)> = None;
+        for &idx in avail.iter().step_by(stride) {
+            let p = &space.predicates()[idx as usize];
+            if split == SplitStrategy::FirstApplicable {
+                let yes = rows.iter().filter(|&r| p.eval(table, r)).count();
+                if yes > 0 && yes < rows.len() {
+                    return Some(idx);
+                }
+                continue;
+            }
+            let scored: Vec<(usize, f64)> = if split == SplitStrategy::BestVariance {
+                rows.iter()
+                    .filter_map(|r| table.value_f64(r, target).map(|v| (r, v)))
+                    .collect()
+            } else {
+                fit.iter()
+                    .zip(resid)
+                    .map(|(&r, &e)| (r as usize, e))
+                    .collect()
+            };
+            // sides[0] satisfies p, sides[1] does not.
+            let mut sides = [(0usize, 0.0f64, 0.0f64); 2];
+            for (r, v) in scored {
+                let side = &mut sides[usize::from(!p.eval(table, r))];
+                side.0 += 1;
+                side.1 += v;
+                side.2 += v * v;
+            }
+            if sides[0].0 == 0 || sides[1].0 == 0 {
+                continue;
+            }
+            let score = split_score(sides[0], sides[1]);
+            if best.is_none_or(|(b, _)| score < b) {
+                best = Some((score, idx));
+            }
+        }
+        if best.is_none() && stride > 1 {
+            return space.separating_candidate(table, rows);
+        }
+        best.map(|(_, idx)| idx)
+    }
+
+    #[test]
+    fn choose_split_matches_rowwise_oracle() {
+        // Nulls in every condition column and in the target, a
+        // dictionary-coded string column, partitions with gaps, candidate
+        // sets above and below the sampling cap, and all three strategies.
+        let schema = Schema::new(vec![
+            ("x", AttrType::Float),
+            ("k", AttrType::Int),
+            ("s", AttrType::Str),
+            ("y", AttrType::Float),
+        ]);
+        let mut t = Table::new(schema);
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let words = ["north", "south", "east", "west", "centre"];
+        for i in 0..600u64 {
+            let x = if i % 7 == 3 {
+                Value::Null
+            } else {
+                Value::Float((next() % 1000) as f64 / 10.0)
+            };
+            let k = if i % 17 == 5 {
+                Value::Null
+            } else {
+                Value::Int((next() % 40) as i64)
+            };
+            let s = if i % 11 == 2 {
+                Value::Null
+            } else {
+                Value::Str(words[(next() % 5) as usize].into())
+            };
+            let y = if i % 13 == 4 {
+                Value::Null
+            } else {
+                Value::Float((next() % 2000) as f64 / 8.0 - 100.0)
+            };
+            t.push_row(vec![x, k, s, y]).unwrap();
+        }
+        let (x, k, s, y) = (
+            t.attr("x").unwrap(),
+            t.attr("k").unwrap(),
+            t.attr("s").unwrap(),
+            t.attr("y").unwrap(),
+        );
+        let generated = PredicateGen::binary(40).generate(&t, &[x, k, s], y, 3);
+        let mut preds = generated.predicates().to_vec();
+        preds.extend(generated.predicates().iter().map(|p| p.negate()));
+        let space = PredicateSpace::from_predicates(preds);
+        let scratch = SplitScratch::build(&t, &space, y);
+        assert!(space.len() > 2 * MAX_SPLIT_CANDIDATES);
+
+        let (mut on_string, mut strided, mut splits) = (0, 0, 0);
+        for trial in 0..150 {
+            // A gapped partition and its fit-ready rows (x and y present),
+            // thinned further so residual rows are a strict subset.
+            let keep = 20 + next() % 80;
+            let rows = RowSet::from_indices(
+                (0..t.num_rows() as u32)
+                    .filter(|_| next() % 100 < keep)
+                    .collect(),
+            );
+            let fit: Vec<u32> = rows
+                .iter()
+                .filter(|&r| t.value_f64(r, x).is_some() && t.value_f64(r, y).is_some())
+                .filter(|_| next() % 10 != 0)
+                .map(|r| r as u32)
+                .collect();
+            let resid: Vec<f64> = fit
+                .iter()
+                .map(|_| (next() % 400) as f64 / 16.0 - 12.5)
+                .collect();
+            let avail: Vec<u32> = if trial % 3 == 0 {
+                (0..space.len() as u32).collect()
+            } else {
+                (0..space.len() as u32)
+                    .filter(|_| next() % 5 == 0)
+                    .collect()
+            };
+            if avail.len() / MAX_SPLIT_CANDIDATES > 1 {
+                strided += 1;
+            }
+            for split in [
+                SplitStrategy::BestResidual,
+                SplitStrategy::BestVariance,
+                SplitStrategy::FirstApplicable,
+            ] {
+                let got = choose_split(&t, &rows, split, &space, &avail, (&fit, &resid), &scratch);
+                let want =
+                    choose_split_rowwise(&t, &rows, (split, y), &space, &avail, (&fit, &resid));
+                assert_eq!(got, want, "trial {trial}, {split:?}");
+                if let Some(idx) = got {
+                    splits += 1;
+                    if space.predicates()[idx as usize].attr == s {
+                        on_string += 1;
+                    }
+                }
+            }
+        }
+        // The trials reached the string column and the sampling stride.
+        assert!(
+            on_string > 0 && strided > 0 && splits > 300,
+            "{on_string} {strided} {splits}"
+        );
     }
 }

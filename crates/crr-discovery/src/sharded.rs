@@ -101,8 +101,8 @@ pub struct ShardedDiscovery {
     /// single-shard fast path (nothing to merge).
     pub merge: Option<CompactionStats>,
     /// Whole-instance sufficient statistics, merged from per-shard root
-    /// moments (never refit). `None` when any shard failed, or under the
-    /// rescan engine / families without sufficient statistics.
+    /// moments (never refit). `None` when any shard failed, for the MLP
+    /// (no sufficient statistics) and for runs with no input attributes.
     pub global_moments: Option<Moments>,
     /// Frozen metrics of the run (cumulative for a shared sink).
     pub metrics: MetricsSnapshot,

@@ -1,20 +1,17 @@
-//! Regression guards for the sufficient-statistics fit engine: the output
-//! of a discovery run must be *byte-identical* — serialized rules, stats,
-//! and outcome — across repeated runs, and between the sequential and
-//! parallel shared-pool scans. The moments engine must also agree semantically with
-//! the rescan baseline (coverage, accuracy), though not bitwise: near-rank-
-//! deficient partitions may legitimately resolve differently between the
-//! cached Cholesky and the row path's QR fallback.
+//! Regression guards for the discovery engine: the output of a run must be
+//! *byte-identical* — serialized rules, stats, and outcome — to the pinned
+//! hashes of default-config discovery, across repeated runs, between the
+//! sequential and parallel shared-pool scans, and with or without metrics.
 
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_core::{serialize, LocateStrategy};
+use crr_core::serialize;
 use crr_data::{RowSet, Table};
 use crr_datasets::{electricity, tax, GenConfig};
 use crr_discovery::{
-    DiscoveryConfig, DiscoverySession, FitEngine, MetricsSink, PredicateGen, PredicateSpace,
-    QueueOrder, ShardSpec, ShardedDiscovery, SplitStrategy,
+    DiscoveryConfig, DiscoverySession, MetricsSink, PredicateGen, PredicateSpace, QueueOrder,
+    ShardSpec, ShardedDiscovery, SplitStrategy,
 };
 
 /// Single-shard run through the session front door.
@@ -187,44 +184,5 @@ fn metrics_instrumentation_is_byte_identical() {
     assert_eq!(
         metered.metrics.count("queue", "pops"),
         par_metered.metrics.count("queue", "pops"),
-    );
-}
-
-#[test]
-fn moments_and_rescan_agree_semantically() {
-    let (t, base, space) = setup(2000);
-    let m = discover(
-        &t,
-        &t.all_rows(),
-        &base.clone().with_engine(FitEngine::Moments),
-        &space,
-    )
-    .unwrap();
-    let r = discover(
-        &t,
-        &t.all_rows(),
-        &base.with_engine(FitEngine::Rescan),
-        &space,
-    )
-    .unwrap();
-    for (name, d) in [("moments", &m), ("rescan", &r)] {
-        assert!(
-            d.rules.uncovered(&t, &t.all_rows()).is_empty(),
-            "{name}: uncovered rows"
-        );
-        for rule in d.rules.rules() {
-            assert!(
-                rule.find_violation(&t, &t.all_rows()).is_none(),
-                "{name}: dishonest rho"
-            );
-        }
-    }
-    let rep_m = m.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
-    let rep_r = r.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
-    assert!(
-        (rep_m.rmse - rep_r.rmse).abs() < 0.05,
-        "engines diverge: moments rmse {} vs rescan rmse {}",
-        rep_m.rmse,
-        rep_r.rmse
     );
 }

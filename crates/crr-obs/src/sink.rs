@@ -75,8 +75,8 @@ metric_enum! {
         /// Fits solved from cached sufficient statistics (Cholesky on the
         /// augmented Gram matrix).
         MomentsSolves => ("fits", "moments_solves"),
-        /// Fits that re-materialized partition rows (the `Rescan` engine,
-        /// and the MLP family under either engine).
+        /// Fits from re-materialized partition rows: the MLP family, which
+        /// has no sufficient statistics (and runs with no input attributes).
         Rescans => ("fits", "rescans"),
         /// Moments solves that declined (singular normal equations or the
         /// VC guard) and fell back to the midrange constant.
@@ -218,10 +218,7 @@ metric_enum! {
         /// Conjunction evaluations answered by the compiled columnar
         /// kernels (selection-vector or bitmask scans).
         KernelCompiledScans => ("kernels", "compiled_scans"),
-        /// Conjunction evaluations answered by the interpreted row-at-a-
-        /// time path (the oracle engine, `ScanKernel::Interpreted`).
-        KernelInterpretedScans => ("kernels", "interpreted_scans"),
-        /// Candidate rows pushed through predicate scans, either path.
+        /// Candidate rows pushed through predicate scans.
         KernelScanRows => ("kernels", "scan_rows"),
         /// `Moments::add_rows` batch accumulations (each replaces
         /// `rows` row-at-a-time `add_row` calls).

@@ -35,16 +35,6 @@ echo "==> criterion smoke (perf_fit_engine + perf_scan_kernels compile and run)"
 cargo bench -p crr-bench --bench perf_fit_engine >/dev/null
 cargo bench -p crr-bench --bench perf_scan_kernels >/dev/null
 
-echo "==> deprecation wall (no calls to the positional ShardPlan constructors)"
-# The typed ShardSpec builder replaced ShardPlan::{single, by_key_range,
-# by_time_window}. The deprecated wrappers have since been deleted; this
-# wall stays as a tombstone so the positional spellings cannot creep back
-# in anywhere — crr-data included.
-if grep -rn --include='*.rs' -E 'ShardPlan::(single|by_key_range|by_time_window)\(' crates; then
-  echo 'ERROR: the positional ShardPlan constructors were removed; use ShardSpec' >&2
-  exit 1
-fi
-
 echo "==> tracked benchmark emits and validates"
 # Tiny-scale end-to-end run of the bench experiment — with metrics
 # instrumentation on, including the sharded cells (1-shard baseline vs
@@ -52,9 +42,8 @@ echo "==> tracked benchmark emits and validates"
 # then the validator gates: the build fails if BENCH_discovery.json or
 # metrics.json output ever loses a key, breaks a counter invariant (e.g.
 # cross-shard pool hits + misses != probes, per-shard row counts not
-# summing to the table rows), or contains a non-finite number. The
-# unified `--check` flag dispatches on the file's own schema tag; one
-# legacy alias is exercised below so the old spellings keep working.
+# summing to the table rows, no sharded run at all), or contains a
+# non-finite number. `--check` dispatches on the file's own schema tag.
 BENCH_TMP="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
 METRICS_TMP="$(mktemp /tmp/metrics_smoke.XXXXXX.json)"
 ANALYSIS_TMP="$(mktemp /tmp/analysis_smoke.XXXXXX.json)"
@@ -66,8 +55,6 @@ trap 'rm -f "$BENCH_TMP" "$METRICS_TMP" "$ANALYSIS_TMP" "$SERVING_TMP" "$STREAM_
 cargo run -q -p crr-bench --bin experiments -- \
   --scale 0.05 --bench-json "$BENCH_TMP" --metrics-out "$METRICS_TMP" bench >/dev/null
 cargo run -q -p crr-bench --bin experiments -- --check "$BENCH_TMP"
-# Legacy alias smoke: --check-bench must keep gating the same file.
-cargo run -q -p crr-bench --bin experiments -- --check-bench "$BENCH_TMP"
 cargo run -q -p crr-bench --bin experiments -- --check "$METRICS_TMP"
 # The committed artifacts must satisfy the same gates.
 if [ -f BENCH_discovery.json ]; then
@@ -84,9 +71,8 @@ echo "==> adaptive shard-planning gates on the committed artifacts"
 # equal-width geometry it replaced (wall clock on a single-core host
 # measures total work, so the boundary choice is gated on the geometry it
 # actually controls — equal-width crowds ~60% of the skewed key's rows
-# into one interval). The balance invariant re-checks, from the committed
-# metrics.json, that every sharded run's per-shard row counts sum to the
-# table rows.
+# into one interval). That every sharded run's per-shard row counts sum to
+# the table rows is enforced by `--check metrics.json` above.
 if [ -f BENCH_discovery.json ]; then
   python3 - <<'EOF'
 import json
@@ -100,19 +86,6 @@ assert q['balance_permille'] > ew['balance_permille'], (
     f"equal-width ({ew['balance_permille']}) on the skewed tax key")
 print(f"tax quantile {q['ratio']:.2f}x >= 1.6x floor; "
       f"balance {q['balance_permille']} > equal-width {ew['balance_permille']}")
-EOF
-fi
-if [ -f metrics.json ]; then
-  python3 - <<'EOF'
-import json
-doc = json.load(open('metrics.json'))
-sharded = [r for r in doc['runs'] if r['engine'] == 'sharded']
-assert sharded, 'committed metrics.json has no sharded run'
-for run in sharded:
-    total = sum(run['shard_rows'])
-    assert total == run['rows'], (
-        f"{run['dataset']}@{run['rows']}: shard rows sum to {total}, not the table rows")
-print(f"{len(sharded)} sharded run(s): per-shard row counts sum to the table rows")
 EOF
 fi
 
