@@ -23,8 +23,10 @@ pub use crr_obs::json::{parse, Json};
 /// (equal-width vs quantile shard planning, both required per dataset,
 /// each with its plan's min/max shard-size balance); v5 dropped the
 /// `rescan` and `interpreted` engine labels, the `speedup` array and the
-/// `end_to_end` kernel cell — discovery has one engine, and its slow
-/// references live in tests.
+/// `kernels` array — discovery has one engine, its slow references live
+/// in tests, and `benches/perf_scan_kernels.rs` times the kernels — and
+/// made each sharded cell record `reps` paired rounds with the
+/// five-number [`Spread`] of its times and ratio.
 pub const SCHEMA: &str = "crr-bench-discovery-v5";
 
 /// Boundary labels a sharded cell may carry; every dataset must measure
@@ -32,8 +34,82 @@ pub const SCHEMA: &str = "crr-bench-discovery-v5";
 /// the equal-width geometry it replaced as the default.
 pub const BOUNDARY_CELLS: [&str; 2] = ["equal_width", "quantile"];
 
-/// Kernel labels the `kernels` array may carry; both must appear.
-pub const KERNEL_CELLS: [&str; 2] = ["predicate_scan", "gram_accumulate"];
+/// Tax instance size at and above which the sharding gate applies: the
+/// full-scale tracked cell. Smoke-scale cells take one round, whose ratio
+/// is noise.
+pub const SHARDING_GATE_ROWS: usize = 10_000;
+
+/// Floor on the quantile plan's speedup over one shard on the skewed tax
+/// key, read at the conservative end of the cell's spread: its lower
+/// quartile ([`Spread::q1`]).
+pub const MIN_SHARDING_RATIO: f64 = 1.6;
+
+/// Five-number summary of one timed quantity over a cell's paired rounds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Smallest sample.
+    pub min: f64,
+    /// Lower quartile. Over 21 rounds this is the 6th smallest sample, a
+    /// distribution-free one-sided lower confidence bound on the median
+    /// at 98.7% (fewer than 6 of 21 samples fall below the median with
+    /// probability 0.013).
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Upper quartile.
+    pub q3: f64,
+    /// Largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// Summarizes `samples` (at least one) by nearest-rank quartiles.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        let at = |q: f64| v[((v.len() - 1) as f64 * q).round() as usize];
+        Spread {
+            min: v[0],
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+            max: v[v.len() - 1],
+        }
+    }
+
+    fn render(&self) -> String {
+        format!(
+            "{{\"min\": {}, \"q1\": {}, \"median\": {}, \"q3\": {}, \"max\": {}}}",
+            num(self.min),
+            num(self.q1),
+            num(self.median),
+            num(self.q3),
+            num(self.max)
+        )
+    }
+
+    fn parse(obj: &Json, key: &str, ctx: &str) -> Result<Spread, String> {
+        let v = obj
+            .get(key)
+            .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?;
+        let ctx = format!("{ctx}.{key}");
+        let s = Spread {
+            min: finite_num(v, "min", &ctx)?,
+            q1: finite_num(v, "q1", &ctx)?,
+            median: finite_num(v, "median", &ctx)?,
+            q3: finite_num(v, "q3", &ctx)?,
+            max: finite_num(v, "max", &ctx)?,
+        };
+        if s.min <= 0.0 {
+            return Err(format!("{ctx}: non-positive min {}", s.min));
+        }
+        if !(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max) {
+            return Err(format!("{ctx}: summary out of order {s:?}"));
+        }
+        Ok(s)
+    }
+}
 
 /// One timed discovery run: a (dataset, size, engine) cell.
 #[derive(Debug, Clone)]
@@ -56,7 +132,9 @@ pub struct BenchRecord {
 }
 
 /// Sharded-vs-single comparison at one (dataset, size) point: the same
-/// instance discovered whole and under an N-way key-range shard plan.
+/// instance discovered whole and under an N-way key-range shard plan, in
+/// `reps` interleaved rounds that each time the single-shard baseline and
+/// both shard plans back to back.
 #[derive(Debug, Clone)]
 pub struct ShardedEntry {
     /// Dataset label.
@@ -73,33 +151,16 @@ pub struct ShardedEntry {
     /// ratio measures total work, so balance is where a quantile plan's
     /// advantage on a skewed key is visible and gated.
     pub balance_permille: u64,
-    /// Single-shard (whole-instance) time, seconds.
-    pub single_secs: f64,
-    /// N-shard time including the Algorithm 2 merge, seconds.
-    pub sharded_secs: f64,
-    /// `single_secs / sharded_secs` — above 1.0 means sharding is faster.
-    pub ratio: f64,
-}
-
-/// Scan-kernel throughput at one dataset point: the compiled kernel
-/// against the row-at-a-time reference it must reproduce.
-#[derive(Debug, Clone)]
-pub struct KernelEntry {
-    /// Dataset label.
-    pub dataset: String,
-    /// Instance size the kernel was measured over.
-    pub rows: usize,
-    /// Which kernel: `predicate_scan` (rows filtered per second) or
-    /// `gram_accumulate` (rows accumulated per second).
-    pub kernel: String,
-    /// Row-at-a-time reference throughput (`Predicate::eval`,
-    /// `Moments::add_row`), rows/second.
-    pub interpreted_per_sec: f64,
-    /// Compiled (columnar, cache-blocked) throughput, rows/second.
-    pub compiled_per_sec: f64,
-    /// `compiled_per_sec / interpreted_per_sec` — above 1.0 means the
-    /// compiled kernel is faster.
-    pub ratio: f64,
+    /// Paired rounds timed.
+    pub reps: usize,
+    /// Single-shard (whole-instance) time per round, seconds.
+    pub single_secs: Spread,
+    /// N-shard time per round including the Algorithm 2 merge, seconds.
+    pub sharded_secs: Spread,
+    /// Per-round `single / sharded` time — above 1.0 means sharding is
+    /// faster. Summarized over the paired ratios, not divided from the
+    /// two time summaries.
+    pub ratio: Spread,
 }
 
 /// The full report the `bench` experiment emits.
@@ -109,8 +170,6 @@ pub struct BenchReport {
     pub records: Vec<BenchRecord>,
     /// Sharded-vs-single comparisons, one per dataset at its largest size.
     pub sharded: Vec<ShardedEntry>,
-    /// Per-kernel reference-vs-compiled throughput cells.
-    pub kernels: Vec<KernelEntry>,
 }
 
 /// Renders the report as pretty-printed JSON with a stable key order.
@@ -149,36 +208,17 @@ pub fn render(report: &BenchReport) -> String {
         let _ = writeln!(
             out,
             "    {{\"dataset\": \"{}\", \"rows\": {}, \"shards\": {}, \"boundary\": \"{}\", \
-             \"balance_permille\": {}, \"single_secs\": {}, \"sharded_secs\": {}, \
-             \"ratio\": {}}}{comma}",
+             \"balance_permille\": {}, \"reps\": {}, \"single_secs\": {}, \
+             \"sharded_secs\": {}, \"ratio\": {}}}{comma}",
             esc(&s.dataset),
             s.rows,
             s.shards,
             esc(&s.boundary),
             s.balance_permille,
-            num(s.single_secs),
-            num(s.sharded_secs),
-            num(s.ratio),
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"kernels\": [");
-    for (i, k) in report.kernels.iter().enumerate() {
-        let comma = if i + 1 < report.kernels.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"rows\": {}, \"kernel\": \"{}\", \
-             \"interpreted_per_sec\": {}, \"compiled_per_sec\": {}, \"ratio\": {}}}{comma}",
-            esc(&k.dataset),
-            k.rows,
-            esc(&k.kernel),
-            num(k.interpreted_per_sec),
-            num(k.compiled_per_sec),
-            num(k.ratio),
+            s.reps,
+            s.single_secs.render(),
+            s.sharded_secs.render(),
+            s.ratio.render(),
         );
     }
     let _ = writeln!(out, "  ]");
@@ -212,11 +252,14 @@ fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
 /// Checks: the schema tag; a non-empty `records` array whose entries carry
 /// every required key with finite numbers and a known engine label
 /// (`moments` or `sharded`); each dataset measured at ≥ 2 sizes with a
-/// `moments` record at each size; a non-empty `sharded` array whose cells
-/// have ≥ 2 shards, positive timings and a boundary label from
-/// [`BOUNDARY_CELLS`], with both boundaries measured for every sharded
-/// dataset; and a non-empty `kernels` array covering all of
-/// [`KERNEL_CELLS`] with positive throughputs.
+/// `moments` record at each size; and a non-empty `sharded` array whose
+/// cells have ≥ 2 shards, ≥ 1 round, ordered positive spreads and a
+/// boundary label from [`BOUNDARY_CELLS`], with both boundaries measured
+/// for every sharded dataset. At gate scale (`tax` with at least
+/// [`SHARDING_GATE_ROWS`] rows) the quantile plan's balance must beat the
+/// equal-width plan's — equal-width crowds most of the skewed salary key
+/// into one shard — and its ratio's lower quartile must reach
+/// [`MIN_SHARDING_RATIO`].
 pub fn validate(text: &str) -> Result<String, String> {
     let doc = parse(text)?;
     let schema = str_key(&doc, "schema", "document")?;
@@ -282,11 +325,12 @@ pub fn validate(text: &str) -> Result<String, String> {
     if sharded.is_empty() {
         return Err("'sharded' is empty".to_string());
     }
-    let mut sharded_cells: Vec<(String, String)> = Vec::new();
+    // (dataset, rows, boundary, balance, ratio) per cell.
+    let mut sharded_cells: Vec<(String, u64, String, f64, Spread)> = Vec::new();
     for (i, s) in sharded.iter().enumerate() {
         let ctx = format!("sharded[{i}]");
         let dataset = str_key(s, "dataset", &ctx)?.to_string();
-        finite_num(s, "rows", &ctx)?;
+        let rows = finite_num(s, "rows", &ctx)?;
         let k = finite_num(s, "shards", &ctx)?;
         if k < 2.0 || k.fract() != 0.0 {
             return Err(format!("{ctx}: 'shards' must be an integer >= 2 (got {k})"));
@@ -301,76 +345,57 @@ pub fn validate(text: &str) -> Result<String, String> {
                 "{ctx}: 'balance_permille' must be an integer in 1..=1000 (got {balance})"
             ));
         }
-        if finite_num(s, "single_secs", &ctx)? <= 0.0 {
-            return Err(format!("{ctx}: non-positive single_secs"));
+        let reps = finite_num(s, "reps", &ctx)?;
+        if reps < 1.0 || reps.fract() != 0.0 {
+            return Err(format!(
+                "{ctx}: 'reps' must be a positive integer (got {reps})"
+            ));
         }
-        if finite_num(s, "sharded_secs", &ctx)? <= 0.0 {
-            return Err(format!("{ctx}: non-positive sharded_secs"));
-        }
-        let ratio = finite_num(s, "ratio", &ctx)?;
-        if ratio <= 0.0 {
-            return Err(format!("{ctx}: non-positive ratio {ratio}"));
-        }
-        if !sharded_cells.contains(&(dataset.clone(), boundary.clone())) {
-            sharded_cells.push((dataset, boundary));
-        }
+        Spread::parse(s, "single_secs", &ctx)?;
+        Spread::parse(s, "sharded_secs", &ctx)?;
+        let ratio = Spread::parse(s, "ratio", &ctx)?;
+        sharded_cells.push((dataset, rows as u64, boundary, balance, ratio));
     }
     // Every sharded dataset must measure both boundary placements, so the
     // adaptive plan always has its equal-width baseline next to it.
-    let sharded_datasets: Vec<&str> = {
-        let mut ds: Vec<&str> = Vec::new();
-        for (d, _) in &sharded_cells {
-            if !ds.contains(&d.as_str()) {
-                ds.push(d);
-            }
-        }
-        ds
-    };
-    for d in &sharded_datasets {
+    let mut gated = 0usize;
+    for (dataset, rows, boundary, balance, ratio) in &sharded_cells {
+        let other = |want: &str| {
+            sharded_cells
+                .iter()
+                .find(|(d, n, b, _, _)| d == dataset && n == rows && b == want)
+        };
         for want in BOUNDARY_CELLS {
-            if !sharded_cells.iter().any(|(sd, b)| sd == d && b == want) {
+            if other(want).is_none() {
                 return Err(format!(
-                    "sharded dataset '{d}': boundary '{want}' never measured"
+                    "sharded {dataset}@{rows}: boundary '{want}' never measured"
                 ));
             }
         }
-    }
-    let kernels = doc
-        .get("kernels")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'kernels' missing or not an array")?;
-    if kernels.is_empty() {
-        return Err("'kernels' is empty".to_string());
-    }
-    let mut kinds: Vec<String> = Vec::new();
-    for (i, k) in kernels.iter().enumerate() {
-        let ctx = format!("kernels[{i}]");
-        str_key(k, "dataset", &ctx)?;
-        finite_num(k, "rows", &ctx)?;
-        let kind = str_key(k, "kernel", &ctx)?.to_string();
-        if !KERNEL_CELLS.contains(&kind.as_str()) {
-            return Err(format!("{ctx}: unknown kernel '{kind}'"));
+        if dataset != "tax" || boundary != "quantile" || *rows < SHARDING_GATE_ROWS as u64 {
+            continue;
         }
-        for key in ["interpreted_per_sec", "compiled_per_sec", "ratio"] {
-            if finite_num(k, key, &ctx)? <= 0.0 {
-                return Err(format!("{ctx}: non-positive {key}"));
-            }
+        gated += 1;
+        let ew_balance = other("equal_width").map_or(0.0, |c| c.3);
+        if *balance <= ew_balance {
+            return Err(format!(
+                "sharded tax@{rows}: quantile balance {balance}‰ does not beat \
+                 equal-width {ew_balance}‰ on the skewed key"
+            ));
         }
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-    for want in KERNEL_CELLS {
-        if !kinds.iter().any(|k| k == want) {
-            return Err(format!("kernel cell '{want}' never measured"));
+        if ratio.q1 < MIN_SHARDING_RATIO {
+            return Err(format!(
+                "sharded tax@{rows}: quantile speedup lower quartile {:.3}x is below \
+                 the {MIN_SHARDING_RATIO}x floor (median {:.3}x)",
+                ratio.q1, ratio.median
+            ));
         }
     }
     Ok(format!(
-        "ok: {} records over {} dataset(s), {} sharded cell(s), {} kernel cell(s)",
+        "ok: {} records over {} dataset(s), {} sharded cell(s), {gated} at gate scale",
         records.len(),
         datasets.len(),
         sharded.len(),
-        kernels.len()
     ))
 }
 
@@ -399,19 +424,10 @@ mod tests {
                     shards: 4,
                     boundary: boundary.into(),
                     balance_permille: if boundary == "quantile" { 980 } else { 410 },
-                    single_secs: 0.4,
-                    sharded_secs: 0.2,
-                    ratio: 2.0,
-                });
-            }
-            for kernel in KERNEL_CELLS {
-                report.kernels.push(KernelEntry {
-                    dataset: dataset.into(),
-                    rows: 2000,
-                    kernel: kernel.into(),
-                    interpreted_per_sec: 1.0e7,
-                    compiled_per_sec: 3.0e7,
-                    ratio: 3.0,
+                    reps: 5,
+                    single_secs: Spread::of(&[0.4, 0.41, 0.42, 0.45, 0.5]),
+                    sharded_secs: Spread::of(&[0.2, 0.21, 0.22, 0.23, 0.3]),
+                    ratio: Spread::of(&[1.5, 1.8, 1.9, 2.0, 2.1]),
                 });
             }
         }
@@ -424,30 +440,80 @@ mod tests {
         let summary = validate(&text).expect("valid");
         assert!(summary.contains("4 records"), "{summary}");
         assert!(summary.contains("2 dataset"), "{summary}");
-        assert!(summary.contains("4 kernel cell(s)"), "{summary}");
+        assert!(
+            summary.contains("4 sharded cell(s), 0 at gate scale"),
+            "{summary}"
+        );
     }
 
     #[test]
-    fn kernel_cells_are_required_and_checked() {
+    fn spread_is_a_nearest_rank_five_number_summary() {
+        let samples: Vec<f64> = (1..=21).rev().map(f64::from).collect();
+        let s = Spread::of(&samples);
+        assert_eq!(
+            (s.min, s.q1, s.median, s.q3, s.max),
+            (1.0, 6.0, 11.0, 16.0, 21.0)
+        );
+        let one = Spread::of(&[0.5]);
+        assert_eq!((one.min, one.median, one.max), (0.5, 0.5, 0.5));
+    }
+
+    #[test]
+    fn sharded_spreads_are_checked() {
         let mut report = sample();
-        report.kernels.clear();
-        let err = validate(&render(&report)).expect_err("empty kernels must fail");
-        assert!(err.contains("kernels"), "{err}");
+        report.sharded[0].ratio.q1 = 2.05;
+        let err = validate(&render(&report)).expect_err("unordered spread must fail");
+        assert!(
+            err.contains("sharded[0].ratio: summary out of order"),
+            "{err}"
+        );
 
         let mut report = sample();
-        report.kernels.retain(|k| k.kernel != "gram_accumulate");
-        let err = validate(&render(&report)).expect_err("must fail");
-        assert!(err.contains("gram_accumulate"), "{err}");
+        report.sharded[1].single_secs.min = 0.0;
+        let err = validate(&render(&report)).expect_err("zero time must fail");
+        assert!(
+            err.contains("sharded[1].single_secs: non-positive"),
+            "{err}"
+        );
 
         let mut report = sample();
-        report.kernels[0].kernel = "warp_scan".into();
-        let err = validate(&render(&report)).expect_err("must fail");
-        assert!(err.contains("warp_scan"), "{err}");
+        report.sharded[0].reps = 0;
+        let err = validate(&render(&report)).expect_err("zero rounds must fail");
+        assert!(err.contains("reps"), "{err}");
 
+        let text = render(&sample()).replacen("\"q3\"", "\"p75\"", 1);
+        let err = validate(&text).expect_err("missing quartile must fail");
+        assert!(err.contains("missing key 'q3'"), "{err}");
+    }
+
+    #[test]
+    fn tax_sharding_gate_binds_at_gate_scale_only() {
+        let at_gate_scale = |q1: f64, quantile_balance: u64| {
+            let mut report = sample();
+            for s in report.sharded.iter_mut().filter(|s| s.dataset == "tax") {
+                s.rows = SHARDING_GATE_ROWS;
+                if s.boundary == "quantile" {
+                    s.balance_permille = quantile_balance;
+                    s.ratio = Spread::of(&[1.0, q1, 1.9, 2.0, 2.1]);
+                }
+            }
+            validate(&render(&report))
+        };
+        let summary = at_gate_scale(1.6, 980).expect("the floor itself passes");
+        assert!(summary.contains("1 at gate scale"), "{summary}");
+
+        let err = at_gate_scale(1.59, 980).expect_err("a lower quartile under 1.6x fails");
+        assert!(err.contains("below the 1.6x floor"), "{err}");
+
+        let err = at_gate_scale(1.8, 410).expect_err("balance no better than equal-width");
+        assert!(err.contains("does not beat equal-width 410"), "{err}");
+
+        // The sample's smoke-scale tax cells already read a lower quartile
+        // of 1.8x; the same slow ratio below gate scale is recorded, not
+        // gated.
         let mut report = sample();
-        report.kernels[0].compiled_per_sec = 0.0;
-        let err = validate(&render(&report)).expect_err("must fail");
-        assert!(err.contains("compiled_per_sec"), "{err}");
+        report.sharded[3].ratio = Spread::of(&[1.0, 1.0, 1.1, 1.2, 1.3]);
+        validate(&render(&report)).expect("smoke scale is not gated");
     }
 
     #[test]

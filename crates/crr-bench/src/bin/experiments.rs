@@ -25,8 +25,7 @@
 //! plus sharded cells per dataset at the largest size (1-shard baseline vs
 //! `--shards N` key-range shards, default 4, under both equal-width and
 //! quantile boundary placement, through the cross-shard model pool and the
-//! Algorithm 2 merge) and per-kernel throughput cells (compiled kernels
-//! vs. their row-at-a-time references), and writes the result to
+//! Algorithm 2 merge, timed in paired rounds), and writes the result to
 //! `BENCH_discovery.json` (or the `--bench-json` path).
 //!
 //! `--check <path>` re-parses any previously written tracked artifact and
@@ -1089,12 +1088,12 @@ fn ablation(scale: f64) {
 
 /// Tracked benchmark: discovery on Electricity and Tax at three instance
 /// sizes, plus a sharded cell per dataset at the largest size (1-shard vs
-/// `shards`-way key-range plan) and per-kernel throughput cells. Pure
-/// Algorithm 1 (no compaction) in the whole-instance cells; the sharded
-/// cells include the cross-shard Algorithm 2 merge, which is part of what
-/// they measure. Best-of-reps wall clock. Writes the machine-readable
-/// report to `path` (`--bench-json`), which `--check` / `scripts/ci.sh`
-/// re-validate.
+/// `shards`-way key-range plan). Pure Algorithm 1 (no compaction) in the
+/// whole-instance cells, best-of-reps wall clock; the sharded cells
+/// include the cross-shard Algorithm 2 merge, which is part of what they
+/// measure, and record the min/median/max of their paired rounds. Writes
+/// the machine-readable report to `path` (`--bench-json`), which `--check`
+/// / `scripts/ci.sh` re-validate.
 ///
 /// With `metrics_out` set, each cell is re-run once with an enabled
 /// [`crr_discovery::MetricsSink`] (kept out of the timed reps), a
@@ -1106,6 +1105,9 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
     use crr_discovery::MetricsSink;
 
     let reps = if scale >= 1.0 { 3 } else { 1 };
+    // The sharded cells are short (tens of milliseconds at full scale), so
+    // they take many paired rounds and record the ratio's spread.
+    let sharded_reps = if scale >= 1.0 { 21 } else { 1 };
     let cells: [(&str, fn(usize, u64) -> Scenario, [usize; 3], usize); 2] = [
         (
             "electricity",
@@ -1189,10 +1191,6 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                     snapshot: dm.metrics,
                 });
             }
-            if size == sizes[sizes.len() - 1] {
-                // Per-kernel throughput cells at the largest size.
-                kernel_microbench(&mut report, name, sc.table(), &rows, &cfg, &space);
-            }
         }
     }
 
@@ -1229,20 +1227,22 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         let hw = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let mut best = [f64::INFINITY; 3];
+        // Interleaved rounds: each round times all three plans back to back,
+        // so a slow host phase lands on the baseline and the sharded runs
+        // alike, and each round yields one paired ratio per boundary.
+        let mut secs: [Vec<f64>; 3] = Default::default();
         let mut quantile_found = None;
-        for (pi, (_, spec)) in specs.iter().enumerate() {
-            let threads = if pi == 0 { 1 } else { shards.min(4).min(hw) };
-            let cfg = cfg.clone().with_shard_threads(threads);
-            for _ in 0..reps {
+        for _ in 0..sharded_reps {
+            for (pi, (_, spec)) in specs.iter().enumerate() {
+                let threads = if pi == 0 { 1 } else { shards.min(4).min(hw) };
                 let session = DiscoverySession::on(sc.table())
                     .rows(rows.clone())
                     .predicates(space.clone())
-                    .config(cfg.clone())
+                    .config(cfg.clone().with_shard_threads(threads))
                     .sharded(spec.clone());
                 let start = Instant::now();
                 let d = session.run().expect("sharded discovery");
-                best[pi] = best[pi].min(start.elapsed().as_secs_f64());
+                secs[pi].push(start.elapsed().as_secs_f64());
                 if pi == 2 {
                     quantile_found = Some(d);
                 }
@@ -1250,11 +1250,12 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         }
         let d = quantile_found.expect("at least one quantile rep");
         let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
+        let quantile_best = secs[2].iter().copied().fold(f64::INFINITY, f64::min);
         table_rows.push(vec![
             name.to_string(),
             rows.len().to_string(),
             format!("sharded x{shards} (quantile)"),
-            format!("{:.4}", best[2]),
+            format!("{quantile_best:.4}"),
             d.rules.len().to_string(),
             d.stats.models_trained.to_string(),
             format!("{:.4}", rep.rmse),
@@ -1263,7 +1264,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             dataset: name.to_string(),
             rows: rows.len(),
             engine: "sharded".to_string(),
-            learn_secs: best[2],
+            learn_secs: quantile_best,
             rules: d.rules.len(),
             trained: d.stats.models_trained,
             rmse: rep.rmse,
@@ -1283,15 +1284,21 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                     },
                 )
                 .expect("bench shard plan");
+            let ratios: Vec<f64> = secs[0]
+                .iter()
+                .zip(&secs[pi])
+                .map(|(single, sharded)| single / sharded)
+                .collect();
             report.sharded.push(bench_json::ShardedEntry {
                 dataset: name.to_string(),
                 rows: rows.len(),
                 shards,
                 boundary: boundary.to_string(),
                 balance_permille: crr_data::balance_permille(&plan),
-                single_secs: best[0],
-                sharded_secs: best[pi],
-                ratio: best[0] / best[pi],
+                reps: sharded_reps,
+                single_secs: bench_json::Spread::of(&secs[0]),
+                sharded_secs: bench_json::Spread::of(&secs[pi]),
+                ratio: bench_json::Spread::of(&ratios),
             });
         }
         if metrics_out.is_some() {
@@ -1349,22 +1356,23 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
     );
     for s in &report.sharded {
         println!(
-            "  {}@{}: 1 shard {:.4}s vs {} shards ({}, balance {}‰) {:.4}s -> {:.2}x",
+            "  {}@{}: 1 shard {:.4}s vs {} shards ({}, balance {}‰) {:.4}s -> {:.2}x \
+             (median of {} paired rounds; min {:.2}x, max {:.2}x)",
             s.dataset,
             s.rows,
-            s.single_secs,
+            s.single_secs.median,
             s.shards,
             s.boundary,
             s.balance_permille,
-            s.sharded_secs,
-            s.ratio
+            s.sharded_secs.median,
+            s.ratio.median,
+            s.reps,
+            s.ratio.min,
+            s.ratio.max
         );
     }
     let text = bench_json::render(&report);
-    // Self-check before writing: never persist a report CI would reject.
-    let summary = bench_json::validate(&text).expect("emitted report must validate");
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path} ({summary})");
 
     if let Some(mpath) = metrics_out {
         // Fault-harness cell: the first fit attempt fails (the only
@@ -1408,109 +1416,11 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
         std::fs::write(mpath, &mtext).unwrap_or_else(|e| panic!("cannot write {mpath}: {e}"));
         println!("wrote {mpath} ({msummary})");
     }
-}
-
-/// Per-kernel throughput cells for one dataset at one size: times the
-/// row-at-a-time `Predicate::eval` scan against the compiled
-/// cache-blocked kernel over every space predicate, and the per-row
-/// `Moments::add_row` gather against the batched `Moments::add_rows`
-/// column pass, asserting bit-identical results in-process.
-fn kernel_microbench(
-    report: &mut bench_json::BenchReport,
-    dataset: &str,
-    table: &Table,
-    rows: &RowSet,
-    cfg: &DiscoveryConfig,
-    space: &PredicateSpace,
-) {
-    use crr_core::CompiledConjunction;
-    use crr_data::NumericSnapshot;
-    use crr_models::Moments;
-
-    let n = rows.len();
-    let push = |report: &mut bench_json::BenchReport, kernel: &str, i_sec: f64, c_sec: f64| {
-        let entry = bench_json::KernelEntry {
-            dataset: dataset.to_string(),
-            rows: n,
-            kernel: kernel.to_string(),
-            interpreted_per_sec: i_sec,
-            compiled_per_sec: c_sec,
-            ratio: c_sec / i_sec,
-        };
-        println!(
-            "  {}@{} {}: interpreted {:.3e} rows/s vs compiled {:.3e} rows/s -> {:.2}x",
-            entry.dataset, entry.rows, entry.kernel, i_sec, c_sec, entry.ratio
-        );
-        report.kernels.push(entry);
-    };
-    let reps = 2;
-
-    // Predicate scan: every predicate of the space over the whole instance.
-    let preds = space.predicates();
-    let (mut i_best, mut c_best) = (f64::INFINITY, f64::INFINITY);
-    let (mut i_count, mut c_count) = (0usize, 0usize);
-    for _ in 0..reps {
-        let t = Instant::now();
-        i_count = 0;
-        for p in preds {
-            i_count += rows.iter().filter(|&r| p.eval(table, r)).count();
-        }
-        i_best = i_best.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        c_count = 0;
-        for p in preds {
-            c_count += CompiledConjunction::from_preds(std::slice::from_ref(p), table)
-                .count(rows.as_slice());
-        }
-        c_best = c_best.min(t.elapsed().as_secs_f64());
-    }
-    assert_eq!(
-        i_count, c_count,
-        "{dataset}: compiled predicate scan diverged from the interpreter"
-    );
-    let scanned = (n * preds.len()) as f64;
-    push(
-        report,
-        "predicate_scan",
-        scanned / i_best.max(1e-9),
-        scanned / c_best.max(1e-9),
-    );
-
-    // Gram accumulation over the fit-ready rows.
-    let snap =
-        NumericSnapshot::build(table, &cfg.inputs, cfg.target, rows).expect("bench snapshot");
-    let fit = snap.ready_rows(rows);
-    let d = snap.num_inputs();
-    let cols: Vec<&[f64]> = (0..d).map(|j| snap.input(j)).collect();
-    let (mut i_best, mut c_best) = (f64::INFINITY, f64::INFINITY);
-    let (mut m_i, mut m_c) = (Moments::zeros(d), Moments::zeros(d));
-    for _ in 0..reps {
-        let t = Instant::now();
-        let mut m = Moments::zeros(d);
-        let mut x = vec![0.0; d];
-        for &r in &fit {
-            snap.gather_x(r as usize, &mut x);
-            m.add_row(&x, snap.target()[r as usize]);
-        }
-        i_best = i_best.min(t.elapsed().as_secs_f64());
-        m_i = m;
-        let t = Instant::now();
-        let mut m = Moments::zeros(d);
-        m.add_rows(&cols, snap.target(), &fit);
-        c_best = c_best.min(t.elapsed().as_secs_f64());
-        m_c = m;
-    }
-    assert_eq!(
-        m_i, m_c,
-        "{dataset}: batched Gram accumulation diverged from per-row adds"
-    );
-    let accumulated = fit.len() as f64;
-    push(
-        report,
-        "gram_accumulate",
-        accumulated / i_best.max(1e-9),
-        accumulated / c_best.max(1e-9),
-    );
+    // Checked last, so a run whose tax cell misses the sharding floor still
+    // leaves its measured spread (and metrics.json) on disk; the run then
+    // fails exactly as `--check` on the file would.
+    let summary = bench_json::validate(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+    println!("wrote {path} ({summary})");
 }
 
 /// `analyze`: discover on Electricity and Tax — unsharded and under a
