@@ -72,13 +72,6 @@ pub struct DiscoveryConfig {
     /// Test-only fault injection consulted before every model fit. `None`
     /// in production configs.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Worker threads for the shared-pool scan at each pop (lines 7–10).
-    /// `1` scans sequentially; higher values fan the per-model share tests
-    /// out over scoped threads once the pool and partition are large enough
-    /// to amortize the spawns. Results are identical either way. Bounds
-    /// only the *within-run* scan — shard-level parallelism is
-    /// [`Self::shard_threads`]. Must be ≥ 1 ([`Self::validate`]).
-    pub pool_scan_threads: usize,
     /// Worker threads for shard-level parallelism in sharded discovery:
     /// how many non-seed shards run Algorithm 1 concurrently. `1` runs
     /// shards sequentially; results are identical either way (the
@@ -109,21 +102,14 @@ impl DiscoveryConfig {
             budget: Budget::unlimited(),
             cancel: None,
             faults: None,
-            pool_scan_threads: 1,
             shard_threads: 1,
             metrics: MetricsSink::disabled(),
         }
     }
 
-    /// Sets the shared-pool scan parallelism (1 = sequential). Zero is
-    /// rejected by [`Self::validate`] at run entry, not silently clamped.
-    pub fn with_pool_scan_threads(mut self, threads: usize) -> Self {
-        self.pool_scan_threads = threads;
-        self
-    }
-
     /// Sets the shard-level parallelism for sharded discovery (1 =
-    /// shards run sequentially). Zero is rejected by [`Self::validate`].
+    /// shards run sequentially). Zero is rejected by [`Self::validate`] at
+    /// run entry, not silently clamped.
     pub fn with_shard_threads(mut self, threads: usize) -> Self {
         self.shard_threads = threads;
         self
@@ -174,13 +160,8 @@ impl DiscoveryConfig {
     }
 
     /// Checks the config for self-contradictions every entry point rejects
-    /// up front: zero scan threads or zero shard threads.
+    /// up front: zero shard threads.
     pub fn validate(&self) -> Result<(), crate::DiscoveryError> {
-        if self.pool_scan_threads == 0 {
-            return Err(crate::DiscoveryError::InvalidConfig(
-                "pool_scan_threads must be at least 1".to_string(),
-            ));
-        }
         if self.shard_threads == 0 {
             return Err(crate::DiscoveryError::InvalidConfig(
                 "shard_threads must be at least 1".to_string(),
@@ -229,17 +210,9 @@ mod tests {
         let cfg = DiscoveryConfig::new(vec![AttrId(0)], AttrId(1), 0.5);
         assert!(cfg.validate().is_ok());
         assert!(matches!(
-            cfg.clone().with_pool_scan_threads(0).validate(),
-            Err(crate::DiscoveryError::InvalidConfig(_))
-        ));
-        assert!(matches!(
             cfg.clone().with_shard_threads(0).validate(),
             Err(crate::DiscoveryError::InvalidConfig(_))
         ));
-        assert!(cfg
-            .with_pool_scan_threads(8)
-            .with_shard_threads(4)
-            .validate()
-            .is_ok());
+        assert!(cfg.with_shard_threads(4).validate().is_ok());
     }
 }

@@ -101,9 +101,9 @@ fn run_isolated(table: &Table, rows: &RowSet, task: &Task, index: usize) -> Resu
     })
 }
 
-/// Parallel first-match scan with early termination — the engine behind the
-/// shared-pool probe of Algorithm 1's lines 7–10 when
-/// [`crate::DiscoveryConfig::pool_scan_threads`] > 1.
+/// Parallel first-match scan with early termination — the engine behind
+/// work stealing, where idle shard workers help a straggler probe the
+/// frozen cross-shard pool.
 ///
 /// Evaluates `eval(i)` for `i < count` across up to `threads` scoped
 /// workers; `eval` returns `(payload, matched)`. Returns the lowest matched

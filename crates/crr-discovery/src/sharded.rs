@@ -15,8 +15,9 @@
 //! probe scans (work stealing) — the probe *order* never changes, only
 //! how fast it resolves. Because the pool never changes while shards run
 //! and each shard is a pure function of its own rows, the result is
-//! byte-identical whatever the thread schedule — the same first-match
-//! determinism contract the within-run parallel pool scan gives.
+//! byte-identical whatever the thread schedule: `first_match_scan` fully
+//! evaluates every index up to the winner, which is the one a sequential
+//! first-fit walk picks.
 //!
 //! Per-shard rule sets are made sound outside their shard by guarding
 //! every conjunction with an exact membership predicate for the shard:

@@ -58,12 +58,8 @@ metric_enum! {
         RulesEmitted => ("queue", "rules_emitted"),
         /// Pops at which the shared pool was scanned at all.
         PoolScans => ("pool", "scans"),
-        /// Pool scans that fanned out over threads (`first_match_scan`).
-        PoolParallelScans => ("pool", "parallel_scans"),
-        /// Individual model probes charged against the run: every probe in
-        /// a sequential scan, and the deterministic prefix up to the winner
-        /// in a parallel scan (probes past the winner are discarded
-        /// unobserved, exactly as a sequential first-fit never runs them).
+        /// Individual model probes charged against the run, up to and
+        /// including the first fit.
         PoolProbes => ("pool", "probes"),
         /// Scans that found a pooled model within ρ_M (rule reuse).
         PoolHits => ("pool", "hits"),
