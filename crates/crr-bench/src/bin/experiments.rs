@@ -1091,9 +1091,10 @@ fn ablation(scale: f64) {
 /// `shards`-way key-range plan). Pure Algorithm 1 (no compaction) in the
 /// whole-instance cells, best-of-reps wall clock; the sharded cells
 /// include the cross-shard Algorithm 2 merge, which is part of what they
-/// measure, and record the min/median/max of their paired rounds. Writes
-/// the machine-readable report to `path` (`--bench-json`), which `--check`
-/// / `scripts/ci.sh` re-validate.
+/// measure, and record the five-number spread of their paired rounds.
+/// Writes the machine-readable report to `path` (`--bench-json`), which
+/// `--check` / `scripts/ci.sh` re-validate; the same check runs last
+/// here, after both artifacts are on disk.
 ///
 /// With `metrics_out` set, each cell is re-run once with an enabled
 /// [`crr_discovery::MetricsSink`] (kept out of the timed reps), a
