@@ -80,8 +80,9 @@ impl PredicateSpace {
     /// `None` when the partition is provably unsplittable by this space.
     ///
     /// Numeric attributes: compute the partition's (min, max) in one pass,
-    /// then binary-search the sorted constants for one in `[min, max)` —
-    /// an `A ≤ c` predicate with such a constant always separates.
+    /// then binary-search the sorted constants for a bound that splits
+    /// that range — `A ≤ c` separates when `min ≤ c < max`, the strict
+    /// `A < c` when `min < c ≤ max`.
     /// Categorical attributes: any equality predicate on a present value
     /// separates when at least two distinct values occur.
     pub fn separating_candidate(
@@ -102,10 +103,16 @@ impl PredicateSpace {
             if lo >= hi {
                 continue; // constant or all-null on this attribute
             }
-            // First constant >= lo; separating when also < hi.
+            // Constants in [lo, hi]; every one strictly inside separates,
+            // so the scan passes at most the bounds sitting on lo or hi.
             let k = sorted.partition_point(|&(c, _)| c < lo);
-            if let Some(&(c, idx)) = sorted.get(k) {
-                if c < hi {
+            for &(c, idx) in sorted[k..].iter().take_while(|&&(c, _)| c <= hi) {
+                let separates = if self.preds[idx as usize].op == crr_core::Op::Lt {
+                    lo < c
+                } else {
+                    c < hi
+                };
+                if separates {
                     return Some(idx);
                 }
             }

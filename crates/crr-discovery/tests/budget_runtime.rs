@@ -7,7 +7,8 @@
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_data::{RowSet, Table};
+use crr_core::Predicate;
+use crr_data::{AttrType, RowSet, Schema, Table, Value};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{
     Budget, CancelToken, DiscoveryConfig, DiscoveryOutcome, DiscoverySession, FaultPlan,
@@ -142,4 +143,51 @@ fn exhaustion_trip_is_recorded_in_metrics() {
         + m.count("fits", "declined_singular").unwrap()
         + m.count("fits", "rescans").unwrap();
     assert_eq!(trained, d.stats.models_trained as u64);
+}
+
+/// The split fallback returns only a predicate that separates. With `x`
+/// at 5 or 6, the strided sample sees only bounds that select no row, and
+/// the sorted-constant fallback must pass over `x < 5` — empty at the
+/// partition's minimum — to `x ≤ 5.5`. A fallback returning `x < 5` pushed
+/// one child holding the same rows and picked `x < 5` again at every pop,
+/// so the run only ended when its budget did.
+#[test]
+fn split_fallback_skips_a_strict_bound_at_the_minimum() {
+    let schema = Schema::new(vec![
+        ("x", AttrType::Float),
+        ("z", AttrType::Float),
+        ("y", AttrType::Float),
+    ]);
+    let mut t = Table::new(schema);
+    for i in 0..100 {
+        let (x, y) = if i < 50 { (5.0, 0.0) } else { (6.0, 100.0) };
+        t.push_row(vec![
+            Value::Float(x),
+            Value::Float((i % 7) as f64),
+            Value::Float(y),
+        ])
+        .unwrap();
+    }
+    let (x, z, y) = (
+        t.attr("x").unwrap(),
+        t.attr("z").unwrap(),
+        t.attr("y").unwrap(),
+    );
+    let mut preds = vec![
+        Predicate::lt(x, Value::Float(5.0)),
+        Predicate::lt(x, Value::Float(-1.0)),
+        Predicate::le(x, Value::Float(5.5)),
+    ];
+    preds.extend((2..=201).map(|k| Predicate::lt(x, Value::Float(-f64::from(k)))));
+    assert_eq!(preds.len(), 203);
+    let d = DiscoverySession::on(&t)
+        .predicates(PredicateSpace::from_predicates(preds))
+        .config(DiscoveryConfig::new(vec![z], y, 1.0))
+        .budget(Budget::unlimited().with_max_expansions(5_000))
+        .run()
+        .unwrap();
+    assert_eq!(d.outcome, DiscoveryOutcome::Complete);
+    assert_eq!(d.stats.partitions_explored, 3);
+    assert_eq!(d.rules.len(), 2);
+    assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty());
 }
