@@ -44,22 +44,26 @@ use crate::{
     DiscoveryConfig, DiscoveryError, DiscoveryOutcome, PredicateSpace, QueueOrder, Result,
     SplitStrategy,
 };
-use crr_core::{CompiledConjunction, Conjunction, Crr, Dnf, Predicate, RuleSet};
-use crr_data::{AttrId, NumericSnapshot, RowSet, Table};
+use crr_core::{
+    CompiledConjunction, CompiledPred, Conjunction, Crr, Dnf, KernelShape, Op, Predicate, RuleSet,
+};
+use crr_data::{AttrId, Column, ColumnData, NumericSnapshot, RowSet, Table};
 use crr_models::{
     fit_model, try_fit_from_moments, ConstantModel, Model, ModelKind, Moments, Regressor,
     Translation,
 };
 use crr_obs::{Counter as Ctr, Gauge, MetricsSink, MetricsSnapshot, Phase};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Cap on split candidates scored per partition: `choose_split` samples
-/// the available predicates at an even stride, bounding split cost on huge
-/// predicate spaces.
+/// Sampling target for split candidates: `choose_split` scores every
+/// `max(1, ⌊|avail|/64⌋)`-th available predicate. That is all of `avail`
+/// below 128 predicates and 64–96 of them from 128 on, so 64–127
+/// candidates are scored once `|avail| ≥ 64` — 73 of 510 at the root of
+/// an electricity run with 255 cuts per attribute.
 const MAX_SPLIT_CANDIDATES: usize = 64;
 
 /// Counters describing one discovery run — the raw material of the paper's
@@ -960,28 +964,257 @@ pub(crate) fn global_midrange(table: &Table, cfg: &DiscoveryConfig, rows: &RowSe
     }
 }
 
-/// Per-run scratch for the split chooser: every candidate predicate
-/// compiled against the table exactly once, plus the target column
-/// densified to a flat f64 buffer. NaN marks a null cell — the snapshot
-/// build already rejected non-finite data cells over the run's rows, so
-/// the sentinel is unambiguous.
-struct SplitScratch<'t> {
-    compiled: Vec<CompiledConjunction<'t>>,
+/// Per-run scratch for the split chooser: every predicate's
+/// [`KernelShape`], compiled against the table exactly once, plus the
+/// target column densified to a flat f64 buffer. The shapes carry the
+/// resolved operator, the coerced constant and the string LUT, with
+/// `Never`/`Always` already folded, so `crr-core::compiled` alone decides
+/// what a predicate selects. NaN in `target` marks a null cell — the
+/// snapshot build already rejected non-finite data cells over the run's
+/// rows, so the sentinel is unambiguous.
+struct SplitScratch {
+    shapes: Vec<KernelShape>,
     target: Vec<f64>,
 }
 
-impl<'t> SplitScratch<'t> {
-    fn build(table: &'t Table, space: &PredicateSpace, target: AttrId) -> SplitScratch<'t> {
+impl SplitScratch {
+    fn build(table: &Table, space: &PredicateSpace, target: AttrId) -> SplitScratch {
         SplitScratch {
-            compiled: space
+            shapes: space
                 .predicates()
                 .iter()
-                .map(|p| CompiledConjunction::from_preds(std::slice::from_ref(p), table))
+                .map(|p| CompiledPred::compile(p, table).shape())
                 .collect(),
             target: (0..table.num_rows())
                 .map(|r| table.value_f64(r, target).unwrap_or(f64::NAN))
                 .collect(),
         }
+    }
+}
+
+/// Row count, Σv and Σv² over one bin or one side of a split.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Sums {
+    n: usize,
+    s: f64,
+    q: f64,
+}
+
+impl std::ops::Add for Sums {
+    type Output = Sums;
+    fn add(self, o: Sums) -> Sums {
+        Sums {
+            n: self.n + o.n,
+            s: self.s + o.s,
+            q: self.q + o.q,
+        }
+    }
+}
+
+/// One pass of the scored rows over one condition attribute, binned so
+/// that every sampled candidate on the attribute reads both of its sides
+/// from bin sums.
+///
+/// Numeric columns bin against the sampled candidates' distinct
+/// constants `c₀ < … < c_{m−1}`: bin `2j + 1` holds the values equal to
+/// `c_j`, bin `2j` those strictly between `c_{j−1}` and `c_j`, and bin
+/// `2m` those above `c_{m−1}`. String columns have one bin per dictionary
+/// code. NaN and null cells fall in buckets of their own.
+///
+/// Each bin sums its rows in ascending row order. A side that is a range
+/// from the bottom reads `up` (bins summed upward), one from the top reads
+/// `down` (summed downward), and the NaN and null buckets join the
+/// unsatisfied side last. No side is a `total − prefix` difference, so
+/// `p` and `¬p` on a null-free column score bitwise-equal.
+struct AttrBins {
+    consts: Vec<f64>,
+    bins: Vec<Sums>,
+    /// `up[k] = bins[0] + … + bins[k − 1]`.
+    up: Vec<Sums>,
+    /// `down[k] = bins[last] + … + bins[k]`.
+    down: Vec<Sums>,
+    nan: Sums,
+    null: Sums,
+}
+
+impl AttrBins {
+    /// Bins `scored` over `col` against `consts` (the attribute's sampled
+    /// constants, in any order), summing `values` (one per scored row) or,
+    /// without values, counting rows only.
+    fn build(
+        col: &Column,
+        mut consts: Vec<f64>,
+        scored: &[u32],
+        values: Option<&[f64]>,
+    ) -> AttrBins {
+        consts.sort_unstable_by(f64::total_cmp);
+        // `==`, not bit equality: −0.0 and 0.0 are one constant.
+        consts.dedup_by(|a, b| a == b);
+        let width = match col.data() {
+            ColumnData::Str { dict, .. } => dict.len(),
+            _ => 2 * consts.len() + 1,
+        };
+        let (nan, null) = (width, width + 1);
+        let mut acc = vec![Sums::default(); width + 2];
+        let numeric_bin = |v: f64| {
+            if v.is_nan() {
+                return nan;
+            }
+            let k = consts.partition_point(|&c| c < v);
+            2 * k + usize::from(consts.get(k) == Some(&v))
+        };
+        let nulls = (col.null_mask(), null);
+        match col.data() {
+            ColumnData::Float(data) => {
+                add_rows(&mut acc, scored, values, nulls, |r| numeric_bin(data[r]))
+            }
+            ColumnData::Int(data) => add_rows(&mut acc, scored, values, nulls, |r| {
+                numeric_bin(data[r] as f64)
+            }),
+            ColumnData::Str { codes, .. } => {
+                add_rows(&mut acc, scored, values, nulls, |r| codes[r] as usize)
+            }
+        }
+        let (nan, null) = (acc[nan], acc[null]);
+        acc.truncate(width);
+        let mut up = vec![Sums::default(); width + 1];
+        for k in 0..width {
+            up[k + 1] = up[k] + acc[k];
+        }
+        let mut down = vec![Sums::default(); width + 1];
+        for k in (0..width).rev() {
+            down[k] = down[k + 1] + acc[k];
+        }
+        AttrBins {
+            consts,
+            bins: acc,
+            up,
+            down,
+            nan,
+            null,
+        }
+    }
+
+    /// `(satisfied, unsatisfied)` sums of a candidate with `shape` on this
+    /// attribute; `None` for shapes that never separate.
+    fn sides(&self, shape: &KernelShape) -> Option<(Sums, Sums)> {
+        let all = self.up[self.bins.len()];
+        match shape {
+            KernelShape::Never | KernelShape::Always => None,
+            // NaN cells are not null: IS NOT NULL holds on them.
+            KernelShape::IsNull { .. } => Some((self.null, all + self.nan)),
+            KernelShape::NotNull { .. } => Some((all + self.nan, self.null)),
+            KernelShape::Num {
+                op, c, matches_nan, ..
+            } => {
+                // Bins `..at` hold the values below `c`, `above..` those
+                // above it.
+                let j = self.consts.partition_point(|&x| x < *c);
+                let (at, above) = (2 * j + 1, 2 * j + 2);
+                let (yes, no) = match op {
+                    Op::Lt => (self.up[at], self.down[at]),
+                    Op::Le => (self.up[above], self.down[above]),
+                    Op::Gt => (self.down[above], self.up[above]),
+                    Op::Ge => (self.down[at], self.up[at]),
+                    Op::Eq => (self.bins[at], self.up[at] + self.down[above]),
+                    Op::Ne => (self.up[at] + self.down[above], self.bins[at]),
+                    Op::IsNull | Op::NotNull => return None,
+                };
+                Some(if *matches_nan {
+                    (yes + self.nan, no + self.null)
+                } else {
+                    (yes, no + self.nan + self.null)
+                })
+            }
+            KernelShape::Str { lut, .. } => {
+                let (mut yes, mut no) = (Sums::default(), Sums::default());
+                for (&b, &hit) in self.bins.iter().zip(lut) {
+                    if hit {
+                        yes = yes + b;
+                    } else {
+                        no = no + b;
+                    }
+                }
+                Some((yes, no + self.null))
+            }
+        }
+    }
+}
+
+/// Adds each scored row's value — or, without values, only the row — to
+/// its bin of `acc`, in ascending row order: `null` for a null cell (a
+/// null string cell holds a sentinel code), else `bin_of(row)`.
+fn add_rows(
+    acc: &mut [Sums],
+    scored: &[u32],
+    values: Option<&[f64]>,
+    (nulls, null): (Option<&[bool]>, usize),
+    bin_of: impl Fn(usize) -> usize,
+) {
+    for (i, &r) in scored.iter().enumerate() {
+        let r = r as usize;
+        let a = &mut acc[if nulls.is_some_and(|m| m[r]) {
+            null
+        } else {
+            bin_of(r)
+        }];
+        a.n += 1;
+        if let Some(values) = values {
+            a.s += values[i];
+            a.q += values[i] * values[i];
+        }
+    }
+}
+
+/// The attribute a kernel reads; `None` for the constant kernels.
+fn shape_attr(shape: &KernelShape) -> Option<AttrId> {
+    match shape {
+        KernelShape::Never | KernelShape::Always => None,
+        KernelShape::IsNull { attr }
+        | KernelShape::NotNull { attr }
+        | KernelShape::Num { attr, .. }
+        | KernelShape::Str { attr, .. } => Some(*attr),
+    }
+}
+
+/// The sampled candidates of one `choose_split` call, scored from one
+/// binned pass ([`AttrBins`]) per condition attribute they test.
+struct CandidateBins {
+    attrs: BTreeMap<AttrId, AttrBins>,
+}
+
+impl CandidateBins {
+    fn build(
+        table: &Table,
+        shapes: &[KernelShape],
+        candidates: &[u32],
+        scored: &[u32],
+        values: Option<&[f64]>,
+    ) -> CandidateBins {
+        let mut consts: BTreeMap<AttrId, Vec<f64>> = BTreeMap::new();
+        for &idx in candidates {
+            let shape = &shapes[idx as usize];
+            if let Some(attr) = shape_attr(shape) {
+                let cs = consts.entry(attr).or_default();
+                if let KernelShape::Num { c, .. } = shape {
+                    cs.push(*c);
+                }
+            }
+        }
+        let attrs = consts
+            .into_iter()
+            .map(|(attr, cs)| {
+                let bins = AttrBins::build(table.column(attr), cs, scored, values);
+                (attr, bins)
+            })
+            .collect();
+        CandidateBins { attrs }
+    }
+
+    /// `(satisfied, unsatisfied)` sums of a candidate with `shape`;
+    /// `None` when it never separates.
+    fn sides(&self, shape: &KernelShape) -> Option<(Sums, Sums)> {
+        self.attrs.get(&shape_attr(shape)?)?.sides(shape)
     }
 }
 
@@ -993,9 +1226,11 @@ impl<'t> SplitScratch<'t> {
 /// model's residuals (`resid`, one per `fit` row) per side — the
 /// model-tree criterion that surfaces regime attributes; `BestVariance` is
 /// the raw CART criterion \[9\] over the partition's non-null targets;
-/// `FirstApplicable` takes the first separating candidate. At most
-/// [`MAX_SPLIT_CANDIDATES`] candidates are scored, spread evenly over
-/// `avail`.
+/// `FirstApplicable` takes the first separating candidate. The candidates
+/// are every `max(1, ⌊|avail|/64⌋)`-th of `avail` (see
+/// [`MAX_SPLIT_CANDIDATES`]: 64–127 once `|avail| ≥ 64`), all scored from
+/// one binned pass per condition attribute ([`CandidateBins`]); ties go
+/// to the lowest index.
 fn choose_split(
     table: &Table,
     rows: &RowSet,
@@ -1003,81 +1238,63 @@ fn choose_split(
     space: &PredicateSpace,
     avail: &[u32],
     (fit, resid): (&[u32], &[f64]),
-    scratch: &SplitScratch<'_>,
+    scratch: &SplitScratch,
 ) -> Option<u32> {
     let stride = (avail.len() / MAX_SPLIT_CANDIDATES).max(1);
-    let mut candidates = avail.iter().copied().step_by(stride);
-    let chosen = if split == SplitStrategy::FirstApplicable {
-        // Cheap separation check only.
-        candidates.find(|&idx| {
-            let yes = scratch.compiled[idx as usize].count(rows.as_slice());
-            yes > 0 && yes < rows.len()
-        })
-    } else {
-        // The scored rows (ascending) and the quantity scored on each.
-        let by_target: (Vec<u32>, Vec<f64>);
-        let (scored, values): (&[u32], &[f64]) = if split == SplitStrategy::BestVariance {
+    let candidates: Vec<u32> = avail.iter().copied().step_by(stride).collect();
+    // The scored rows (ascending) and the quantity scored on each;
+    // `FirstApplicable` only counts the partition's rows.
+    let by_target: (Vec<u32>, Vec<f64>);
+    let (scored, values): (&[u32], Option<&[f64]>) = match split {
+        SplitStrategy::BestResidual => (fit, Some(resid)),
+        SplitStrategy::BestVariance => {
             by_target = rows
                 .iter()
                 .filter(|&r| !scratch.target[r].is_nan())
                 .map(|r| (r as u32, scratch.target[r]))
                 .unzip();
-            (&by_target.0, &by_target.1)
-        } else {
-            (fit, resid)
-        };
-        // Each candidate is a blocked columnar select into this reused
-        // buffer; a two-pointer merge of the (ascending) selection against
-        // the scored rows then accumulates both sides in row order.
-        let mut sel: Vec<u32> = Vec::new();
-        let mut best: Option<(f64, u32)> = None;
-        for idx in candidates {
-            scratch.compiled[idx as usize].select_into(scored, &mut sel);
-            let (mut n1, mut s1, mut q1) = (0usize, 0.0f64, 0.0f64);
-            let (mut n2, mut s2, mut q2) = (0usize, 0.0f64, 0.0f64);
-            let mut j = 0;
-            for (&r, &v) in scored.iter().zip(values) {
-                if j < sel.len() && sel[j] == r {
-                    j += 1;
-                    n1 += 1;
-                    s1 += v;
-                    q1 += v * v;
-                } else {
-                    n2 += 1;
-                    s2 += v;
-                    q2 += v * v;
-                }
-            }
-            if n1 == 0 || n2 == 0 {
-                continue; // not separating
-            }
-            let score = split_score((n1, s1, q1), (n2, s2, q2));
-            if best.is_none_or(|(b, _)| score < b) {
-                best = Some((score, idx));
-            }
+            (&by_target.0, Some(&by_target.1))
         }
-        best.map(|(_, idx)| idx)
+        SplitStrategy::FirstApplicable => (rows.as_slice(), None),
     };
-    if chosen.is_none() && stride > 1 {
+    let bins = CandidateBins::build(table, &scratch.shapes, &candidates, scored, values);
+    let mut best: Option<(f64, u32)> = None;
+    for &idx in &candidates {
+        let Some((yes, no)) = bins.sides(&scratch.shapes[idx as usize]) else {
+            continue;
+        };
+        if yes.n == 0 || no.n == 0 {
+            continue; // not separating
+        }
+        if split == SplitStrategy::FirstApplicable {
+            return Some(idx);
+        }
+        let score = split_score(yes, no);
+        if best.is_none_or(|(b, _)| score < b) {
+            best = Some((score, idx));
+        }
+    }
+    if best.is_none() && stride > 1 {
         // The strided sample missed every separating predicate (small
         // partitions need fine constants). Coverage quality beats split
         // cost here: the space's sorted-constant lookup finds one in
-        // O(|rows| + log |P|). (Predicates consumed on this path never
-        // separate their own descendants, so skipping the avail filter is
-        // safe — a non-separating pick is simply rejected upstream.)
+        // O(|rows| + log |P|). It returns only a predicate that separates
+        // `rows`, so both children shrink; and a predicate consumed on
+        // this path never separates its own descendants, so skipping the
+        // avail filter cannot pick it again.
         return space.separating_candidate(table, rows);
     }
-    chosen
+    best.map(|(_, idx)| idx)
 }
 
 /// Weighted within-side variance of a split from each side's
 /// `(count, Σv, Σv²)` — the quantity `choose_split` minimizes.
-fn split_score((n1, s1, q1): (usize, f64, f64), (n2, s2, q2): (usize, f64, f64)) -> f64 {
-    let var = |n: usize, s: f64, q: f64| {
-        let m = s / n as f64;
-        (q / n as f64 - m * m).max(0.0)
+fn split_score(a: Sums, b: Sums) -> f64 {
+    let var = |x: Sums| {
+        let m = x.s / x.n as f64;
+        (x.q / x.n as f64 - m * m).max(0.0)
     };
-    (n1 as f64 * var(n1, s1, q1) + n2 as f64 * var(n2, s2, q2)) / (n1 + n2) as f64
+    (a.n as f64 * var(a) + b.n as f64 * var(b)) / (a.n + b.n) as f64
 }
 
 #[cfg(test)]
@@ -1597,10 +1814,47 @@ mod tests {
         );
     }
 
+    /// The `(row, value)` pairs `split` scores: the residual of each fit
+    /// row, the target of each row that has one, or — for
+    /// `FirstApplicable`, which only counts — every row with value 0.
+    fn scored_rowwise(
+        table: &Table,
+        rows: &RowSet,
+        (split, target): (SplitStrategy, AttrId),
+        (fit, resid): (&[u32], &[f64]),
+    ) -> Vec<(usize, f64)> {
+        match split {
+            SplitStrategy::BestResidual => fit
+                .iter()
+                .zip(resid)
+                .map(|(&r, &e)| (r as usize, e))
+                .collect(),
+            SplitStrategy::BestVariance => rows
+                .iter()
+                .filter_map(|r| table.value_f64(r, target).map(|v| (r, v)))
+                .collect(),
+            SplitStrategy::FirstApplicable => rows.iter().map(|r| (r, 0.0)).collect(),
+        }
+    }
+
+    /// `(satisfied, unsatisfied)` sums of `p` over `scored` `(row, value)`
+    /// pairs, one `Predicate::eval` per row.
+    fn sides_rowwise(table: &Table, p: &Predicate, scored: &[(usize, f64)]) -> (Sums, Sums) {
+        let mut sides = [Sums::default(); 2];
+        for &(r, v) in scored {
+            let side = &mut sides[usize::from(!p.eval(table, r))];
+            side.n += 1;
+            side.s += v;
+            side.q += v * v;
+        }
+        (sides[0], sides[1])
+    }
+
     /// Row-at-a-time reference for [`choose_split`]: every candidate is
     /// scored through `Predicate::eval` and `Table::value_f64` per row — no
-    /// compiled kernel, no selection merge. Same candidate stride, same
-    /// fallback and same score formula, so the two must agree exactly.
+    /// kernel shapes, no bins. Same candidate stride, same fallback and
+    /// same score formula, so on values whose sums are exact in any order
+    /// the two must agree exactly.
     fn choose_split_rowwise(
         table: &Table,
         rows: &RowSet,
@@ -1610,38 +1864,18 @@ mod tests {
         (fit, resid): (&[u32], &[f64]),
     ) -> Option<u32> {
         let stride = (avail.len() / MAX_SPLIT_CANDIDATES).max(1);
+        let scored = scored_rowwise(table, rows, (split, target), (fit, resid));
         let mut best: Option<(f64, u32)> = None;
         for &idx in avail.iter().step_by(stride) {
             let p = &space.predicates()[idx as usize];
+            let (yes, no) = sides_rowwise(table, p, &scored);
+            if yes.n == 0 || no.n == 0 {
+                continue;
+            }
             if split == SplitStrategy::FirstApplicable {
-                let yes = rows.iter().filter(|&r| p.eval(table, r)).count();
-                if yes > 0 && yes < rows.len() {
-                    return Some(idx);
-                }
-                continue;
+                return Some(idx);
             }
-            let scored: Vec<(usize, f64)> = if split == SplitStrategy::BestVariance {
-                rows.iter()
-                    .filter_map(|r| table.value_f64(r, target).map(|v| (r, v)))
-                    .collect()
-            } else {
-                fit.iter()
-                    .zip(resid)
-                    .map(|(&r, &e)| (r as usize, e))
-                    .collect()
-            };
-            // sides[0] satisfies p, sides[1] does not.
-            let mut sides = [(0usize, 0.0f64, 0.0f64); 2];
-            for (r, v) in scored {
-                let side = &mut sides[usize::from(!p.eval(table, r))];
-                side.0 += 1;
-                side.1 += v;
-                side.2 += v * v;
-            }
-            if sides[0].0 == 0 || sides[1].0 == 0 {
-                continue;
-            }
-            let score = split_score(sides[0], sides[1]);
+            let score = split_score(yes, no);
             if best.is_none_or(|(b, _)| score < b) {
                 best = Some((score, idx));
             }
@@ -1654,9 +1888,13 @@ mod tests {
 
     #[test]
     fn choose_split_matches_rowwise_oracle() {
-        // Nulls in every condition column and in the target, a
-        // dictionary-coded string column, partitions with gaps, candidate
-        // sets above and below the sampling cap, and all three strategies.
+        // Nulls in every condition column and in the target, NaN cells in
+        // a float condition column, a dictionary-coded string column,
+        // partitions with gaps, candidate sets above and below the
+        // sampling cap, and all three strategies. Every scored value is
+        // dyadic, so sums are exact in any order: agreement checks which
+        // rows land on which side, not the summation order (the pinned
+        // hashes in `engine_equivalence.rs` cover that).
         let schema = Schema::new(vec![
             ("x", AttrType::Float),
             ("k", AttrType::Int),
@@ -1676,7 +1914,8 @@ mod tests {
             let x = if i % 7 == 3 {
                 Value::Null
             } else {
-                Value::Float((next() % 1000) as f64 / 10.0)
+                let v = (next() % 1000) as f64 / 10.0;
+                Value::Float(if i % 19 == 8 { f64::NAN } else { v })
             };
             let k = if i % 17 == 5 {
                 Value::Null
@@ -1704,11 +1943,22 @@ mod tests {
         let generated = PredicateGen::binary(40).generate(&t, &[x, k, s], y, 3);
         let mut preds = generated.predicates().to_vec();
         preds.extend(generated.predicates().iter().map(|p| p.negate()));
+        // Every numeric operator, several predicates per constant, and the
+        // int column against integral and fractional float constants.
+        let ops = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Eq, Op::Ne];
+        for (attr, c) in [(x, 25.0), (x, 50.0), (x, 62.5), (k, 20.0), (k, 19.5)] {
+            preds.extend(ops.map(|op| Predicate::new(attr, op, Value::Float(c))));
+        }
+        for attr in [x, s] {
+            preds.push(Predicate::is_null(attr));
+            preds.push(Predicate::not_null(attr));
+        }
         let space = PredicateSpace::from_predicates(preds);
         let scratch = SplitScratch::build(&t, &space, y);
         assert!(space.len() > 2 * MAX_SPLIT_CANDIDATES);
 
         let (mut on_string, mut strided, mut splits) = (0, 0, 0);
+        let mut covered = std::collections::HashSet::new();
         for trial in 0..150 {
             // A gapped partition and its fit-ready rows (x and y present),
             // thinned further so residual rows are a strict subset.
@@ -1735,9 +1985,11 @@ mod tests {
                     .filter(|_| next() % 5 == 0)
                     .collect()
             };
-            if avail.len() / MAX_SPLIT_CANDIDATES > 1 {
+            let stride = (avail.len() / MAX_SPLIT_CANDIDATES).max(1);
+            if stride > 1 {
                 strided += 1;
             }
+            let sampled: Vec<u32> = avail.iter().copied().step_by(stride).collect();
             for split in [
                 SplitStrategy::BestResidual,
                 SplitStrategy::BestVariance,
@@ -1753,12 +2005,42 @@ mod tests {
                         on_string += 1;
                     }
                 }
+                // Row membership: each sampled candidate's binned sides
+                // equal its row-wise ones, counts and sums alike.
+                let pairs = scored_rowwise(&t, &rows, (split, y), (&fit, &resid));
+                let (scored, values): (Vec<u32>, Vec<f64>) =
+                    pairs.iter().map(|&(r, v)| (r as u32, v)).unzip();
+                let values = (split != SplitStrategy::FirstApplicable).then_some(&values[..]);
+                let bins = CandidateBins::build(&t, &scratch.shapes, &sampled, &scored, values);
+                for &idx in &sampled {
+                    let p = &space.predicates()[idx as usize];
+                    let want = sides_rowwise(&t, p, &pairs);
+                    match bins.sides(&scratch.shapes[idx as usize]) {
+                        Some(got) => {
+                            assert_eq!(got, want, "trial {trial}, {split:?}, {p:?}");
+                            covered.insert((p.attr, p.op));
+                        }
+                        None => assert!(want.0.n == 0 || want.1.n == 0, "{p:?}"),
+                    }
+                }
             }
         }
-        // The trials reached the string column and the sampling stride.
+        // The trials reached the string column and the sampling stride,
+        // and checked membership for every operator the fixture holds.
         assert!(
             on_string > 0 && strided > 0 && splits > 300,
             "{on_string} {strided} {splits}"
         );
+        let mut expected: Vec<(AttrId, Op)> = Vec::new();
+        for attr in [x, k] {
+            expected.extend(ops.map(|op| (attr, op)));
+        }
+        for attr in [x, s] {
+            expected.extend([(attr, Op::IsNull), (attr, Op::NotNull)]);
+        }
+        expected.extend([(s, Op::Eq), (s, Op::Ne)]);
+        for e in &expected {
+            assert!(covered.contains(e), "no candidate {e:?} was checked");
+        }
     }
 }
