@@ -1,39 +1,58 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, a denying lint wall, and the full test suite.
 # Run from anywhere; operates on the repository that contains it.
-set -euo pipefail
+#
+# Every step runs even when an earlier one fails, so one failing gate
+# never hides the state of the gates after it. Failed steps are listed at
+# the end, and the script then exits non-zero.
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
+FAILED=()
+# run <label> <command...>: one gate step; a failure is recorded, not fatal.
+run() {
+  local label="$1"
+  shift
+  if ! "$@"; then
+    echo "!! FAILED: $label" >&2
+    FAILED+=("$label")
+  fi
+}
+# quiet <command...>: the command with its standard output discarded.
+quiet() { "$@" >/dev/null; }
+# experiments <args...>: the experiment driver.
+experiments() { cargo run -q -p crr-bench --bin experiments -- "$@"; }
+
 echo "==> cargo fmt --check"
-cargo fmt --all --check
+run "cargo fmt --check" cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # Denying: any warning (including the workspace unwrap/expect lints) fails
 # the gate. Harness code opts out per file with a justified #![allow].
-cargo clippy --workspace --all-targets -- -D warnings
+run "clippy -D warnings" cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+run "cargo test --workspace" cargo test --workspace -q
 
 echo "==> cargo doc --workspace --no-deps (broken intra-doc links are errors)"
 # Every crate (shims included) must document cleanly; a renamed item that
 # orphans a [`link`] fails the build here instead of rotting silently.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+run "rustdoc intra-doc links" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   cargo doc --workspace --no-deps --quiet
 
 echo "==> rustdoc missing-docs wall (crr-core, crr-discovery, crr-stream)"
 # The API-bearing crates additionally deny undocumented public items: a
 # new pub fn without a doc comment fails the build here. (Workspace-wide
 # this would punish the harness crates, so the wall is targeted.)
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D missing-docs" \
+run "rustdoc missing-docs wall" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D missing-docs" \
   cargo doc -p crr-core -p crr-discovery -p crr-stream --no-deps --quiet
 
 echo "==> criterion smoke (perf_fit_engine + perf_scan_kernels compile and run)"
 # The shimmed criterion takes a fast bounded pass (small sample budgets);
 # this catches bit-rot in the tracked benchmark harness without paying
 # for a full statistical measurement.
-cargo bench -p crr-bench --bench perf_fit_engine >/dev/null
-cargo bench -p crr-bench --bench perf_scan_kernels >/dev/null
+run "criterion smoke perf_fit_engine" quiet cargo bench -p crr-bench --bench perf_fit_engine
+run "criterion smoke perf_scan_kernels" quiet cargo bench -p crr-bench --bench perf_scan_kernels
 
 echo "==> tracked benchmark emits and validates"
 # Tiny-scale end-to-end run of the bench experiment — with metrics
@@ -57,16 +76,16 @@ STREAM_TMP="$(mktemp /tmp/stream_smoke.XXXXXX.json)"
 ARTIFACT_TMP="$(mktemp /tmp/repaired_smoke.XXXXXX.crr)"
 STREAM_ARTIFACT_TMP="$(mktemp /tmp/stream_repaired_smoke.XXXXXX.crr)"
 trap 'rm -f "$BENCH_TMP" "$METRICS_TMP" "$ANALYSIS_TMP" "$SERVING_TMP" "$STREAM_TMP" "$ARTIFACT_TMP" "$STREAM_ARTIFACT_TMP"' EXIT
-cargo run -q -p crr-bench --bin experiments -- \
-  --scale 0.05 --bench-json "$BENCH_TMP" --metrics-out "$METRICS_TMP" bench >/dev/null
-cargo run -q -p crr-bench --bin experiments -- --check "$BENCH_TMP"
-cargo run -q -p crr-bench --bin experiments -- --check "$METRICS_TMP"
+run "bench smoke emit" quiet experiments \
+  --scale 0.05 --bench-json "$BENCH_TMP" --metrics-out "$METRICS_TMP" bench
+run "--check bench smoke" experiments --check "$BENCH_TMP"
+run "--check metrics smoke" experiments --check "$METRICS_TMP"
 # The committed artifacts must satisfy the same gates.
 if [ -f BENCH_discovery.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check BENCH_discovery.json
+  run "--check BENCH_discovery.json" experiments --check BENCH_discovery.json
 fi
 if [ -f metrics.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check metrics.json
+  run "--check metrics.json" experiments --check metrics.json
 fi
 
 echo "==> static analysis verifies the discovered artifacts"
@@ -77,13 +96,13 @@ echo "==> static analysis verifies the discovered artifacts"
 # bundled repair obligations. Any `unsound` finding (dead rule condition,
 # unguarded shard merge, malformed inference artifact, compiled-kernel
 # divergence, over-/under-claiming splice) aborts the run;
-# --check-analysis re-applies the same gate to the file, and to the
+# --check re-applies the same gate to the file, and to the
 # committed full-scale artifact.
-cargo run -q -p crr-bench --bin experiments -- \
-  --scale 0.05 --analysis-json "$ANALYSIS_TMP" --artifact-out "$ARTIFACT_TMP" analyze >/dev/null
-cargo run -q -p crr-bench --bin experiments -- --check "$ANALYSIS_TMP"
+run "analyze smoke emit" quiet experiments \
+  --scale 0.05 --analysis-json "$ANALYSIS_TMP" --artifact-out "$ARTIFACT_TMP" analyze
+run "--check analysis smoke" experiments --check "$ANALYSIS_TMP"
 if [ -f analysis.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check analysis.json
+  run "--check analysis.json" experiments --check analysis.json
 fi
 
 echo "==> repair-obligation mutation smoke (the A7 gate bites)"
@@ -91,8 +110,8 @@ echo "==> repair-obligation mutation smoke (the A7 gate bites)"
 # form under the full A1–A7 battery, and (b) be *refused* once its repair
 # guards are stripped — a verifier that admits the mutant has lost the
 # proof-carrying repair property, and the build fails.
-cargo run -q -p crr-bench --bin experiments -- --analyze-artifact "$ARTIFACT_TMP" >/dev/null
-cargo run -q -p crr-bench --bin experiments -- --mutate-repair-guard "$ARTIFACT_TMP"
+run "repaired artifact re-verifies" quiet experiments --analyze-artifact "$ARTIFACT_TMP"
+run "A7 refuses the stripped-guard mutant" experiments --mutate-repair-guard "$ARTIFACT_TMP"
 
 echo "==> serving smoke: live server under closed-loop load"
 # Tiny-scale end-to-end serving run: discovery, artifact export, a live
@@ -100,13 +119,13 @@ echo "==> serving smoke: live server under closed-loop load"
 # asserts in-process that smoke cells are loss-free (zero sheds, zero
 # deadline timeouts, every request 200), that the overload cell sheds
 # well-formed 503s, and that hot-swap churn never changes an in-flight
-# answer; --check-serving re-applies the same gates to the file, and to
+# answer; --check re-applies the same gates to the file, and to
 # the committed full-scale artifact.
-cargo run -q -p crr-bench --bin experiments -- \
-  --scale 0.05 --serving-json "$SERVING_TMP" serving >/dev/null
-cargo run -q -p crr-bench --bin experiments -- --check "$SERVING_TMP"
+run "serving smoke emit" quiet experiments \
+  --scale 0.05 --serving-json "$SERVING_TMP" serving
+run "--check serving smoke" experiments --check "$SERVING_TMP"
 if [ -f BENCH_serving.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check BENCH_serving.json
+  run "--check BENCH_serving.json" experiments --check BENCH_serving.json
 fi
 
 echo "==> streaming maintenance smoke: incremental vs full rediscovery"
@@ -114,18 +133,23 @@ echo "==> streaming maintenance smoke: incremental vs full rediscovery"
 # maintainer (route + delta + monitor + repair), verify the repaired
 # artifact is sound and hot-swaps into a live server byte-identically,
 # and race it against full rediscovery. The emitter asserts in-process
-# that repair leaves no residual violations; --check-stream re-applies
+# that repair leaves no residual violations; --check re-applies
 # the shape/consistency gates to the file, and to the committed
 # full-scale artifact — where the electricity cell at gate scale must
 # also clear the 5x incremental-speedup floor. The repaired artifact is
 # exported and re-verified from its text form (stream → analyze), closing
 # the maintenance → verification loop on a second, independent fixture.
-cargo run -q -p crr-bench --bin experiments -- \
-  --scale 0.05 --stream-json "$STREAM_TMP" --artifact-out "$STREAM_ARTIFACT_TMP" stream >/dev/null
-cargo run -q -p crr-bench --bin experiments -- --check "$STREAM_TMP"
-cargo run -q -p crr-bench --bin experiments -- --analyze-artifact "$STREAM_ARTIFACT_TMP" >/dev/null
+run "stream smoke emit" quiet experiments \
+  --scale 0.05 --stream-json "$STREAM_TMP" --artifact-out "$STREAM_ARTIFACT_TMP" stream
+run "--check stream smoke" experiments --check "$STREAM_TMP"
+run "stream-repaired artifact re-verifies" quiet experiments --analyze-artifact "$STREAM_ARTIFACT_TMP"
 if [ -f BENCH_stream.json ]; then
-  cargo run -q -p crr-bench --bin experiments -- --check BENCH_stream.json
+  run "--check BENCH_stream.json" experiments --check BENCH_stream.json
 fi
 
+if [ ${#FAILED[@]} -gt 0 ]; then
+  echo "CI FAILED: ${#FAILED[@]} step(s) failed:" >&2
+  printf '  - %s\n' "${FAILED[@]}" >&2
+  exit 1
+fi
 echo "CI OK"
