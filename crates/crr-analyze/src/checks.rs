@@ -197,9 +197,9 @@ impl<'a> Pass<'a> {
     ///   null-key rules lost their `IS NULL` guard.
     ///
     /// The checks are construction-agnostic: quantile-derived boundaries
-    /// and plans executed with work stealing discharge the identical
-    /// obligations (the recorded [`ProofObligations::boundary`] is
-    /// provenance, not a relaxation).
+    /// and plans run on any number of shard threads discharge the
+    /// identical obligations (the recorded [`ProofObligations::boundary`]
+    /// is provenance, not a relaxation).
     pub(crate) fn check_guards(&mut self, ob: &ProofObligations) {
         self.counters.shards = ob.guards.len() as u64;
         // Exactness.

@@ -25,8 +25,9 @@ use std::fmt::Write as _;
 /// never recorded how the rows actually split; v7 dropped the `rescan`
 /// engine label and the row-at-a-time scan counter from the `kernels`
 /// section (discovery has one engine) and requires at least one `sharded`
-/// run per document.
-pub const SCHEMA: &str = "crr-metrics-v7";
+/// run per document; v8 dropped `shards.steal_assists` (cross-pool probe
+/// scans run on their shard's own thread).
+pub const SCHEMA: &str = "crr-metrics-v8";
 
 /// Sections every enabled-sink snapshot must carry (the sink always emits
 /// the full schema, zeros included, so file shape is run-independent).
@@ -503,9 +504,9 @@ mod tests {
     #[test]
     fn empty_or_mislabeled_documents_are_rejected() {
         assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-metrics-v7\", \"runs\": []}").is_err());
+        assert!(validate("{\"schema\": \"crr-metrics-v8\", \"runs\": []}").is_err());
         assert!(validate("{\"schema\": \"other\", \"runs\": [1]}").is_err());
-        // The v6 tag is stale now that the rescan label is retired.
-        assert!(validate("{\"schema\": \"crr-metrics-v6\", \"runs\": [1]}").is_err());
+        // The v7 tag is stale now that `shards.steal_assists` is gone.
+        assert!(validate("{\"schema\": \"crr-metrics-v7\", \"runs\": [1]}").is_err());
     }
 }

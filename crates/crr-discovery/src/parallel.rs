@@ -101,68 +101,6 @@ fn run_isolated(table: &Table, rows: &RowSet, task: &Task, index: usize) -> Resu
     })
 }
 
-/// Parallel first-match scan with early termination — the engine behind
-/// work stealing, where idle shard workers help a straggler probe the
-/// frozen cross-shard pool.
-///
-/// Evaluates `eval(i)` for `i < count` across up to `threads` scoped
-/// workers; `eval` returns `(payload, matched)`. Returns the lowest matched
-/// index (the same one a sequential first-fit scan would pick) plus the
-/// payload slots. Determinism contract: every index `i ≤ winner` is
-/// guaranteed to have been fully evaluated, so aggregates over that prefix
-/// (the sharing index `ind(C)`) are byte-identical to a sequential scan.
-/// Indices *above* the winner may be skipped (`None`) or evaluated and
-/// discarded — callers must ignore them, as the sequential scan never looks
-/// past its first fit either.
-pub(crate) fn first_match_scan<R: Send>(
-    count: usize,
-    threads: usize,
-    eval: impl Fn(usize) -> (R, bool) + Sync,
-) -> (Option<usize>, Vec<Option<R>>) {
-    let mut results: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    if threads <= 1 || count <= 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
-            let (r, matched) = eval(i);
-            *slot = Some(r);
-            if matched {
-                return (Some(i), results);
-            }
-        }
-        return (None, results);
-    }
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let first = AtomicUsize::new(usize::MAX);
-    // Mutex-per-slot for the same reason as `discover_all`: indices are
-    // claimed exactly once, so the locks are uncontended bookkeeping.
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let (next, first, slots, eval) = (&next, &first, &slots, &eval);
-        for _ in 0..threads.min(count) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                // Claims are monotonically increasing and the winner index
-                // only ever decreases, so once a claim lands above the
-                // current winner this worker can never claim a useful index
-                // again.
-                if i >= count || i > first.load(Ordering::Acquire) {
-                    break;
-                }
-                let (r, matched) = eval(i);
-                if matched {
-                    first.fetch_min(i, Ordering::AcqRel);
-                }
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            });
-        }
-    });
-    for (slot, out) in slots.into_iter().zip(results.iter_mut()) {
-        *out = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-    }
-    let w = first.load(std::sync::atomic::Ordering::Acquire);
-    ((w != usize::MAX).then_some(w), results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -55,7 +55,6 @@ use crr_models::{
 use crr_obs::{Counter as Ctr, Gauge, MetricsSink, MetricsSnapshot, Phase};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -182,18 +181,6 @@ fn priority_for(order: QueueOrder, ind: f64, seq: u64) -> f64 {
 pub(crate) struct CrossShardPool {
     /// `(shard_id, seq, model)` in publication order.
     pub models: Vec<(usize, u64, Arc<Model>)>,
-    /// Worker threads with no shard left to claim, available to assist a
-    /// straggler's probe scan (work stealing). Monotonically increasing
-    /// over a run; reading it is advisory — a stale low value only means
-    /// a scan fans out less than it could have, never a wrong result.
-    pub idle: AtomicUsize,
-}
-
-impl CrossShardPool {
-    /// Current count of retired workers available as scan helpers.
-    pub fn idle_workers(&self) -> usize {
-        self.idle.load(std::sync::atomic::Ordering::Relaxed)
-    }
 }
 
 /// What one Algorithm 1 run hands back to the sharded runner beyond the
@@ -443,48 +430,18 @@ pub(crate) fn run_search(
             if let Some(cp) = cross.filter(|c| !c.models.is_empty()) {
                 mx.incr(Ctr::CrossShardPoolProbes);
                 let t_scan = mx.span();
-                // Work stealing: a straggler whose siblings have retired
-                // fans this scan over the idle threads. first_match_scan
-                // returns the lowest matching index — the same winner the
-                // sequential walk below finds — so stealing changes wall
-                // clock, never results. Below two models there is nothing
-                // to fan.
-                let helpers = cp.idle_workers();
-                if helpers > 0 && cp.models.len() >= 2 {
-                    mx.incr(Ctr::StealAssists);
-                    let (winner, probes) =
-                        crate::parallel::first_match_scan(cp.models.len(), 1 + helpers, |i| {
-                            let mut buf = Vec::new();
-                            let p = share_probe(
-                                cp.models[i].2.as_ref(),
-                                &snap,
-                                &fit,
-                                cfg.rho_max,
-                                &mut buf,
-                                ScanMode::AbortOnMiss,
-                            );
-                            let matched = p.max_dev <= cfg.rho_max;
-                            (p, matched)
-                        });
-                    if let Some(w) = winner {
-                        if let Some(p) = &probes[w] {
-                            cross_hit = Some((Arc::clone(&cp.models[w].2), p.max_dev, p.delta0));
-                        }
-                    }
-                } else {
-                    for (_, _, f) in &cp.models {
-                        let p = share_probe(
-                            f.as_ref(),
-                            &snap,
-                            &fit,
-                            cfg.rho_max,
-                            &mut resid,
-                            ScanMode::AbortOnMiss,
-                        );
-                        if p.max_dev <= cfg.rho_max {
-                            cross_hit = Some((Arc::clone(f), p.max_dev, p.delta0));
-                            break;
-                        }
+                for (_, _, f) in &cp.models {
+                    let p = share_probe(
+                        f.as_ref(),
+                        &snap,
+                        &fit,
+                        cfg.rho_max,
+                        &mut resid,
+                        ScanMode::AbortOnMiss,
+                    );
+                    if p.max_dev <= cfg.rho_max {
+                        cross_hit = Some((Arc::clone(f), p.max_dev, p.delta0));
+                        break;
                     }
                 }
                 mx.record(Phase::PoolScan, t_scan);

@@ -7,17 +7,15 @@
 //! 0 — the *seed* — runs plain Algorithm 1 first; the models it trains,
 //! in publication order keyed `(shard_id, seq)`, freeze into a read-only
 //! cross-shard pool. The remaining shards then run concurrently (up to
-//! [`crate::DiscoveryConfig::shard_threads`] at a time, largest shards
-//! claimed first), each probing that frozen pool in deterministic
-//! `(shard, seq)` order after a complete local-pool miss with the first
-//! match winning. Threads with no shards left to claim retire into an
-//! idle ledger, and straggler shards borrow them to fan their cross-pool
-//! probe scans (work stealing) — the probe *order* never changes, only
-//! how fast it resolves. Because the pool never changes while shards run
-//! and each shard is a pure function of its own rows, the result is
-//! byte-identical whatever the thread schedule: `first_match_scan` fully
-//! evaluates every index up to the winner, which is the one a sequential
-//! first-fit walk picks.
+//! [`crate::DiscoveryConfig::shard_threads`] at a time, the calling
+//! thread among them, largest shards claimed first), each probing that
+//! frozen pool sequentially in `(shard, seq)` order after a complete
+//! local-pool miss with the first match winning. A thread starts only
+//! per shard worker, never per probe scan: a scan of the frozen pool is
+//! too short to pay for a thread of its own, and its cost would then hang
+//! on which shard happened to finish first. Because the pool never
+//! changes while shards run and each shard is a pure function of its own
+//! rows, the result is byte-identical whatever the thread schedule.
 //!
 //! Per-shard rule sets are made sound outside their shard by guarding
 //! every conjunction with an exact membership predicate for the shard:
@@ -185,9 +183,8 @@ impl PlanBoundary {
 /// Proof obligations a sharded run discharges onto its verifier: the
 /// shard key, how its boundaries were derived, and, per shard, the guard
 /// predicates actually applied. Emitted by every multi-shard run; the
-/// single-shard fast path applies no guards and emits none. Work-stolen
-/// runs emit exactly the same obligations as unassisted ones — stealing
-/// reorders probe *execution*, never probe *order* or shard membership.
+/// single-shard fast path applies no guards and emits none. The
+/// obligations depend on the plan alone, never on the thread schedule.
 #[derive(Debug, Clone)]
 pub struct ProofObligations {
     /// The attribute the instance was sharded on.
@@ -341,17 +338,6 @@ pub(crate) fn discover_sharded(
     // models freeze into the pool every later shard probes.
     let rest = &shards[1..];
     let seed_run = run_shard_isolated(table, &shards[0], cfg, space, None);
-    // Work-stealing ledger: threads the config reserved but this plan
-    // cannot occupy start out idle, and every worker that retires (no
-    // shards left to claim) adds itself. Stragglers borrow idle threads
-    // to fan their cross-pool probe scans (see `run_search`) — by the
-    // first-match-scan contract that never changes which model wins,
-    // only how fast the scan resolves.
-    let workers = if cfg.shard_threads <= 1 || rest.len() <= 1 {
-        1
-    } else {
-        cfg.shard_threads.min(rest.len())
-    };
     let frozen = CrossShardPool {
         models: match &seed_run {
             ShardRun::Ok(r) => r
@@ -362,7 +348,6 @@ pub(crate) fn discover_sharded(
                 .collect(),
             ShardRun::Failed(_) => Vec::new(),
         },
-        idle: AtomicUsize::new(cfg.shard_threads.saturating_sub(workers)),
     };
 
     // Parallel phase: shards 1.. claim work over a shared index, bounded
@@ -392,23 +377,22 @@ pub(crate) fn discover_sharded(
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let (next, slots, frozen, order) = (&next, &slots, &frozen, &order);
-            for _ in 0..workers {
-                scope.spawn(move || {
-                    loop {
-                        let oi = next.fetch_add(1, Ordering::Relaxed);
-                        if oi >= order.len() {
-                            break;
-                        }
-                        let i = order[oi];
-                        let out = run_shard_isolated(table, &rest[i], cfg, space, Some(frozen));
-                        *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                    }
-                    // Retire into the steal ledger: this thread is done
-                    // claiming shards, so stragglers may count it as an
-                    // available probe-scan helper.
-                    frozen.idle.fetch_add(1, Ordering::Relaxed);
-                });
+            let claim = move || loop {
+                let oi = next.fetch_add(1, Ordering::Relaxed);
+                if oi >= order.len() {
+                    break;
+                }
+                let i = order[oi];
+                let out = run_shard_isolated(table, &rest[i], cfg, space, Some(frozen));
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+            };
+            // The calling thread would only wait for the scope, so it is
+            // one of the workers: `w` concurrent shards start `w − 1`
+            // threads.
+            for _ in 1..cfg.shard_threads.min(rest.len()) {
+                scope.spawn(claim);
             }
+            claim();
         });
         runs.extend(
             slots
@@ -672,13 +656,14 @@ mod tests {
     use crr_models::LinearModel;
     use crr_obs::MetricsSink;
 
-    /// Work stealing must never change which frozen model a probe scan
-    /// adopts: a scan fanned over idle helpers returns byte-identical
-    /// rules to the sequential walk, with identical probe accounting, and
-    /// the assist itself is counted.
+    /// A cross-pool scan walks the frozen pool in `(shard, seq)` order and
+    /// adopts the first model within ρ_M: the wrong slope at index 0
+    /// misses, and the exact model at index 1 wins over the output-shifted
+    /// one at index 2, which would match too. The probe accounting
+    /// reconciles.
     #[test]
     #[allow(clippy::unwrap_used)]
-    fn stolen_probe_scans_match_sequential_byte_for_byte() {
+    fn cross_pool_scan_adopts_the_first_matching_model() {
         let schema = Schema::new(vec![("x", AttrType::Float), ("y", AttrType::Float)]);
         let mut t = Table::new(schema);
         for i in 0..120 {
@@ -688,48 +673,31 @@ mod tests {
         let x = t.attr("x").unwrap();
         let y = t.attr("y").unwrap();
         let space = PredicateGen::binary(7).generate(&t, &[x], y, 1);
-        // Frozen pool: a decoy that misses every row at index 0, then the
-        // exact model — first-match must land on index 1 in both modes.
-        let models = || {
-            vec![
-                (
-                    0usize,
-                    0u64,
-                    Arc::new(Model::Linear(LinearModel::new(vec![1.0], 1000.0))),
-                ),
-                (
-                    0usize,
-                    1u64,
-                    Arc::new(Model::Linear(LinearModel::new(vec![1.0], 0.0))),
-                ),
-            ]
+        let line =
+            |slope, intercept| Arc::new(Model::Linear(LinearModel::new(vec![slope], intercept)));
+        let (miss, exact, shifted) = (line(-1.0, 0.0), line(1.0, 0.0), line(1.0, 1000.0));
+        let pool = CrossShardPool {
+            models: [&miss, &exact, &shifted]
+                .into_iter()
+                .enumerate()
+                .map(|(seq, m)| (0, seq as u64, Arc::clone(m)))
+                .collect(),
         };
-        let run = |idle: usize| {
-            let sink = MetricsSink::enabled();
-            let cfg = DiscoveryConfig::new(vec![x], y, 0.5).with_metrics(sink.clone());
-            let pool = CrossShardPool {
-                models: models(),
-                idle: AtomicUsize::new(idle),
-            };
-            let out = run_search(&t, &t.all_rows(), &cfg, &space, Some(&pool)).unwrap();
-            (
-                crr_core::serialize::to_text(&out.discovery.rules),
-                sink.snapshot(),
-            )
-        };
-        let (seq, m0) = run(0);
-        let (stolen, m2) = run(2);
-        assert_eq!(seq, stolen, "stealing changed the adopted rules");
-        assert_eq!(m0.count("shards", "steal_assists"), Some(0));
-        assert!(m2.count("shards", "steal_assists").unwrap() > 0);
+        let sink = MetricsSink::enabled();
+        let cfg = DiscoveryConfig::new(vec![x], y, 0.5).with_metrics(sink.clone());
+        let out = run_search(&t, &t.all_rows(), &cfg, &space, Some(&pool)).unwrap();
+        let rules = out.discovery.rules.rules();
+        assert!(out.discovery.stats.cross_shard_shares > 0);
+        assert!(rules.iter().any(|r| Arc::ptr_eq(r.model(), &exact)));
+        for other in [&miss, &shifted] {
+            assert!(rules.iter().all(|r| !Arc::ptr_eq(r.model(), other)));
+        }
+        let m = sink.snapshot();
+        let count = |n: &str| m.count("shards", n).unwrap();
+        assert!(count("cross_pool_hits") > 0);
         assert_eq!(
-            m0.count("shards", "cross_pool_probes"),
-            m2.count("shards", "cross_pool_probes"),
-            "per-consultation probe accounting must not depend on stealing"
-        );
-        assert_eq!(
-            m0.count("shards", "cross_pool_hits"),
-            m2.count("shards", "cross_pool_hits")
+            count("cross_pool_hits") + count("cross_pool_misses"),
+            count("cross_pool_probes")
         );
     }
 

@@ -447,9 +447,9 @@ fn quantile_one_shard_is_byte_identical_to_classic() {
 
 #[test]
 fn quantile_multi_shard_is_deterministic_across_thread_counts() {
-    // With 8 threads and 3 non-seed shards the steal ledger is non-zero
-    // from the start, so any stealing exercised here must not perturb the
-    // single-thread fingerprint.
+    // 4 and 8 threads run the 3 non-seed shards concurrently, in an order
+    // the scheduler picks; neither may perturb the single-thread
+    // fingerprint.
     let (t, cfg, space) = electricity_setup(4000);
     let spec = ShardSpec::by_key(key_of(&t, "minute")).quantile().shards(4);
     let run = |threads: usize| {

@@ -143,10 +143,6 @@ metric_enum! {
         /// Auto plans resolved to a single shard because prior cross-shard
         /// hit/miss evidence showed sharing does not pay on this workload.
         PlanFallbackSingle => ("shards", "plan_fallback_single"),
-        /// Cross-shard pool consultations whose probe scan was fanned out
-        /// over idle shard workers (work stealing). Each assisted
-        /// consultation still counts exactly once in `cross_pool_probes`.
-        StealAssists => ("shards", "steal_assists"),
         /// Translation rewrites applied while merging per-shard rule
         /// sets with Algorithm 2.
         MergeTranslations => ("shards", "merge_translations"),
