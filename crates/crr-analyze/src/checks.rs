@@ -9,17 +9,25 @@
 //! mismatch is itself the proof of divergence.
 
 use crate::report::{AnalysisReport, Check, Finding, Severity};
-use crr_core::{AbsState, CompiledConjunction, Conjunction, Dnf, Op, RuleSet, TableFacts};
-use crr_data::Table;
+use crr_core::compiled::folds_together;
+use crr_core::{
+    AbsState, CompiledConjunction, ConjFacts, Conjunction, Op, Predicate, RuleSet, TableFacts,
+};
+use crr_data::{Table, Value};
 use crr_discovery::{guard_predicates, ProofObligations, RepairObligations};
 use crr_obs::AnalysisCounters;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// One analysis pass: borrowed rule set, accumulated findings and work
-/// counters, plus the per-rule "provably dead" mask A1 fills so later
-/// checks skip rules that can never fire.
+/// One analysis pass: borrowed rule set, the implication facts of every
+/// conjunct, accumulated findings and work counters, plus the per-rule
+/// "provably dead" mask A1 fills so later checks skip rules that can
+/// never fire.
 pub(crate) struct Pass<'a> {
     rules: &'a RuleSet,
+    /// `facts[i][k]`: conjunct `k` of rule `i`, summarized once per pass
+    /// so each implication test of A1–A3, A5 and A7 allocates nothing.
+    facts: Vec<Vec<ConjFacts<'a>>>,
     eps: f64,
     counters: AnalysisCounters,
     findings: Vec<Finding>,
@@ -31,6 +39,17 @@ impl<'a> Pass<'a> {
     pub(crate) fn new(rules: &'a RuleSet, eps: f64) -> Self {
         Pass {
             rules,
+            facts: rules
+                .rules()
+                .iter()
+                .map(|r| {
+                    r.condition()
+                        .conjuncts()
+                        .iter()
+                        .map(ConjFacts::new)
+                        .collect()
+                })
+                .collect(),
             eps,
             counters: AnalysisCounters {
                 rules: rules.len() as u64,
@@ -48,16 +67,31 @@ impl<'a> Pass<'a> {
         c.is_provably_unsat()
     }
 
-    /// Counted front door to [`Dnf::implies`].
-    fn dnf_implies(&mut self, a: &Dnf, b: &Dnf) -> bool {
+    /// Counted Definition 2 test `C_i ⊢ C_j` between rules `i` and `j`
+    /// ([`crr_core::Dnf::implies`], through the per-conjunct facts).
+    fn rule_implies(&mut self, i: usize, j: usize) -> bool {
         self.counters.implication_checks += 1;
-        a.implies(b)
+        let cj = self.rules.rules()[j].condition().conjuncts();
+        self.facts[i]
+            .iter()
+            .all(|f| cj.iter().any(|c| f.implies(c)))
     }
 
-    /// Counted front door to [`Conjunction::implies`].
-    fn conj_implies(&mut self, a: &Conjunction, b: &Conjunction) -> bool {
-        self.counters.implication_checks += 1;
-        a.implies(b)
+    /// Counted confinement test: does conjunct `k` of rule `i` provably
+    /// imply some guard list? One implication check per guard tried.
+    /// Built-ins are ignored: confinement is a pure coverage question —
+    /// which rows the conjunct matches — and compaction attaches
+    /// translations to merged conjuncts that shift the model
+    /// application, not the rows.
+    fn confined(&mut self, i: usize, k: usize, guards: &[&[Predicate]]) -> bool {
+        let f = &self.facts[i][k];
+        let mut tests = 0;
+        let hit = guards.iter().any(|g| {
+            tests += 1;
+            f.implies_preds(g)
+        });
+        self.counters.implication_checks += tests;
+        hit
     }
 
     fn push(
@@ -82,12 +116,10 @@ impl<'a> Pass<'a> {
     /// provably-unsatisfiable conjunct carries a dead disjunct (hygiene).
     pub(crate) fn check_satisfiability(&mut self) {
         for i in 0..self.rules.len() {
-            let conjs = self.rules.rules()[i].condition().conjuncts().to_vec();
-            let dead_ix: Vec<usize> = conjs
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| self.unsat(c))
-                .map(|(k, _)| k)
+            let conjs = &self.facts[i];
+            self.counters.unsat_checks += conjs.len() as u64;
+            let dead_ix: Vec<usize> = (0..conjs.len())
+                .filter(|&k| conjs[k].is_provably_unsat())
                 .collect();
             if !conjs.is_empty() && dead_ix.len() == conjs.len() {
                 self.dead[i] = true;
@@ -141,21 +173,14 @@ impl<'a> Pass<'a> {
                     }
                     (rs[i].rho(), rs[j].rho())
                 };
-                if rj > ri + self.eps {
-                    continue;
-                }
-                let (ci, cj) = {
-                    let rs = self.rules.rules();
-                    (rs[i].condition().clone(), rs[j].condition().clone())
-                };
-                if !self.dnf_implies(&ci, &cj) {
+                if rj > ri + self.eps || !self.rule_implies(i, j) {
                     continue;
                 }
                 // Equal-ρ mutual implication: keep the earlier rule. The
                 // `j > i` comparison is on rule indices (serialization
                 // order), so the survivor is stable across artifact
                 // round-trips — see the tie-break note in the rustdoc.
-                if (ri - rj).abs() <= self.eps && j > i && self.dnf_implies(&cj, &ci) {
+                if (ri - rj).abs() <= self.eps && j > i && self.rule_implies(j, i) {
                     continue;
                 }
                 self.push(
@@ -313,27 +338,13 @@ impl<'a> Pass<'a> {
         }
         // Confinement of merged rules.
         if ob.guards.len() >= 2 {
-            let guard_conjs: Vec<Conjunction> = ob
-                .guards
-                .iter()
-                .map(|g| Conjunction::of(g.guards.clone()))
-                .collect();
+            let guards: Vec<&[Predicate]> = ob.guards.iter().map(|g| g.guards.as_slice()).collect();
             for i in 0..self.rules.len() {
                 if self.dead[i] {
                     continue;
                 }
-                let conjs = self.rules.rules()[i].condition().conjuncts().to_vec();
-                for (k, conj) in conjs.iter().enumerate() {
-                    // Confinement is a pure coverage question — which rows
-                    // the conjunct matches — and `eval` ignores built-ins,
-                    // so strip them before the implication test (which
-                    // otherwise requires built-ins to agree, as rule-level
-                    // Induction does). Compaction attaches translations to
-                    // merged conjuncts; they shift the model application,
-                    // not the shard membership.
-                    let coverage = Conjunction::of(conj.preds().to_vec());
-                    let confined = guard_conjs.iter().any(|g| self.conj_implies(&coverage, g));
-                    if !confined {
+                for k in 0..self.facts[i].len() {
+                    if !self.confined(i, k, &guards) {
                         self.push(
                             Check::GuardSoundness,
                             Severity::Unsound,
@@ -357,15 +368,9 @@ impl<'a> Pass<'a> {
     /// Proposition 9 is undefined; duplicate conjuncts or predicates are
     /// Fusion/refinement debris the dedup should have caught.
     pub(crate) fn check_inference(&mut self) {
-        for i in 0..self.rules.len() {
-            let (rho, arity, conjs) = {
-                let r = &self.rules.rules()[i];
-                (
-                    r.rho(),
-                    r.inputs().len(),
-                    r.condition().conjuncts().to_vec(),
-                )
-            };
+        let rules = self.rules;
+        for (i, r) in rules.rules().iter().enumerate() {
+            let (rho, arity, conjs) = (r.rho(), r.inputs().len(), r.condition().conjuncts());
             if !rho.is_finite() || rho < 0.0 {
                 self.push(
                     Check::InferenceAudit,
@@ -400,15 +405,7 @@ impl<'a> Pass<'a> {
                         );
                     }
                 }
-                let preds = conj.preds();
-                let mut dup = false;
-                for a in 0..preds.len() {
-                    for b in (a + 1)..preds.len() {
-                        if preds[a] == preds[b] {
-                            dup = true;
-                        }
-                    }
-                }
+                let (dup, foldable) = predicate_debt(conj.preds());
                 if dup {
                     self.push(
                         Check::InferenceAudit,
@@ -417,20 +414,6 @@ impl<'a> Pass<'a> {
                         None,
                         format!("conjunct #{k} repeats a predicate"),
                     );
-                }
-                // Distinct same-side interval bounds on one attribute:
-                // the scan compiler folds them to the strictest bound at
-                // compile time, so carrying both is refinement debt the
-                // producer should have collapsed.
-                let mut foldable = false;
-                for a in 0..preds.len() {
-                    for b in (a + 1)..preds.len() {
-                        if preds[a] != preds[b]
-                            && crr_core::compiled::folds_together(&preds[a], &preds[b])
-                        {
-                            foldable = true;
-                        }
-                    }
                 }
                 if foldable {
                     self.push(
@@ -489,11 +472,7 @@ impl<'a> Pass<'a> {
                 if !shared || !same_target || ri <= rj + self.eps {
                     continue;
                 }
-                let (ci, cj) = {
-                    let rs = self.rules.rules();
-                    (rs[i].condition().clone(), rs[j].condition().clone())
-                };
-                if self.dnf_implies(&ci, &cj) {
+                if self.rule_implies(i, j) {
                     self.push(
                         Check::RhoMonotonicity,
                         Severity::Hygiene,
@@ -529,9 +508,9 @@ impl<'a> Pass<'a> {
     /// skipped; `check_refs` rejects those artifacts before analysis.
     pub(crate) fn check_compile_equivalence(&mut self, table: &Table) {
         let facts = TableFacts::of(table);
-        for i in 0..self.rules.len() {
-            let conjs = self.rules.rules()[i].condition().conjuncts().to_vec();
-            for (k, conj) in conjs.iter().enumerate() {
+        let rules = self.rules;
+        for (i, r) in rules.rules().iter().enumerate() {
+            for (k, conj) in r.condition().conjuncts().iter().enumerate() {
                 if conj.preds().iter().any(|p| p.attr.0 >= facts.len()) {
                     continue; // uncompilable against this schema
                 }
@@ -601,7 +580,7 @@ impl<'a> Pass<'a> {
             );
             return;
         }
-        let mut guard_conjs: Vec<Conjunction> = Vec::with_capacity(ob.regions.len());
+        let mut guards: Vec<&[Predicate]> = Vec::with_capacity(ob.regions.len());
         for (k, region) in ob.regions.iter().enumerate() {
             if region.region_id != k {
                 self.push(
@@ -623,7 +602,6 @@ impl<'a> Pass<'a> {
                     None,
                     format!("region {k} carries no guard predicates; confinement is vacuous"),
                 );
-                guard_conjs.push(Conjunction::top());
             } else {
                 let g = Conjunction::of(region.guards.clone());
                 if self.unsat(&g) {
@@ -638,20 +616,15 @@ impl<'a> Pass<'a> {
                         ),
                     );
                 }
-                guard_conjs.push(g);
             }
+            guards.push(&region.guards);
         }
         for i in ob.kept..n {
             if self.dead[i] {
                 continue;
             }
-            let conjs = self.rules.rules()[i].condition().conjuncts().to_vec();
-            for (k, conj) in conjs.iter().enumerate() {
-                // Coverage question, built-ins stripped — same rationale
-                // as A3 confinement.
-                let coverage = Conjunction::of(conj.preds().to_vec());
-                let confined = guard_conjs.iter().any(|g| self.conj_implies(&coverage, g));
-                if !confined {
+            for k in 0..self.facts[i].len() {
+                if !self.confined(i, k, &guards) {
                     self.push(
                         Check::RepairObligations,
                         Severity::Unsound,
@@ -679,5 +652,186 @@ impl<'a> Pass<'a> {
         };
         report.finalize();
         report
+    }
+}
+
+/// A4's per-conjunct predicate debt: (repeats a predicate, carries
+/// distinct same-side interval bounds on one attribute). The scan
+/// compiler folds such bounds to the strictest at compile time
+/// ([`folds_together`]), so carrying both is refinement debt the
+/// producer should have collapsed.
+///
+/// One sort replaces the all-pairs scan: ordered by [`debt_order`], equal
+/// predicates form adjacent runs, and so do the numeric bounds of one
+/// attribute and side, so both questions are answered on adjacent pairs.
+fn predicate_debt(preds: &[Predicate]) -> (bool, bool) {
+    let mut sorted: Vec<&Predicate> = preds.iter().collect();
+    sorted.sort_unstable_by(|a, b| debt_order(a, b));
+    let (mut dup, mut foldable) = (false, false);
+    for w in sorted.windows(2) {
+        if w[0] == w[1] {
+            dup = true;
+        } else if folds_together(w[0], w[1]) {
+            foldable = true;
+        }
+    }
+    (dup, foldable)
+}
+
+/// The order [`predicate_debt`] sorts by: attribute, constant kind,
+/// operator, constant. Equal predicates compare equal, and the numeric
+/// bounds of one attribute and side sort together. `Value` equality is
+/// numeric across `Int` and `Float`, so both kinds key on the `f64`
+/// value, with `-0.0` equal to `0.0`.
+fn debt_order(a: &Predicate, b: &Predicate) -> Ordering {
+    /// Each bound side takes two adjacent ranks.
+    fn rank(op: Op) -> u8 {
+        match op {
+            Op::Lt => 0,
+            Op::Le => 1,
+            Op::Gt => 2,
+            Op::Ge => 3,
+            Op::Eq => 4,
+            Op::Ne => 5,
+            Op::IsNull => 6,
+            Op::NotNull => 7,
+        }
+    }
+    /// Kind rank, then the numeric key (`+ 0.0` maps `-0.0` to `0.0`).
+    fn kind(v: &Value) -> (u8, f64) {
+        match v.as_f64() {
+            Some(x) if !x.is_nan() => (0, x + 0.0),
+            Some(_) => (1, 0.0),
+            None if v.is_null() => (2, 0.0),
+            None => (3, 0.0),
+        }
+    }
+    let ((ka, xa), (kb, xb)) = (kind(&a.value), kind(&b.value));
+    a.attr
+        .cmp(&b.attr)
+        .then(ka.cmp(&kb))
+        .then(rank(a.op).cmp(&rank(b.op)))
+        .then(xa.total_cmp(&xb))
+        .then_with(|| a.value.as_str().cmp(&b.value.as_str()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crr_data::AttrId;
+
+    /// The all-pairs scans [`predicate_debt`] replaced, kept as its oracle.
+    fn debt_oracle(preds: &[Predicate]) -> (bool, bool) {
+        let (mut dup, mut foldable) = (false, false);
+        for a in 0..preds.len() {
+            for b in (a + 1)..preds.len() {
+                if preds[a] == preds[b] {
+                    dup = true;
+                }
+                if preds[a] != preds[b] && folds_together(&preds[a], &preds[b]) {
+                    foldable = true;
+                }
+            }
+        }
+        (dup, foldable)
+    }
+
+    /// SplitMix64, so the generated lists depend on the seed alone.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn predicate_debt_matches_the_pairwise_oracle() {
+        // Int and Float of one value, both zeros, strings, a null
+        // comparison constant and a NaN float.
+        let values = [
+            Value::Int(5),
+            Value::Float(5.0),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(-2),
+            Value::Float(2.5),
+            Value::str("a"),
+            Value::str("b"),
+            Value::Null,
+            Value::Float(f64::NAN),
+        ];
+        let ops = [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge];
+        let mut rng = SplitMix(0xA4_5EED);
+        let mut seen = [[0usize; 2]; 2];
+        for _ in 0..20_000 {
+            let preds: Vec<Predicate> = (0..rng.below(8))
+                .map(|_| {
+                    let attr = AttrId(rng.below(2));
+                    match rng.below(8) {
+                        0 => Predicate::is_null(attr),
+                        1 => Predicate::not_null(attr),
+                        _ => Predicate::new(
+                            attr,
+                            ops[rng.below(ops.len())],
+                            values[rng.below(values.len())].clone(),
+                        ),
+                    }
+                })
+                .collect();
+            let (dup, foldable) = debt_oracle(&preds);
+            assert_eq!(predicate_debt(&preds), (dup, foldable), "{preds:?}");
+            seen[dup as usize][foldable as usize] += 1;
+        }
+        assert!(seen.iter().flatten().all(|&n| n > 200), "{seen:?}");
+    }
+
+    #[test]
+    fn predicate_debt_keys_values_as_value_equality_does() {
+        let x = AttrId(0);
+        let cases = [
+            // x < 5 and x < 5.0 are one predicate, even apart.
+            (
+                vec![
+                    Predicate::lt(x, Value::Int(5)),
+                    Predicate::le(x, Value::Int(3)),
+                    Predicate::lt(x, Value::Float(5.0)),
+                ],
+                (true, true),
+            ),
+            (
+                vec![
+                    Predicate::eq(x, Value::Float(0.0)),
+                    Predicate::eq(x, Value::Float(-0.0)),
+                ],
+                (true, false),
+            ),
+            // String bounds never fold.
+            (
+                vec![
+                    Predicate::lt(x, Value::str("a")),
+                    Predicate::lt(x, Value::str("b")),
+                ],
+                (false, false),
+            ),
+            // Null constants and null tests repeat like any predicate.
+            (
+                vec![
+                    Predicate::is_null(x),
+                    Predicate::lt(x, Value::Null),
+                    Predicate::is_null(x),
+                ],
+                (true, false),
+            ),
+        ];
+        for (preds, expected) in cases {
+            assert_eq!(debt_oracle(&preds), expected, "{preds:?}");
+            assert_eq!(predicate_debt(&preds), expected, "{preds:?}");
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! [`ProofObligations`] recording the guard predicates it wrapped each
 //! shard's rules in. This crate checks those artifacts **without scanning
 //! a single row**, using only `crr-core`'s implication engine
-//! ([`crr_core::Conjunction::implies`], Definition 2's
-//! [`crr_core::Dnf::implies`], [`crr_core::Conjunction::is_provably_unsat`]
-//! and the per-attribute [`crr_core::AttrSummary`] they are built on),
+//! ([`crr_core::ConjFacts`]: a conjunct's per-attribute
+//! [`crr_core::AttrSummary`]s and provably-unsat flag, built once per
+//! conjunct per pass and tested against Definition 2's rule pairs and
+//! the shard and repair guards without allocating),
 //! plus `crr-core`'s abstract domain ([`crr_core::absdom`]) for symbolic
 //! compile-time semantics. Seven checks:
 //!

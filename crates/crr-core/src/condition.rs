@@ -100,36 +100,17 @@ impl Conjunction {
     /// when it cannot *prove* implication. Built-in predicates must agree
     /// (treating `None` as the identity), because CRR-level Induction
     /// replaces a condition while keeping the model application fixed.
+    /// Testing one antecedent against many consequents? Build its
+    /// [`ConjFacts`] once instead.
     pub fn implies(&self, other: &Conjunction) -> bool {
-        if !builtin_eq(self.builtin(), other.builtin()) {
-            return false;
-        }
-        if self.is_provably_unsat() {
-            return true;
-        }
-        other.preds.iter().all(|p| self.implies_pred(p))
-    }
-
-    /// Whether the constraints of `self` prove the single predicate `p`.
-    fn implies_pred(&self, p: &Predicate) -> bool {
-        // Syntactic containment is the cheap common case (refinement chains
-        // share their prefix predicates).
-        if self.preds.contains(p) {
-            return true;
-        }
-        let s = AttrSummary::from_conjunction(self, p.attr);
-        s.implies(p.op, &p.value)
+        ConjFacts::new(self).implies(other)
     }
 
     /// Whether this conjunction is provably unsatisfiable (empty interval
     /// or an equality outside the allowed range). Conservative: `false`
     /// means "unknown".
     pub fn is_provably_unsat(&self) -> bool {
-        let mut attrs = self.attrs();
-        attrs.dedup();
-        attrs
-            .into_iter()
-            .any(|a| AttrSummary::from_conjunction(self, a).is_unsat())
+        ConjFacts::new(self).is_provably_unsat()
     }
 
     /// Renders the conjunction with attribute names.
@@ -167,6 +148,70 @@ fn builtin_eq(a: Option<&Translation>, b: Option<&Translation>) -> bool {
         (None, None) => true,
         (Some(t), None) | (None, Some(t)) => t.is_identity(),
         (Some(x), Some(y)) => x == y,
+    }
+}
+
+/// A conjunction's implication facts, built once and reused: one
+/// [`AttrSummary`] per mentioned attribute plus the provably-unsat flag.
+///
+/// [`Conjunction::implies`] and [`Conjunction::is_provably_unsat`] build
+/// these per call; a caller testing one antecedent against many
+/// consequents (the static verifier's rule pairs) builds them once, and
+/// each test then allocates nothing.
+#[derive(Debug, Clone)]
+pub struct ConjFacts<'a> {
+    conj: &'a Conjunction,
+    attrs: Vec<(AttrId, AttrSummary)>,
+    unsat: bool,
+}
+
+impl<'a> ConjFacts<'a> {
+    /// Summarizes `conj`, one pass over its predicates.
+    pub fn new(conj: &'a Conjunction) -> Self {
+        let mut attrs: Vec<(AttrId, AttrSummary)> = Vec::new();
+        for p in conj.preds() {
+            match attrs.iter_mut().find(|(a, _)| *a == p.attr) {
+                Some((_, s)) => s.assume(p),
+                None => {
+                    let mut s = AttrSummary::default();
+                    s.assume(p);
+                    attrs.push((p.attr, s));
+                }
+            }
+        }
+        let unsat = attrs.iter().any(|(_, s)| s.is_unsat());
+        ConjFacts { conj, attrs, unsat }
+    }
+
+    /// Whether the conjunction is provably unsatisfiable (see
+    /// [`Conjunction::is_provably_unsat`]).
+    pub fn is_provably_unsat(&self) -> bool {
+        self.unsat
+    }
+
+    /// `conj ⊢ other`, exactly [`Conjunction::implies`]: built-ins must
+    /// agree, then every predicate of `other` must be proven.
+    pub fn implies(&self, other: &Conjunction) -> bool {
+        builtin_eq(self.conj.builtin(), other.builtin()) && self.implies_preds(other.preds())
+    }
+
+    /// Whether the conjunction's predicates prove every one of `preds` —
+    /// a pure coverage question that ignores built-ins on both sides
+    /// (they shift the model application, not the rows matched).
+    pub fn implies_preds(&self, preds: &[Predicate]) -> bool {
+        // Refinement chains append their narrowest predicates last, so a
+        // failing consequent usually fails on its tail.
+        self.unsat || preds.iter().rev().all(|p| self.implies_pred(p))
+    }
+
+    /// Whether the (satisfiable) conjunction proves `p`: by its summary
+    /// of `p.attr`, or else by syntactic containment, which still proves
+    /// what a summary cannot (`Value::Null` constants, mixed kinds).
+    fn implies_pred(&self, p: &Predicate) -> bool {
+        let Some((_, s)) = self.attrs.iter().find(|(a, _)| *a == p.attr) else {
+            return false; // no predicate on p.attr: neither can prove it
+        };
+        s.implies_satisfiable(p.op, &p.value) || self.conj.preds().contains(p)
     }
 }
 
@@ -211,37 +256,39 @@ impl AttrSummary {
     /// Summarizes every predicate of `c` that mentions `attr`.
     pub fn from_conjunction(c: &Conjunction, attr: AttrId) -> AttrSummary {
         let mut s = AttrSummary::default();
-        for p in c.preds() {
-            if p.attr != attr {
-                continue;
-            }
-            match p.op {
-                Op::Eq => match &s.eq {
-                    None => s.eq = Some(p.value.clone()),
-                    Some(v) if v == &p.value => {}
-                    // Two different pinned values: unsatisfiable. Model it
-                    // as an empty interval.
-                    Some(_) => {
-                        s.lo = Some(Bound {
-                            value: Value::Int(1),
-                            strict: true,
-                        });
-                        s.hi = Some(Bound {
-                            value: Value::Int(0),
-                            strict: true,
-                        });
-                    }
-                },
-                Op::Ne => s.ne.push(p.value.clone()),
-                Op::Gt => s.raise_lo(p.value.clone(), true),
-                Op::Ge => s.raise_lo(p.value.clone(), false),
-                Op::Lt => s.lower_hi(p.value.clone(), true),
-                Op::Le => s.lower_hi(p.value.clone(), false),
-                Op::IsNull => s.is_null = true,
-                Op::NotNull => s.not_null = true,
-            }
+        for p in c.preds().iter().filter(|p| p.attr == attr) {
+            s.assume(p);
         }
         s
+    }
+
+    /// Folds one more predicate on this summary's attribute in.
+    fn assume(&mut self, p: &Predicate) {
+        match p.op {
+            Op::Eq => match &self.eq {
+                None => self.eq = Some(p.value.clone()),
+                Some(v) if v == &p.value => {}
+                // Two different pinned values: unsatisfiable. Model it
+                // as an empty interval.
+                Some(_) => {
+                    self.lo = Some(Bound {
+                        value: Value::Int(1),
+                        strict: true,
+                    });
+                    self.hi = Some(Bound {
+                        value: Value::Int(0),
+                        strict: true,
+                    });
+                }
+            },
+            Op::Ne => self.ne.push(p.value.clone()),
+            Op::Gt => self.raise_lo(p.value.clone(), true),
+            Op::Ge => self.raise_lo(p.value.clone(), false),
+            Op::Lt => self.lower_hi(p.value.clone(), true),
+            Op::Le => self.lower_hi(p.value.clone(), false),
+            Op::IsNull => self.is_null = true,
+            Op::NotNull => self.not_null = true,
+        }
     }
 
     fn raise_lo(&mut self, v: Value, strict: bool) {
@@ -367,9 +414,11 @@ impl AttrSummary {
 
     /// Does this summary prove `A op c`? Conservative: `false` = unknown.
     pub fn implies(&self, op: Op, c: &Value) -> bool {
-        if self.is_unsat() {
-            return true;
-        }
+        self.is_unsat() || self.implies_satisfiable(op, c)
+    }
+
+    /// [`AttrSummary::implies`] for a summary already known satisfiable.
+    fn implies_satisfiable(&self, op: Op, c: &Value) -> bool {
         // Null tests are decided on the null flags and the presence of any
         // comparison (which forces non-null); kind mixing is irrelevant.
         match op {
@@ -519,9 +568,10 @@ impl Dnf {
     /// DNF implication (Definition 2): `self ⊢ other` iff every conjunction
     /// of `self` implies some conjunction of `other`.
     pub fn implies(&self, other: &Dnf) -> bool {
-        self.conjuncts
-            .iter()
-            .all(|c1| other.conjuncts.iter().any(|c2| c1.implies(c2)))
+        self.conjuncts.iter().all(|c1| {
+            let facts = ConjFacts::new(c1);
+            other.conjuncts.iter().any(|c2| facts.implies(c2))
+        })
     }
 
     /// All attributes mentioned by any conjunct.

@@ -66,7 +66,7 @@ pub mod serialize;
 pub use absdom::{AbsState, TableFacts};
 pub use check::{check, CheckReport, Violation};
 pub use compiled::{CompiledConjunction, CompiledPred, KernelShape};
-pub use condition::{AttrSummary, Bound, Conjunction, Dnf};
+pub use condition::{AttrSummary, Bound, ConjFacts, Conjunction, Dnf};
 pub use error::CoreError;
 pub use index::{CompiledIndex, RuleIndex};
 pub use predicate::{Op, Predicate};

@@ -173,8 +173,12 @@ impl PredicateSpace {
     /// over the shard's rows — always-false ones (the key interval lies
     /// entirely outside the constant) and always-true ones alike. A
     /// constant predicate can never separate a partition, so Algorithm 1
-    /// never places it in a rule condition; dropping it changes no
-    /// discovered rule, only the per-split candidate scans the shard pays.
+    /// never places it in a rule condition, and dropping it spares the
+    /// shard's per-split candidate scans. It can still change the rules
+    /// discovered: split selection samples every ⌊|avail|/64⌋-th
+    /// available candidate, so once the unconfined available set
+    /// reaches 128 predicates, a confined space samples different
+    /// candidates.
     ///
     /// Membership is exact (see [`crr_data::ShardBounds`]): an interval
     /// shard holds exactly the rows with a finite key in `[lo, hi)`, the

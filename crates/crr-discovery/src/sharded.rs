@@ -531,9 +531,12 @@ fn run_shard_isolated(
         // Confine the predicate space to the shard's key interval:
         // predicates constant over the shard (always-false *or*
         // always-true on its key range) can never separate a partition,
-        // so dropping them changes no discovered rule — it only spares
-        // every split step a scan over candidates the planner already
-        // knows are dead. A full-range shard keeps the original space.
+        // so every split step is spared a scan over candidates the
+        // planner already knows are dead. It can still change the rules
+        // found: once the unconfined available set reaches 128
+        // predicates, `choose_split` samples every ⌊|avail|/64⌋-th
+        // candidate, and a smaller set samples different ones. A
+        // full-range shard keeps the original space.
         let confined = shard.bounds.as_ref().and_then(|b| space.confined_to(b));
         let space = confined.as_ref().unwrap_or(space);
         run_search(table, &shard.rows, cfg, space, cross)

@@ -17,11 +17,10 @@ pub struct AnalysisCounters {
     pub conjuncts: u64,
     /// Shard-guard obligations examined (0 for unsharded artifacts).
     pub shards: u64,
-    /// Calls into the implication engine (`Conjunction::implies` /
-    /// `Dnf::implies`).
+    /// Implication tests: one per rule-pair `C_i ⊢ C_j` (Definition 2)
+    /// and one per conjunct-against-guard confinement test.
     pub implication_checks: u64,
-    /// Calls into the satisfiability engine
-    /// (`Conjunction::is_provably_unsat`).
+    /// Satisfiability tests: one per conjunct and per guard conjunction.
     pub unsat_checks: u64,
     /// Abstract-domain transfer-function evaluations during the
     /// compile-equivalence check (A6).

@@ -156,19 +156,22 @@ impl RuleStore {
             self.metrics.incr(Counter::ServeSwapRejected);
             return Err(e);
         }
-        let generation = self.generation.load(Ordering::Acquire) + 1;
-        let next = Arc::new(ServingSet {
-            artifact,
-            generation,
-        });
-        {
+        let next = {
             let mut slot = match self.current.write() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
+            // Numbered and published under the write lock: concurrent
+            // swaps get distinct generations, and a reader that sees the
+            // new set also sees `generation()` at least as far.
+            let next = Arc::new(ServingSet {
+                artifact,
+                generation: slot.generation + 1,
+            });
             *slot = Arc::clone(&next);
-        }
-        self.generation.store(generation, Ordering::Release);
+            self.generation.store(next.generation, Ordering::Release);
+            next
+        };
         self.metrics.incr(Counter::ServeSwapAccepted);
         self.publish_gauges();
         Ok(next)
@@ -372,5 +375,34 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(store.generation(), 50);
+    }
+
+    #[test]
+    fn concurrent_writers_get_distinct_generations() {
+        let store = Arc::new(RuleStore::open(artifact(), MetricsSink::enabled()).unwrap());
+        let writers: Vec<_> = (0..4)
+            .map(|_| {
+                let s = Arc::clone(&store);
+                std::thread::spawn(move || {
+                    (0..250)
+                        .map(|_| s.try_swap(artifact()).unwrap().generation)
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let mut generations: Vec<u64> = writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        let accepted = generations.len() as u64;
+        generations.sort_unstable();
+        generations.dedup();
+        assert_eq!(
+            generations.len() as u64,
+            accepted,
+            "a generation was shared"
+        );
+        assert_eq!(store.generation(), accepted);
+        assert_eq!(store.current().generation, accepted);
     }
 }

@@ -147,6 +147,12 @@ if [ -f BENCH_stream.json ]; then
   run "--check BENCH_stream.json" experiments --check BENCH_stream.json
 fi
 
+echo "==> lifecycle benchmark smoke (every perfbench workload, 1 s each)"
+# Builds the benchmark (a cargo workspace of its own, into .bench_build)
+# and runs all four workloads with every output check, so a broken build
+# or a failed lifecycle check fails here rather than in a benchmark run.
+run "perfbench smoke" python3 perfbench/run.py --workload all --seconds 1 --trace 0
+
 if [ ${#FAILED[@]} -gt 0 ]; then
   echo "CI FAILED: ${#FAILED[@]} step(s) failed:" >&2
   printf '  - %s\n' "${FAILED[@]}" >&2
