@@ -19,6 +19,10 @@ use crr_obs::AnalysisCounters;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+/// Tolerance for ρ comparisons (subsumption's `ρ_j ≤ ρ_i`, monotonicity's
+/// `ρ_i ≤ ρ_j`), absorbing serialization round-trips.
+const EPS: f64 = 1e-9;
+
 /// One analysis pass: borrowed rule set, the implication facts of every
 /// conjunct, accumulated findings and work counters, plus the per-rule
 /// "provably dead" mask A1 fills so later checks skip rules that can
@@ -28,7 +32,6 @@ pub(crate) struct Pass<'a> {
     /// `facts[i][k]`: conjunct `k` of rule `i`, summarized once per pass
     /// so each implication test of A1–A3, A5 and A7 allocates nothing.
     facts: Vec<Vec<ConjFacts<'a>>>,
-    eps: f64,
     counters: AnalysisCounters,
     findings: Vec<Finding>,
     /// `dead[i]`: rule `i`'s whole condition is provably unsatisfiable.
@@ -36,7 +39,7 @@ pub(crate) struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    pub(crate) fn new(rules: &'a RuleSet, eps: f64) -> Self {
+    pub(crate) fn new(rules: &'a RuleSet) -> Self {
         Pass {
             rules,
             facts: rules
@@ -50,7 +53,6 @@ impl<'a> Pass<'a> {
                         .collect()
                 })
                 .collect(),
-            eps,
             counters: AnalysisCounters {
                 rules: rules.len() as u64,
                 conjuncts: rules.total_conjuncts() as u64,
@@ -173,14 +175,14 @@ impl<'a> Pass<'a> {
                     }
                     (rs[i].rho(), rs[j].rho())
                 };
-                if rj > ri + self.eps || !self.rule_implies(i, j) {
+                if rj > ri + EPS || !self.rule_implies(i, j) {
                     continue;
                 }
                 // Equal-ρ mutual implication: keep the earlier rule. The
                 // `j > i` comparison is on rule indices (serialization
                 // order), so the survivor is stable across artifact
                 // round-trips — see the tie-break note in the rustdoc.
-                if (ri - rj).abs() <= self.eps && j > i && self.rule_implies(j, i) {
+                if (ri - rj).abs() <= EPS && j > i && self.rule_implies(j, i) {
                     continue;
                 }
                 self.push(
@@ -469,7 +471,7 @@ impl<'a> Pass<'a> {
                         rs[j].rho(),
                     )
                 };
-                if !shared || !same_target || ri <= rj + self.eps {
+                if !shared || !same_target || ri <= rj + EPS {
                     continue;
                 }
                 if self.rule_implies(i, j) {

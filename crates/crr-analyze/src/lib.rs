@@ -43,7 +43,7 @@
 //! provable", not "nothing wrong". Findings rank
 //! [`Severity::Unsound`] > [`Severity::Redundant`] >
 //! [`Severity::Hygiene`]; `scripts/ci.sh` refuses artifacts with unsound
-//! findings via `experiments -- --check-analysis`.
+//! findings via `experiments --check`.
 //!
 //! # Example
 //!
@@ -71,6 +71,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(missing_docs)]
 
 mod checks;
 mod report;
@@ -80,47 +81,15 @@ pub use report::{AnalysisReport, Check, Finding, Severity, Summary};
 use checks::Pass;
 use crr_core::RuleSet;
 use crr_data::Table;
-use crr_discovery::{ProofObligations, RuleSetArtifact, ShardedDiscovery};
+use crr_discovery::{ProofObligations, RepairObligations, RuleSetArtifact, ShardedDiscovery};
 pub use crr_obs::AnalysisCounters;
 
-/// Tunables of an analysis pass.
-#[derive(Debug, Clone)]
-pub struct AnalyzeConfig {
-    /// Tolerance for ρ comparisons (subsumption's `ρ_j ≤ ρ_i`,
-    /// monotonicity's `ρ_i ≤ ρ_j`), absorbing serialization round-trips.
-    pub eps: f64,
-}
-
-impl Default for AnalyzeConfig {
-    fn default() -> Self {
-        AnalyzeConfig { eps: 1e-9 }
-    }
-}
-
-/// Runs the rule-level checks (A1–A5) over `rules` (and, when given, the
-/// sharded run's guard obligations) with default tolerances. See
-/// [`analyze_with`]. The schema-aware checks A6 and A7 need an artifact;
-/// use [`analyze_artifact`] for the full battery.
+/// Runs the rule-level checks (A1–A5) over `rules` and, when given, the
+/// sharded run's guard obligations. Pure and read-only: the rule set is
+/// never modified and no table is consulted. The schema-aware checks A6
+/// and A7 need an artifact; use [`analyze_artifact`] for the full battery.
 pub fn analyze(rules: &RuleSet, obligations: Option<&ProofObligations>) -> AnalysisReport {
-    analyze_with(rules, obligations, &AnalyzeConfig::default())
-}
-
-/// Runs the rule-level checks (A1–A5) with explicit tolerances. Pure and
-/// read-only: the rule set is never modified and no table is consulted.
-pub fn analyze_with(
-    rules: &RuleSet,
-    obligations: Option<&ProofObligations>,
-    cfg: &AnalyzeConfig,
-) -> AnalysisReport {
-    let mut pass = Pass::new(rules, cfg.eps);
-    pass.check_satisfiability();
-    pass.check_subsumption();
-    if let Some(ob) = obligations {
-        pass.check_guards(ob);
-    }
-    pass.check_inference();
-    pass.check_rho_monotonicity();
-    pass.into_report(obligations.map_or(0, |ob| ob.guards.len()))
+    run_checks(rules, obligations, None, None)
 }
 
 /// Analyzes a discovery result directly: the merged rules against the
@@ -136,8 +105,7 @@ pub fn analyze_discovery(d: &ShardedDiscovery) -> AnalysisReport {
 /// artifact carries [`crr_discovery::RepairObligations`]. Row-free like
 /// every other check.
 pub fn analyze_artifact(artifact: &RuleSetArtifact) -> AnalysisReport {
-    let empty = Table::new(artifact.schema.clone());
-    analyze_artifact_with(artifact, &empty, &AnalyzeConfig::default())
+    analyze_artifact_on(artifact, &Table::new(artifact.schema.clone()))
 }
 
 /// Runs all seven checks with `table` as A6's compile context (its
@@ -145,16 +113,6 @@ pub fn analyze_artifact(artifact: &RuleSetArtifact) -> AnalysisReport {
 /// abstract ⊤ state; its rows are never read). Falls back to an empty
 /// table of the artifact's schema when `table`'s schema differs.
 pub fn analyze_artifact_on(artifact: &RuleSetArtifact, table: &Table) -> AnalysisReport {
-    analyze_artifact_with(artifact, table, &AnalyzeConfig::default())
-}
-
-/// Runs all seven checks with explicit tolerances. See
-/// [`analyze_artifact_on`].
-pub fn analyze_artifact_with(
-    artifact: &RuleSetArtifact,
-    table: &Table,
-    cfg: &AnalyzeConfig,
-) -> AnalysisReport {
     let fallback;
     let ctx = if table.schema() == &artifact.schema {
         table
@@ -162,24 +120,37 @@ pub fn analyze_artifact_with(
         fallback = Table::new(artifact.schema.clone());
         &fallback
     };
-    let mut pass = Pass::new(&artifact.rules, cfg.eps);
+    run_checks(
+        &artifact.rules,
+        artifact.obligations.as_ref(),
+        Some(ctx),
+        artifact.repair.as_ref(),
+    )
+}
+
+/// The one check sequence: A1–A5, then A6 when a compile context is given
+/// and A7 when repair obligations are.
+fn run_checks(
+    rules: &RuleSet,
+    obligations: Option<&ProofObligations>,
+    ctx: Option<&Table>,
+    repair: Option<&RepairObligations>,
+) -> AnalysisReport {
+    let mut pass = Pass::new(rules);
     pass.check_satisfiability();
     pass.check_subsumption();
-    if let Some(ob) = artifact.obligations.as_ref() {
+    if let Some(ob) = obligations {
         pass.check_guards(ob);
     }
     pass.check_inference();
     pass.check_rho_monotonicity();
-    pass.check_compile_equivalence(ctx);
-    if let Some(rep) = artifact.repair.as_ref() {
+    if let Some(ctx) = ctx {
+        pass.check_compile_equivalence(ctx);
+    }
+    if let Some(rep) = repair {
         pass.check_repair(rep);
     }
-    pass.into_report(
-        artifact
-            .obligations
-            .as_ref()
-            .map_or(0, |ob| ob.guards.len()),
-    )
+    pass.into_report(obligations.map_or(0, |ob| ob.guards.len()))
 }
 
 #[cfg(test)]
@@ -191,10 +162,10 @@ mod tests {
     use super::*;
     use crr_core::compiled::{set_miscompile, Miscompile};
     use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleSet};
-    use crr_data::{AttrId, AttrType, Schema, ShardBounds, Value};
+    use crr_data::{AttrId, AttrType, Boundary, Schema, ShardBounds, Value};
     use crr_discovery::{
-        guard_predicates, PlanBoundary, ProofObligations, RegionOrigin, RepairObligations,
-        RepairRegion, ShardGuard,
+        guard_predicates, ProofObligations, RegionOrigin, RepairObligations, RepairRegion,
+        ShardGuard,
     };
     use crr_models::{ConstantModel, LinearModel, Model, Translation};
     use std::sync::Arc;
@@ -243,7 +214,7 @@ mod tests {
     fn obligations() -> ProofObligations {
         ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::Quantile,
+            boundary: Boundary::Quantile,
             guards: vec![
                 guard(0, bounds(None, Some(10.0), false)),
                 guard(1, bounds(Some(10.0), None, false)),
@@ -381,7 +352,7 @@ mod tests {
     fn overlapping_shards_break_disjointness() {
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::EqualWidth,
+            boundary: Boundary::EqualWidth,
             guards: vec![
                 guard(0, bounds(None, Some(10.0), false)),
                 guard(1, bounds(Some(5.0), None, false)), // overlaps [5, 10)
@@ -399,7 +370,7 @@ mod tests {
     fn missing_open_ends_are_uncovered() {
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::EqualWidth,
+            boundary: Boundary::EqualWidth,
             guards: vec![
                 guard(0, bounds(Some(0.0), Some(10.0), false)),
                 guard(1, bounds(Some(10.0), Some(20.0), false)),
@@ -424,7 +395,7 @@ mod tests {
         // [10, 20) are covered by no shard: only the chain check sees it.
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::Quantile,
+            boundary: Boundary::Quantile,
             guards: vec![
                 guard(0, bounds(None, Some(10.0), false)),
                 guard(1, bounds(Some(20.0), None, false)),
@@ -448,7 +419,7 @@ mod tests {
     fn not_null_guard_without_null_shard_is_unsound() {
         let ob = ProofObligations {
             shard_key: x(),
-            boundary: PlanBoundary::EqualWidth,
+            boundary: Boundary::EqualWidth,
             guards: vec![
                 guard(0, bounds(None, None, false)), // NOT NULL guard
                 guard(1, bounds(None, Some(0.0), false)),

@@ -5,20 +5,19 @@ use crr_obs::AnalysisCounters;
 use std::fmt;
 
 /// How much a finding matters, worst first.
-///
-/// * [`Severity::Unsound`] — the artifact can give a wrong answer: a
-///   shard guard that fails to partition the key domain, a rule that
-///   leaks outside its shard, a non-composable translation, a
-///   non-finite ρ. CI refuses artifacts with unsound findings.
-/// * [`Severity::Redundant`] — the artifact is correct but carries dead
-///   weight: a rule whose condition can never fire, or one subsumed by
-///   another rule with a no-worse bias.
-/// * [`Severity::Hygiene`] — cosmetic debt: dead disjuncts, duplicate
-///   conjuncts, ρ claims looser than a sibling rule already implies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
+    /// The artifact can give a wrong answer: a shard guard that fails to
+    /// partition the key domain, a rule that leaks outside its shard, a
+    /// non-composable translation, a non-finite ρ. CI refuses artifacts
+    /// with unsound findings.
     Unsound,
+    /// The artifact is correct but carries dead weight: a rule whose
+    /// condition can never fire, or one subsumed by another rule with a
+    /// no-worse bias.
     Redundant,
+    /// Cosmetic debt: dead disjuncts, duplicate conjuncts, ρ claims looser
+    /// than a sibling rule already implies.
     Hygiene,
 }
 

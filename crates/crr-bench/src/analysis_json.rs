@@ -1,7 +1,7 @@
 //! The `analysis.json` artifact: static verification reports from
 //! `crr-analyze`, written by `experiments -- analyze` and re-validated by
-//! `--check-analysis` so a drifted emitter — or an artifact with an
-//! `unsound` finding — fails CI, not a reader.
+//! `--check` so a drifted emitter — or an artifact with an `unsound`
+//! finding — fails CI, not a reader.
 //!
 //! Like [`crate::metrics_json`], rendering and parsing ride on the
 //! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The layout is

@@ -1432,9 +1432,9 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
 /// conjunct through the A6 compile-equivalence comparison. Any `unsound`
 /// finding aborts here; redundant/hygiene findings are reported and land
 /// in the artifact. The runs are written to `path` in the
-/// `crr-analysis-v2` layout that `--check-analysis` (and CI)
-/// re-validates. With `artifact_out`, the repaired artifact's text is
-/// persisted for `--analyze-artifact` / `--mutate-repair-guard`.
+/// `crr-analysis-v2` layout that `--check` (and CI) re-validates. With
+/// `artifact_out`, the repaired artifact's text is persisted for
+/// `--analyze-artifact` / `--mutate-repair-guard`.
 fn analyze_cmd(scale: f64, path: &str, shards: usize, artifact_out: Option<&str>) {
     let cells: [(&str, fn(usize, u64) -> Scenario, usize, usize); 2] = [
         ("electricity", electricity_scenario, 11_520, 255),
@@ -2049,8 +2049,8 @@ fn stream_cell(
 /// `stream`: the incremental-maintenance benchmark — append an unseen tail
 /// through a `crr-stream` maintainer (route + delta + monitor + repair) and
 /// race it against full rediscovery over base+tail. Writes
-/// `BENCH_stream.json` in the `crr-stream-v1` layout that `--check-stream`
-/// / `scripts/ci.sh` re-validate. With `--artifact-out`, also writes the
+/// `BENCH_stream.json` in the `crr-stream-v1` layout that `--check` /
+/// `scripts/ci.sh` re-validate. With `--artifact-out`, also writes the
 /// electricity cell's proof-carrying repaired artifact.
 fn stream_cmd(scale: f64, path: &str, artifact_out: Option<&str>) {
     let mut records = Vec::new();

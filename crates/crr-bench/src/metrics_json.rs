@@ -26,8 +26,10 @@ use std::fmt::Write as _;
 /// engine label and the row-at-a-time scan counter from the `kernels`
 /// section (discovery has one engine) and requires at least one `sharded`
 /// run per document; v8 dropped `shards.steal_assists` (cross-pool probe
-/// scans run on their shard's own thread).
-pub const SCHEMA: &str = "crr-metrics-v8";
+/// scans run on their shard's own thread); v9 dropped
+/// `shards.plan_fallback_single` (the planner no longer reads the sink, so
+/// recording never changes a plan).
+pub const SCHEMA: &str = "crr-metrics-v9";
 
 /// Sections every enabled-sink snapshot must carry (the sink always emits
 /// the full schema, zeros included, so file shape is run-independent).
@@ -504,9 +506,10 @@ mod tests {
     #[test]
     fn empty_or_mislabeled_documents_are_rejected() {
         assert!(validate("{}").is_err());
-        assert!(validate("{\"schema\": \"crr-metrics-v8\", \"runs\": []}").is_err());
+        assert!(validate("{\"schema\": \"crr-metrics-v9\", \"runs\": []}").is_err());
         assert!(validate("{\"schema\": \"other\", \"runs\": [1]}").is_err());
-        // The v7 tag is stale now that `shards.steal_assists` is gone.
-        assert!(validate("{\"schema\": \"crr-metrics-v7\", \"runs\": [1]}").is_err());
+        // The v8 tag is stale now that the planner's sink-read fallback
+        // counter is gone.
+        assert!(validate("{\"schema\": \"crr-metrics-v8\", \"runs\": [1]}").is_err());
     }
 }

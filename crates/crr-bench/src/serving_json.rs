@@ -1,8 +1,8 @@
 //! Tracked serving benchmark output: the `serving` experiment stands up a
 //! live `crr-serve` server, drives it with the closed-loop load generator
 //! in `crr_serve::client`, and writes `BENCH_serving.json`; CI
-//! (`scripts/ci.sh --check-serving`) re-parses and validates it so a
-//! regressed emitter or a degraded serving run fails the build.
+//! (`scripts/ci.sh`, via `experiments --check`) re-parses and validates it
+//! so a regressed emitter or a degraded serving run fails the build.
 //!
 //! Like the sibling emitters, rendering and parsing ride on the
 //! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The schema is

@@ -2,9 +2,9 @@
 //! experiment discovers on a base slice, replays an appended tail through
 //! a `crr_stream::StreamEngine` (batched appends + one partition-scoped
 //! repair), measures the same end state reached by full rediscovery over
-//! base+tail, and writes `BENCH_stream.json`; CI (`scripts/ci.sh
-//! --check-stream`) re-parses and validates it so a regressed emitter or
-//! a lost incremental advantage fails the build.
+//! base+tail, and writes `BENCH_stream.json`; CI (`scripts/ci.sh`, via
+//! `experiments --check`) re-parses and validates it so a regressed
+//! emitter or a lost incremental advantage fails the build.
 //!
 //! Like the sibling emitters, rendering and parsing ride on the
 //! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The schema is

@@ -16,8 +16,11 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Dictionary codes into `dict`.
     Str {
+        /// One dictionary code per row.
         codes: Vec<u32>,
+        /// Distinct strings, indexed by code.
         dict: Vec<Arc<str>>,
+        /// Reverse lookup from string to its code in `dict`.
         index: HashMap<Arc<str>, u32>,
     },
 }

@@ -6,24 +6,42 @@ pub enum DataError {
     /// Referenced an attribute that the schema does not contain.
     UnknownAttribute(String),
     /// A row had the wrong number of cells for the schema.
-    ArityMismatch { expected: usize, got: usize },
+    ArityMismatch {
+        /// Cells the schema declares.
+        expected: usize,
+        /// Cells the row carried.
+        got: usize,
+    },
     /// A value's type does not match the attribute's declared type.
     TypeMismatch {
+        /// Name of the attribute the value was written to.
         attribute: String,
+        /// The attribute's declared type.
         expected: &'static str,
+        /// The type of the value supplied.
         got: &'static str,
     },
     /// CSV parse failure with row/column context.
-    Csv { line: usize, message: String },
+    Csv {
+        /// 1-based line of the CSV input.
+        line: usize,
+        /// What was wrong with it.
+        message: String,
+    },
     /// Underlying I/O failure (message only, to keep the error `Clone`).
     Io(String),
     /// A numeric view was requested of a non-numeric column.
     NotNumeric(String),
     /// A present numeric cell held NaN or ±Inf where a finite value was
     /// required (building a fit snapshot).
-    NonFiniteCell { row: usize, attribute: String },
-    /// A shard plan that cannot be applied to any instance (zero shards,
-    /// non-positive window width, …).
+    NonFiniteCell {
+        /// Row index of the offending cell.
+        row: usize,
+        /// Name of the offending cell's attribute.
+        attribute: String,
+    },
+    /// A shard spec that cannot be applied to any instance (zero fixed
+    /// shards).
     InvalidShardPlan(String),
 }
 

@@ -11,7 +11,9 @@
 //!   copy it;
 //! * CSV import/export with type inference ([`csv`]);
 //! * per-column summary statistics used by predicate generation
-//!   ([`ColumnStats`]).
+//!   ([`ColumnStats`]);
+//! * shard planning for sharded discovery: a [`ShardSpec`] resolved into
+//!   disjoint key-range [`Shard`]s.
 //!
 //! # Example
 //!
@@ -31,6 +33,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(missing_docs)]
 
 mod column;
 pub mod csv;
@@ -48,9 +51,9 @@ pub use column::{Column, ColumnData};
 pub use error::DataError;
 pub use rowset::RowSet;
 pub use schema::{AttrId, AttrType, Attribute, Schema};
-pub use shard::{Shard, ShardBounds, ShardPlan};
+pub use shard::{Shard, ShardBounds};
 pub use snapshot::NumericSnapshot;
-pub use spec::{balance_permille, Boundary, PlanReport, PlannerCost, ShardCount, ShardSpec};
+pub use spec::{balance_permille, Boundary, PlanReport, PlannerCost, ShardSpec};
 pub use stats::ColumnStats;
 pub use table::Table;
 pub use value::Value;

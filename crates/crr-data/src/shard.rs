@@ -1,49 +1,25 @@
-//! Shard plans: partitioning an instance into disjoint row ranges by key
-//! range or time window, ahead of per-shard CRR discovery.
+//! Shards: disjoint row ranges of an instance, cut on a numeric key
+//! ahead of per-shard CRR discovery.
 //!
-//! A [`ShardPlan`] describes *how* to cut the instance; [`ShardPlan::
-//! partition`] applies it to a concrete `(table, rows)` pair and returns
-//! [`Shard`]s — disjoint [`RowSet`]s whose union is exactly the input rows.
-//! Each shard carries its [`ShardBounds`] (the half-open key interval it
-//! was cut on, or the null-key marker), which downstream layers turn into
-//! guard predicates so per-shard rules stay sound after cross-shard
-//! merging. Rows whose shard key is null cannot satisfy any interval and
-//! land in a trailing shard of their own, flagged `null_keys` so it can be
-//! guarded with `key IS NULL`. Non-finite keys (NaN, ±Inf) are rejected
-//! outright: ±Inf would satisfy other shards' interval guards, so no
-//! guard assignment keeps them sound.
+//! [`crate::ShardSpec::plan`] resolves a spec into ascending cut points and
+//! hands them to `cut_into_shards`, which returns [`Shard`]s — disjoint
+//! [`RowSet`]s whose union is exactly the input rows. Each shard carries
+//! its [`ShardBounds`] (the half-open key interval it was cut on, or the
+//! null-key marker), which downstream layers turn into guard predicates so
+//! per-shard rules stay sound after cross-shard merging. Rows whose shard
+//! key is null cannot satisfy any interval and land in a trailing shard of
+//! their own, flagged `null_keys` so it can be guarded with `key IS NULL`.
+//! Non-finite keys (NaN, ±Inf) are rejected outright: ±Inf would satisfy
+//! other shards' interval guards, so no guard assignment keeps them sound.
 
 use crate::{AttrId, DataError, Result, RowSet, Table};
-
-/// How to partition an instance into shards.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardPlan {
-    /// No sharding: one shard holding every row.
-    Single,
-    /// Split the observed `[min, max]` range of a numeric attribute into
-    /// `shards` equal-width, half-open key intervals.
-    ByKeyRange {
-        /// Numeric shard-key attribute.
-        attr: AttrId,
-        /// Number of intervals (≥ 1).
-        shards: usize,
-    },
-    /// Split a numeric (time) attribute into consecutive windows of fixed
-    /// `width`, starting at the observed minimum.
-    ByTimeWindow {
-        /// Numeric time attribute.
-        attr: AttrId,
-        /// Window width in the attribute's own units (> 0, finite).
-        width: f64,
-    },
-}
 
 /// The half-open key interval `[lo, hi)` a shard was cut on, or the
 /// null-key marker. `None` on either side means unbounded (the first/last
 /// shard absorbs the extremes, so float round-off at the edges can never
 /// drop a row).
 ///
-/// Because [`ShardPlan::partition`] rejects non-finite keys, these bounds
+/// Because planning rejects non-finite keys, these bounds
 /// are *exact* row-membership descriptions: a row lies in an interval
 /// shard iff its (finite) key satisfies the interval, and in the
 /// `null_keys` shard iff its key is null.
@@ -68,91 +44,9 @@ pub struct Shard {
     /// The shard's rows — disjoint across shards, union = the input rows.
     pub rows: RowSet,
     /// The key interval (or null-key marker) this shard was cut on;
-    /// `None` only for [`ShardPlan::Single`], whose one shard needs no
-    /// guard.
+    /// `None` only for [`crate::ShardSpec::single`], whose one shard needs
+    /// no guard.
     pub bounds: Option<ShardBounds>,
-}
-
-impl ShardPlan {
-    // The 0.9.0 positional constructors (`single`, `by_key_range`,
-    // `by_time_window`) are gone; build plans through `ShardSpec`, which
-    // names the strategy and boundary placement explicitly. The ci.sh
-    // deprecation wall keeps them from creeping back.
-
-    /// How many shards the plan *requests* (before empty ones are dropped).
-    /// Time-window plans are data-dependent and report `None`.
-    pub fn requested_shards(&self) -> Option<usize> {
-        match self {
-            ShardPlan::Single => Some(1),
-            ShardPlan::ByKeyRange { shards, .. } => Some(*shards),
-            ShardPlan::ByTimeWindow { .. } => None,
-        }
-    }
-
-    /// Applies the plan to `rows` of `table`.
-    ///
-    /// Guarantees on success: shards are disjoint, their union is exactly
-    /// `rows`, no shard is empty, and ids are dense in emission order
-    /// (key intervals ascending, then the null-key shard if any).
-    ///
-    /// Errors: [`DataError::InvalidShardPlan`] for zero shards or a
-    /// non-positive/non-finite window width, [`DataError::NotNumeric`]
-    /// when the shard key is not a numeric attribute, and
-    /// [`DataError::NonFiniteCell`] when any row's key is NaN or ±Inf
-    /// (such a key would satisfy other shards' interval guards, so no
-    /// shard could soundly own the row).
-    pub fn partition(&self, table: &Table, rows: &RowSet) -> Result<Vec<Shard>> {
-        match *self {
-            ShardPlan::Single => Ok(vec![Shard {
-                id: 0,
-                rows: rows.clone(),
-                bounds: None,
-            }]),
-            ShardPlan::ByKeyRange { attr, shards } => {
-                if shards == 0 {
-                    return Err(DataError::InvalidShardPlan(
-                        "key-range plan requests zero shards".to_string(),
-                    ));
-                }
-                let (lo, hi) = key_extent(table, attr, rows)?;
-                let cuts = match (lo, hi) {
-                    // Every key equal (or no keys at all): nothing to cut.
-                    _ if shards == 1 => Vec::new(),
-                    (Some(lo), Some(hi)) if hi > lo => {
-                        let w = (hi - lo) / shards as f64;
-                        (1..shards).map(|i| lo + w * i as f64).collect()
-                    }
-                    _ => Vec::new(),
-                };
-                Ok(cut_into_shards(table, attr, rows, &cuts))
-            }
-            ShardPlan::ByTimeWindow { attr, width } => {
-                if !(width > 0.0 && width.is_finite()) {
-                    return Err(DataError::InvalidShardPlan(format!(
-                        "time-window width must be positive and finite, got {width}"
-                    )));
-                }
-                let (lo, hi) = key_extent(table, attr, rows)?;
-                let cuts = match (lo, hi) {
-                    (Some(lo), Some(hi)) if hi > lo => {
-                        let mut cuts = Vec::new();
-                        let mut k = 1usize;
-                        loop {
-                            let c = lo + width * k as f64;
-                            if c > hi {
-                                break;
-                            }
-                            cuts.push(c);
-                            k += 1;
-                        }
-                        cuts
-                    }
-                    _ => Vec::new(),
-                };
-                Ok(cut_into_shards(table, attr, rows, &cuts))
-            }
-        }
-    }
 }
 
 /// Min/max of the shard key over `rows`, skipping nulls; errors on a
@@ -250,7 +144,7 @@ pub(crate) fn cut_into_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttrType, Schema, Value};
+    use crate::{AttrType, PlannerCost, Schema, ShardSpec, Value};
 
     fn table_with_keys(keys: &[Option<f64>]) -> (Table, AttrId) {
         let schema = Schema::new(vec![("k", AttrType::Float), ("y", AttrType::Float)]);
@@ -264,6 +158,15 @@ mod tests {
         }
         let attr = t.attr("k").unwrap();
         (t, attr)
+    }
+
+    /// `k` equal-width key intervals over `rows`.
+    fn equal_width(t: &Table, attr: AttrId, rows: &RowSet, k: usize) -> Result<Vec<Shard>> {
+        ShardSpec::by_key(attr)
+            .equal_width()
+            .shards(k)
+            .plan(t, rows, &PlannerCost::default())
+            .map(|(shards, _)| shards)
     }
 
     fn assert_disjoint_cover(shards: &[Shard], rows: &RowSet) {
@@ -280,22 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn single_plan_is_one_shard() {
-        let (t, _) = table_with_keys(&[Some(1.0), Some(2.0)]);
-        let shards = ShardPlan::Single.partition(&t, &t.all_rows()).unwrap();
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].id, 0);
-        assert_eq!(shards[0].rows, t.all_rows());
-        assert!(shards[0].bounds.is_none());
-    }
-
-    #[test]
     fn key_range_splits_evenly_and_covers() {
         let keys: Vec<Option<f64>> = (0..100).map(|i| Some(i as f64)).collect();
         let (t, attr) = table_with_keys(&keys);
-        let shards = ShardPlan::ByKeyRange { attr, shards: 4 }
-            .partition(&t, &t.all_rows())
-            .unwrap();
+        let shards = equal_width(&t, attr, &t.all_rows(), 4).unwrap();
         assert_eq!(shards.len(), 4);
         assert_disjoint_cover(&shards, &t.all_rows());
         // Interval chain: first unbounded below, last unbounded above,
@@ -314,9 +205,7 @@ mod tests {
     #[test]
     fn null_keys_form_trailing_marked_shard() {
         let (t, attr) = table_with_keys(&[Some(0.0), None, Some(10.0), None, Some(5.0)]);
-        let shards = ShardPlan::ByKeyRange { attr, shards: 2 }
-            .partition(&t, &t.all_rows())
-            .unwrap();
+        let shards = equal_width(&t, attr, &t.all_rows(), 2).unwrap();
         assert_disjoint_cover(&shards, &t.all_rows());
         let last = shards.last().unwrap();
         let b = last.bounds.expect("null shard must carry bounds");
@@ -334,11 +223,11 @@ mod tests {
     fn non_finite_keys_are_rejected() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let (t, attr) = table_with_keys(&[Some(0.0), Some(bad), Some(5.0)]);
-            for plan in [
-                ShardPlan::ByKeyRange { attr, shards: 2 },
-                ShardPlan::ByTimeWindow { attr, width: 2.0 },
+            for spec in [
+                ShardSpec::by_key(attr).equal_width().shards(2),
+                ShardSpec::by_key(attr).quantile().shards(2),
             ] {
-                match plan.partition(&t, &t.all_rows()) {
+                match spec.plan(&t, &t.all_rows(), &PlannerCost::default()) {
                     Err(DataError::NonFiniteCell { row, attribute }) => {
                         assert_eq!(row, 1);
                         assert_eq!(attribute, "k");
@@ -354,9 +243,7 @@ mod tests {
         // All keys in a narrow band + one far outlier: middle intervals of
         // a 5-way cut are empty.
         let (t, attr) = table_with_keys(&[Some(0.0), Some(0.5), Some(1.0), Some(100.0), Some(0.2)]);
-        let shards = ShardPlan::ByKeyRange { attr, shards: 5 }
-            .partition(&t, &t.all_rows())
-            .unwrap();
+        let shards = equal_width(&t, attr, &t.all_rows(), 5).unwrap();
         assert_disjoint_cover(&shards, &t.all_rows());
         for (i, s) in shards.iter().enumerate() {
             assert_eq!(s.id, i, "ids must stay dense");
@@ -367,41 +254,9 @@ mod tests {
     #[test]
     fn constant_key_collapses_to_one_shard() {
         let (t, attr) = table_with_keys(&[Some(7.0), Some(7.0), Some(7.0)]);
-        let shards = ShardPlan::ByKeyRange { attr, shards: 4 }
-            .partition(&t, &t.all_rows())
-            .unwrap();
+        let shards = equal_width(&t, attr, &t.all_rows(), 4).unwrap();
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].rows.len(), 3);
-    }
-
-    #[test]
-    fn time_window_cuts_at_fixed_width() {
-        let keys: Vec<Option<f64>> = (0..30).map(|i| Some(i as f64)).collect();
-        let (t, attr) = table_with_keys(&keys);
-        let shards = ShardPlan::ByTimeWindow { attr, width: 10.0 }
-            .partition(&t, &t.all_rows())
-            .unwrap();
-        // Cuts at 10 and 20; key 29 < 30 so no fourth window.
-        assert_eq!(shards.len(), 3);
-        assert_disjoint_cover(&shards, &t.all_rows());
-        for s in &shards {
-            assert_eq!(s.rows.len(), 10);
-        }
-    }
-
-    #[test]
-    fn invalid_plans_are_rejected() {
-        let (t, attr) = table_with_keys(&[Some(1.0)]);
-        assert!(matches!(
-            ShardPlan::ByKeyRange { attr, shards: 0 }.partition(&t, &t.all_rows()),
-            Err(DataError::InvalidShardPlan(_))
-        ));
-        for width in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                ShardPlan::ByTimeWindow { attr, width }.partition(&t, &t.all_rows()),
-                Err(DataError::InvalidShardPlan(_))
-            ));
-        }
     }
 
     #[test]
@@ -412,7 +267,7 @@ mod tests {
             .unwrap();
         let s = t.attr("s").unwrap();
         assert!(matches!(
-            ShardPlan::ByKeyRange { attr: s, shards: 2 }.partition(&t, &t.all_rows()),
+            equal_width(&t, s, &t.all_rows(), 2),
             Err(DataError::NotNumeric(_))
         ));
     }
@@ -422,9 +277,7 @@ mod tests {
         let keys: Vec<Option<f64>> = (0..20).map(|i| Some(i as f64)).collect();
         let (t, attr) = table_with_keys(&keys);
         let rows = RowSet::from_indices((0..20u32).filter(|i| i % 2 == 0).collect());
-        let shards = ShardPlan::ByKeyRange { attr, shards: 3 }
-            .partition(&t, &rows)
-            .unwrap();
+        let shards = equal_width(&t, attr, &rows, 3).unwrap();
         assert_disjoint_cover(&shards, &rows);
     }
 }

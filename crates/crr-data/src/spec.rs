@@ -1,9 +1,6 @@
 //! Typed shard planning: the [`ShardSpec`] builder and the cost-based
 //! planner that turns a spec into concrete [`Shard`]s.
 //!
-//! [`ShardSpec`] replaces the positional [`ShardPlan`] constructors with a
-//! typed builder:
-//!
 //! ```
 //! use crr_data::{PlannerCost, ShardSpec};
 //! # use crr_data::{AttrType, Schema, Table, Value};
@@ -24,22 +21,22 @@
 //! * **Boundary placement** — [`Boundary::Quantile`] picks equal-frequency
 //!   cut points from the sorted key sample, snapped strictly between
 //!   distinct values so repeated-value runs are never split; skewed keys
-//!   yield balanced shards. [`Boundary::EqualWidth`] keeps PR 4's
-//!   equal-width geometry.
-//! * **Shard count** — [`ShardCount::Auto`] estimates per-shard work from
-//!   the row count and the predicate-vocabulary size ([`PlannerCost`]) and
-//!   picks `k` by a wall-clock model instead of requiring a guess.
+//!   yield balanced shards. [`Boundary::EqualWidth`] splits the observed
+//!   key range into equal-width intervals.
+//! * **Shard count** — a key spec without [`ShardSpec::shards`] estimates
+//!   per-shard work from the row count and the predicate-vocabulary size
+//!   ([`PlannerCost`]) and picks `k` by a wall-clock model instead of
+//!   requiring a guess.
 //! * **Degeneracy** — null-only, constant and near-constant keys collapse
 //!   to fewer shards; the null regime always lands in its own trailing
-//!   shard exactly as in [`ShardPlan::partition`].
+//!   shard.
 //!
-//! The planner never invents a new cutting engine: every spec resolves to
-//! ascending cut points fed through the same `cut_into_shards` core as
-//! [`ShardPlan`], so the disjoint/covering/dense-id guarantees (and the
-//! non-finite-key rejection) are shared, not re-proved.
+//! Both placements resolve to ascending cut points fed through one
+//! `cut_into_shards` core, so the disjoint/covering/dense-id guarantees
+//! (and the non-finite-key rejection) are shared, not re-proved.
 
 use crate::shard::{cut_into_shards, key_extent};
-use crate::{AttrId, DataError, Result, RowSet, Shard, ShardPlan, Table};
+use crate::{AttrId, DataError, Result, RowSet, Shard, Table};
 
 /// How interval boundaries are placed on the shard key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,16 +48,35 @@ pub enum Boundary {
     Quantile,
 }
 
-/// How many interval shards to request.
+impl Boundary {
+    /// Stable lowercase label used in artifacts and reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Boundary::EqualWidth => "equal_width",
+            Boundary::Quantile => "quantile",
+        }
+    }
+
+    /// Parses [`Self::label`] back.
+    pub fn from_label(s: &str) -> Option<Self> {
+        match s {
+            "equal_width" => Some(Boundary::EqualWidth),
+            "quantile" => Some(Boundary::Quantile),
+            _ => None,
+        }
+    }
+}
+
+/// How many interval shards a key spec requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardCount {
+enum ShardCount {
     /// Exactly this many intervals (before empty ones are dropped).
     Fixed(usize),
     /// Let the planner pick `k` from the cost model in [`PlannerCost`].
     Auto,
 }
 
-/// Cost-model inputs for [`ShardCount::Auto`]: the planner estimates
+/// Cost-model inputs for an auto shard count: the planner estimates
 /// per-shard discovery work as `rows × predicate_vocab` and amortizes it
 /// over `workers` concurrent non-seed shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,14 +99,9 @@ impl Default for PlannerCost {
 /// What the planner decided, for observability and proof obligations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanReport {
-    /// Boundary placement used, `None` for single-shard and time-window
-    /// plans (which have no boundary choice).
+    /// Boundary placement used; `None` only for [`ShardSpec::single`],
+    /// which has no boundary choice.
     pub boundary: Option<Boundary>,
-    /// Shard count requested by the spec, `None` when data-dependent
-    /// (time windows).
-    pub requested: Option<usize>,
-    /// Shards actually produced (after empty shards are dropped).
-    pub produced: usize,
     /// The shard count came from the cost model, not the caller.
     pub auto_count: bool,
 }
@@ -98,12 +109,11 @@ pub struct PlanReport {
 /// A typed, self-describing shard plan: what to cut on, how to place
 /// boundaries, and how many shards to aim for.
 ///
-/// Construct with [`ShardSpec::single`], [`ShardSpec::by_key`] or
-/// [`ShardSpec::by_time`]; refine key plans with the chainable
-/// [`quantile`](ShardSpec::quantile) / [`equal_width`](ShardSpec::equal_width) /
-/// [`shards`](ShardSpec::shards) / [`auto`](ShardSpec::auto) modifiers.
-/// Key plans default to quantile boundaries with an auto shard count —
-/// the adaptive configuration.
+/// Construct with [`ShardSpec::single`] or [`ShardSpec::by_key`]; refine
+/// key plans with the chainable [`quantile`](ShardSpec::quantile) /
+/// [`equal_width`](ShardSpec::equal_width) / [`shards`](ShardSpec::shards)
+/// / [`auto`](ShardSpec::auto) modifiers. Key plans default to quantile
+/// boundaries with an auto shard count — the adaptive configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     kind: SpecKind,
@@ -116,10 +126,6 @@ enum SpecKind {
         attr: AttrId,
         boundary: Boundary,
         count: ShardCount,
-    },
-    ByTime {
-        attr: AttrId,
-        width: f64,
     },
 }
 
@@ -143,15 +149,8 @@ impl ShardSpec {
         }
     }
 
-    /// Fixed-width time-window spec over `attr`.
-    pub fn by_time(attr: AttrId, width: f64) -> Self {
-        ShardSpec {
-            kind: SpecKind::ByTime { attr, width },
-        }
-    }
-
-    /// Use equal-frequency (quantile) boundaries. No effect on non-key
-    /// specs, which have no boundary choice.
+    /// Use equal-frequency (quantile) boundaries. No effect on the single
+    /// spec, which has no boundary choice.
     pub fn quantile(mut self) -> Self {
         if let SpecKind::ByKey { boundary, .. } = &mut self.kind {
             *boundary = Boundary::Quantile;
@@ -159,7 +158,7 @@ impl ShardSpec {
         self
     }
 
-    /// Use equal-width boundaries. No effect on non-key specs.
+    /// Use equal-width boundaries. No effect on the single spec.
     pub fn equal_width(mut self) -> Self {
         if let SpecKind::ByKey { boundary, .. } = &mut self.kind {
             *boundary = Boundary::EqualWidth;
@@ -167,7 +166,7 @@ impl ShardSpec {
         self
     }
 
-    /// Request exactly `n` interval shards. No effect on non-key specs.
+    /// Request exactly `n` interval shards. No effect on the single spec.
     pub fn shards(mut self, n: usize) -> Self {
         if let SpecKind::ByKey { count, .. } = &mut self.kind {
             *count = ShardCount::Fixed(n);
@@ -175,7 +174,8 @@ impl ShardSpec {
         self
     }
 
-    /// Let the cost model pick the shard count. No effect on non-key specs.
+    /// Let the cost model pick the shard count. No effect on the single
+    /// spec.
     pub fn auto(mut self) -> Self {
         if let SpecKind::ByKey { count, .. } = &mut self.kind {
             *count = ShardCount::Auto;
@@ -183,153 +183,75 @@ impl ShardSpec {
         self
     }
 
-    /// The shard-key attribute, when the spec cuts on one.
-    pub fn key_attr(&self) -> Option<AttrId> {
-        match self.kind {
-            SpecKind::Single => None,
-            SpecKind::ByKey { attr, .. } | SpecKind::ByTime { attr, .. } => Some(attr),
-        }
-    }
-
-    /// Boundary placement, when the spec has a boundary choice.
-    pub fn boundary(&self) -> Option<Boundary> {
-        match self.kind {
-            SpecKind::ByKey { boundary, .. } => Some(boundary),
-            _ => None,
-        }
-    }
-
-    /// `true` when the shard count is left to the cost model.
-    pub fn is_auto_count(&self) -> bool {
-        matches!(
-            self.kind,
-            SpecKind::ByKey {
-                count: ShardCount::Auto,
-                ..
-            }
-        )
-    }
-
-    /// `true` for the trivial one-shard spec.
-    pub fn is_single(&self) -> bool {
-        matches!(self.kind, SpecKind::Single)
-    }
-
-    /// Shard count the spec requests, `None` when data-dependent
-    /// (auto counts and time windows).
-    pub fn requested_shards(&self) -> Option<usize> {
-        match self.kind {
-            SpecKind::Single => Some(1),
-            SpecKind::ByKey {
-                count: ShardCount::Fixed(n),
-                ..
-            } => Some(n),
-            _ => None,
-        }
-    }
-
     /// Resolves the spec against `(table, rows)` into concrete shards plus
     /// a [`PlanReport`] of what the planner decided.
     ///
-    /// Success guarantees are those of [`ShardPlan::partition`]: shards
-    /// are disjoint, their union is exactly `rows`, no shard is empty, ids
-    /// are dense in emission order (intervals ascending, then the null-key
-    /// shard), and every row with a null key lands in the trailing
-    /// `null_keys` shard. Errors are also shared: zero fixed shards and
-    /// bad window widths are [`DataError::InvalidShardPlan`], non-numeric
-    /// keys [`DataError::NotNumeric`], and NaN/±Inf keys
-    /// [`DataError::NonFiniteCell`].
+    /// Guarantees on success: shards are disjoint, their union is exactly
+    /// `rows`, no shard is empty, ids are dense in emission order
+    /// (intervals ascending, then the null-key shard), and every row with
+    /// a null key lands in the trailing `null_keys` shard.
+    ///
+    /// Errors: [`DataError::InvalidShardPlan`] for zero fixed shards,
+    /// [`DataError::NotNumeric`] when the shard key is not a numeric
+    /// attribute, and [`DataError::NonFiniteCell`] when any row's key is
+    /// NaN or ±Inf (such a key would satisfy other shards' interval
+    /// guards, so no shard could soundly own the row).
     pub fn plan(
         &self,
         table: &Table,
         rows: &RowSet,
         cost: &PlannerCost,
     ) -> Result<(Vec<Shard>, PlanReport)> {
-        match self.kind {
-            SpecKind::Single => {
-                let shards = ShardPlan::Single.partition(table, rows)?;
-                Ok((
-                    shards,
-                    PlanReport {
-                        boundary: None,
-                        requested: Some(1),
-                        produced: 1,
-                        auto_count: false,
-                    },
-                ))
+        let SpecKind::ByKey {
+            attr,
+            boundary,
+            count,
+        } = self.kind
+        else {
+            let shard = Shard {
+                id: 0,
+                rows: rows.clone(),
+                bounds: None,
+            };
+            let report = PlanReport {
+                boundary: None,
+                auto_count: false,
+            };
+            return Ok((vec![shard], report));
+        };
+        let k = match count {
+            ShardCount::Fixed(0) => {
+                return Err(DataError::InvalidShardPlan(
+                    "key-range spec requests zero shards".to_string(),
+                ));
             }
-            SpecKind::ByTime { attr, width } => {
-                let shards = ShardPlan::ByTimeWindow { attr, width }.partition(table, rows)?;
-                let produced = shards.len();
-                Ok((
-                    shards,
-                    PlanReport {
-                        boundary: None,
-                        requested: None,
-                        produced,
-                        auto_count: false,
-                    },
-                ))
-            }
-            SpecKind::ByKey {
-                attr,
-                boundary,
-                count,
-            } => {
-                let (auto_count, k) = match count {
-                    ShardCount::Fixed(0) => {
-                        return Err(DataError::InvalidShardPlan(
-                            "key-range spec requests zero shards".to_string(),
-                        ));
-                    }
-                    ShardCount::Fixed(n) => (false, n),
-                    ShardCount::Auto => (true, auto_shard_count(rows.len(), cost)),
-                };
-                let shards = match boundary {
-                    Boundary::EqualWidth => {
-                        ShardPlan::ByKeyRange { attr, shards: k }.partition(table, rows)?
-                    }
-                    Boundary::Quantile => {
-                        let cuts = quantile_cuts(table, attr, rows, k)?;
-                        cut_into_shards(table, attr, rows, &cuts)
-                    }
-                };
-                let produced = shards.len();
-                Ok((
-                    shards,
-                    PlanReport {
-                        boundary: Some(boundary),
-                        requested: Some(k),
-                        produced,
-                        auto_count,
-                    },
-                ))
-            }
-        }
+            ShardCount::Fixed(n) => n,
+            ShardCount::Auto => auto_shard_count(rows.len(), cost),
+        };
+        let cuts = match boundary {
+            Boundary::EqualWidth => equal_width_cuts(table, attr, rows, k)?,
+            Boundary::Quantile => quantile_cuts(table, attr, rows, k)?,
+        };
+        let report = PlanReport {
+            boundary: Some(boundary),
+            auto_count: count == ShardCount::Auto,
+        };
+        Ok((cut_into_shards(table, attr, rows, &cuts), report))
     }
 }
 
-impl From<ShardPlan> for ShardSpec {
-    /// Every legacy plan maps onto an equivalent spec: `Single` stays
-    /// single, `ByKeyRange` becomes an equal-width fixed-count key spec,
-    /// `ByTimeWindow` a time spec — so code migrating from the removed
-    /// positional constructors changes behavior only when it opts into
-    /// the new adaptive defaults.
-    fn from(plan: ShardPlan) -> Self {
-        match plan {
-            ShardPlan::Single => ShardSpec::single(),
-            ShardPlan::ByKeyRange { attr, shards } => {
-                ShardSpec::by_key(attr).equal_width().shards(shards)
-            }
-            ShardPlan::ByTimeWindow { attr, width } => ShardSpec::by_time(attr, width),
+/// Equal-width cut points for `k` intervals over the observed finite key
+/// range `[lo, hi]`: `lo + w·i` for `i` in `1..k`, with `w = (hi − lo)/k`.
+/// A constant key (or no keys at all) yields no cuts. Errors mirror
+/// [`quantile_cuts`]: non-numeric keys and non-finite keys are rejected.
+fn equal_width_cuts(table: &Table, attr: AttrId, rows: &RowSet, k: usize) -> Result<Vec<f64>> {
+    Ok(match key_extent(table, attr, rows)? {
+        (Some(lo), Some(hi)) if hi > lo => {
+            let w = (hi - lo) / k as f64;
+            (1..k).map(|i| lo + w * i as f64).collect()
         }
-    }
-}
-
-impl From<&ShardPlan> for ShardSpec {
-    fn from(plan: &ShardPlan) -> Self {
-        ShardSpec::from(plan.clone())
-    }
+        _ => Vec::new(),
+    })
 }
 
 /// Equal-frequency cut points for `k` intervals over the finite keys of
@@ -341,15 +263,9 @@ impl From<&ShardPlan> for ShardSpec {
 /// split a repeated-value run. Cuts are deduplicated, so heavily repeated
 /// keys yield fewer (possibly zero) cuts — degeneracy collapses shards
 /// instead of producing empty or overlapping ones. Null keys are skipped
-/// here; `cut_into_shards` gives them the trailing shard. Errors mirror
-/// [`ShardPlan::partition`]: non-numeric keys and non-finite keys are
-/// rejected.
-pub(crate) fn quantile_cuts(
-    table: &Table,
-    attr: AttrId,
-    rows: &RowSet,
-    k: usize,
-) -> Result<Vec<f64>> {
+/// here; `cut_into_shards` gives them the trailing shard. Non-numeric keys
+/// and non-finite keys are rejected.
+fn quantile_cuts(table: &Table, attr: AttrId, rows: &RowSet, k: usize) -> Result<Vec<f64>> {
     // Validates the attribute and rejects NaN/±Inf up front (shared with
     // every other partitioning path).
     let (lo, hi) = key_extent(table, attr, rows)?;
@@ -403,7 +319,7 @@ pub(crate) fn quantile_cuts(
 /// scored, shards are floored at [`MIN_AUTO_SHARD_ROWS`] rows (smaller
 /// shards under-train models and defeat sharing), and ties break toward
 /// fewer shards.
-pub(crate) fn auto_shard_count(rows: usize, cost: &PlannerCost) -> usize {
+fn auto_shard_count(rows: usize, cost: &PlannerCost) -> usize {
     let workers = cost.workers.max(1);
     let vocab = cost.predicate_vocab.max(1) as f64;
     let work = rows as f64 * vocab;
@@ -426,7 +342,7 @@ pub(crate) fn auto_shard_count(rows: usize, cost: &PlannerCost) -> usize {
 }
 
 /// Minimum rows per shard the auto planner will accept.
-pub(crate) const MIN_AUTO_SHARD_ROWS: usize = 256;
+const MIN_AUTO_SHARD_ROWS: usize = 256;
 
 /// Row balance of a partition in permille: `min(rows)/max(rows) × 1000`,
 /// ignoring the trailing null-key shard (its size is a property of the
@@ -505,8 +421,6 @@ mod tests {
         }
         assert!(balance_permille(&q) > balance_permille(&ew));
         assert_eq!(report.boundary, Some(Boundary::Quantile));
-        assert_eq!(report.requested, Some(4));
-        assert_eq!(report.produced, 4);
         assert!(!report.auto_count);
     }
 
@@ -538,7 +452,7 @@ mod tests {
     #[test]
     fn quantile_handles_nulls_and_constants() {
         let (t, attr) = table_with_keys(&[Some(5.0), None, Some(5.0), None, Some(5.0)]);
-        let (shards, report) = ShardSpec::by_key(attr)
+        let (shards, _) = ShardSpec::by_key(attr)
             .quantile()
             .shards(3)
             .plan(&t, &t.all_rows(), &PlannerCost::default())
@@ -548,7 +462,6 @@ mod tests {
         assert_eq!(shards.len(), 2);
         assert!(shards[1].bounds.unwrap().null_keys);
         assert_eq!(shards[1].rows.as_slice(), &[1, 3]);
-        assert_eq!(report.produced, 2);
     }
 
     #[test]
@@ -623,25 +536,25 @@ mod tests {
             .unwrap();
         assert!(report.auto_count);
         assert_eq!(report.boundary, Some(Boundary::Quantile));
-        assert_eq!(report.requested, Some(auto_shard_count(2048, &cost)));
+        assert_eq!(shards.len(), auto_shard_count(2048, &cost));
         assert_disjoint_cover(&shards, &t.all_rows());
     }
 
     #[test]
-    fn legacy_plans_convert_to_equivalent_specs() {
-        let keys: Vec<Option<f64>> = (0..50).map(|i| Some(i as f64)).collect();
+    fn equal_width_cuts_sit_at_lo_plus_w_times_i() {
+        // Keys 3..=52: w = 49/3, and each inner bound is exactly lo + w·i.
+        let keys: Vec<Option<f64>> = (3..53).map(|i| Some(i as f64)).collect();
         let (t, attr) = table_with_keys(&keys);
-        let rows = t.all_rows();
-        let cost = PlannerCost::default();
-        for plan in [
-            ShardPlan::Single,
-            ShardPlan::ByKeyRange { attr, shards: 3 },
-            ShardPlan::ByTimeWindow { attr, width: 10.0 },
-        ] {
-            let direct = plan.partition(&t, &rows).unwrap();
-            let (via_spec, _) = ShardSpec::from(&plan).plan(&t, &rows, &cost).unwrap();
-            assert_eq!(direct, via_spec, "spec diverged from {plan:?}");
-        }
+        let (shards, report) = ShardSpec::by_key(attr)
+            .equal_width()
+            .shards(3)
+            .plan(&t, &t.all_rows(), &PlannerCost::default())
+            .unwrap();
+        assert_eq!(report.boundary, Some(Boundary::EqualWidth));
+        let w = (52.0 - 3.0) / 3.0;
+        let his: Vec<Option<f64>> = shards.iter().map(|s| s.bounds.unwrap().hi).collect();
+        assert_eq!(his, vec![Some(3.0 + w), Some(3.0 + w * 2.0), None]);
+        assert_disjoint_cover(&shards, &t.all_rows());
     }
 
     #[test]
@@ -653,7 +566,7 @@ mod tests {
         assert_eq!(shards.len(), 1);
         assert!(shards[0].bounds.is_none());
         assert_eq!(report.boundary, None);
-        assert!(ShardSpec::single().is_single());
+        assert!(!report.auto_count);
     }
 
     #[test]
@@ -674,13 +587,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_modifiers_are_inert_on_non_key_specs() {
-        assert!(ShardSpec::single().quantile().shards(4).is_single());
-        let (t, attr) = table_with_keys(&[Some(1.0), Some(9.0)]);
-        let spec = ShardSpec::by_time(attr, 4.0).equal_width().auto();
-        let (shards, _) = spec
-            .plan(&t, &t.all_rows(), &PlannerCost::default())
-            .unwrap();
-        assert_eq!(shards.len(), 2);
+    fn builder_modifiers_are_inert_on_the_single_spec() {
+        assert_eq!(
+            ShardSpec::single()
+                .quantile()
+                .equal_width()
+                .shards(4)
+                .auto(),
+            ShardSpec::single()
+        );
+    }
+
+    #[test]
+    fn boundary_labels_round_trip() {
+        for b in [Boundary::EqualWidth, Boundary::Quantile] {
+            assert_eq!(Boundary::from_label(b.label()), Some(b));
+        }
+        assert_eq!(Boundary::from_label("time_window"), None);
     }
 }

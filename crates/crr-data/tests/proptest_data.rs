@@ -4,7 +4,9 @@
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_data::{csv, AttrType, PlannerCost, RowSet, Schema, ShardPlan, ShardSpec, Table, Value};
+use crr_data::{
+    csv, AttrType, Boundary, PlannerCost, RowSet, Schema, Shard, ShardSpec, Table, Value,
+};
 use proptest::prelude::*;
 
 /// An arbitrary cell for a column type. Floats are rounded to a fixed
@@ -218,23 +220,23 @@ proptest! {
             prop_assert!(w[0].1 < w[1].0, "key ranges interleave: {:?}", interval_extents);
         }
         prop_assert!(interval_extents.len() <= k, "more interval shards than requested");
-        prop_assert_eq!(report.produced, shards.len());
+        prop_assert_eq!(report.boundary, Some(Boundary::Quantile));
     }
 
-    /// A one-shard spec is byte-identical to the classic unsharded
-    /// partition: same ids, same row order, same (absent) bounds.
+    /// A one-shard spec is the unsharded partition: one shard, id 0,
+    /// every row in order, no bounds.
     #[test]
     fn single_shard_spec_matches_classic_partition(
         keys in prop::collection::vec(arb_shard_key(), 1..60),
     ) {
         let (t, attr) = shard_key_table(&keys);
         let rows = t.all_rows();
-        let classic = ShardPlan::Single.partition(&t, &rows).unwrap();
+        let classic = vec![Shard { id: 0, rows: rows.clone(), bounds: None }];
         let (via_spec, report) = ShardSpec::single()
             .plan(&t, &rows, &PlannerCost::default())
             .unwrap();
         prop_assert_eq!(via_spec, classic);
-        prop_assert_eq!(report.produced, 1);
+        prop_assert_eq!(report.boundary, None);
         // And a quantile spec degenerates identically whether asked for
         // one shard or collapsed by a constant key.
         let (one, _) = ShardSpec::by_key(attr)

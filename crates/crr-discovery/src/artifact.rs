@@ -24,10 +24,9 @@
 //!
 //! The `obligations`/`guard` lines are optional (single-shard runs apply
 //! no guards); guard predicates reuse the rule format's predicate grammar
-//! via [`crr_core::serialize::encode_predicate`]. The `boundary=` token
-//! records how the plan's interval boundaries were derived
-//! ([`crate::sharded::PlanBoundary`]); artifacts predating it parse as
-//! `equal_width`, the only construction that existed then.
+//! via [`crr_core::serialize::encode_predicate`]. The required
+//! `boundary=` token records how the plan's interval boundaries were
+//! derived ([`crr_data::Boundary`]).
 //!
 //! A repaired artifact produced by `crr-stream` additionally carries
 //! [`RepairObligations`] — the splice's machine-checkable claims — as a
@@ -46,11 +45,11 @@
 //! static verifier's A7 check audits these claims row-free, so a splice
 //! that over- or under-claims is refused at `crr-serve`'s swap gate.
 
-use crate::sharded::{PlanBoundary, ProofObligations, ShardGuard};
+use crate::sharded::{ProofObligations, ShardGuard};
 use crate::{DiscoveryError, Result};
 use crr_core::serialize::{decode_predicate, encode_predicate, from_text as rules_from_text};
 use crr_core::{CoreError, Predicate, RuleSet};
-use crr_data::{AttrId, AttrType, Schema, ShardBounds};
+use crr_data::{AttrId, AttrType, Boundary, Schema, ShardBounds};
 use std::fmt::Write as _;
 
 /// Where one repair region came from.
@@ -295,23 +294,24 @@ impl RuleSetArtifact {
                     .ok_or_else(|| bad(format!("bad attr line: {line}")))?;
                 attrs.push((name.to_string(), decode_attr_type(ty)?));
             } else if let Some(rest) = line.strip_prefix("obligations ") {
-                let mut key = None;
-                // Absent in v1 documents written before the planner could
-                // choose: equal-width was the only construction.
-                let mut boundary = PlanBoundary::EqualWidth;
+                let (mut key, mut boundary) = (None, None);
                 for tok in rest.split_whitespace() {
                     if let Some(n) = tok.strip_prefix("key=#") {
                         key = n.parse().ok().map(AttrId);
                     } else if let Some(b) = tok.strip_prefix("boundary=") {
-                        boundary = PlanBoundary::from_label(b)
-                            .ok_or_else(|| bad(format!("bad obligations boundary: {b}")))?;
+                        boundary = Some(
+                            Boundary::from_label(b)
+                                .ok_or_else(|| bad(format!("bad obligations boundary: {b}")))?,
+                        );
                     } else {
                         return Err(bad(format!("bad obligations token: {tok}")));
                     }
                 }
-                let key = key.ok_or_else(|| bad(format!("bad obligations line: {line}")))?;
+                let (Some(shard_key), Some(boundary)) = (key, boundary) else {
+                    return Err(bad(format!("bad obligations line: {line}")));
+                };
                 obligations = Some(ProofObligations {
-                    shard_key: key,
+                    shard_key,
                     boundary,
                     guards: Vec::new(),
                 });
@@ -515,7 +515,7 @@ mod tests {
             RuleSet::from_rules(vec![rule]),
             Some(ProofObligations {
                 shard_key: k,
-                boundary: PlanBoundary::Quantile,
+                boundary: Boundary::Quantile,
                 guards,
             }),
         )
@@ -548,16 +548,9 @@ mod tests {
     }
 
     #[test]
-    fn obligations_line_without_boundary_parses_as_equal_width() {
-        // A v1 document written before the boundary tag existed.
+    fn obligations_line_without_boundary_is_rejected() {
         let text = sample().to_text().replace(" boundary=quantile", "");
-        let b = RuleSetArtifact::from_text(&text).unwrap();
-        assert_eq!(
-            b.obligations.as_ref().unwrap().boundary,
-            PlanBoundary::EqualWidth
-        );
-        // Re-serializing writes the tag explicitly from here on.
-        assert!(b.to_text().contains("boundary=equal_width"));
+        assert!(RuleSetArtifact::from_text(&text).is_err());
     }
 
     #[test]

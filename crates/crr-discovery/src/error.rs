@@ -42,10 +42,11 @@ pub enum DiscoveryError {
         /// 1-based index of the faulted fit attempt.
         fit: u64,
     },
-    /// A discovery task panicked; [`crate::DiscoverySession::run_all`]
-    /// isolated the panic so sibling targets still completed.
+    /// A discovery task panicked and was isolated, so its siblings still
+    /// completed: a target of [`crate::DiscoverySession::run_all`], or a
+    /// shard of a sharded run (wrapped in [`DiscoveryError::Shard`]).
     TaskPanicked {
-        /// Index of the task within the submitted batch.
+        /// Index of the task within the submitted batch, or the shard id.
         task: usize,
         /// The panic payload, when it was a string.
         message: String,
@@ -54,7 +55,8 @@ pub enum DiscoveryError {
     /// shard to constant fallbacks and keeps going; the underlying error
     /// is preserved here so per-shard failures stay attributable.
     Shard {
-        /// Dense shard id within the applied [`crr_data::ShardPlan`].
+        /// Dense shard id within the plan [`crr_data::ShardSpec::plan`]
+        /// produced.
         shard_id: usize,
         /// What went wrong inside the shard.
         source: Box<DiscoveryError>,

@@ -32,17 +32,19 @@
 //! partitions are covered with constant fallbacks so Problem 1's coverage
 //! guarantee survives, and the result is tagged with a
 //! [`DiscoveryOutcome`]. Panicking fits are isolated per task in
-//! [`DiscoverySession::run_all`], and the [`faults`] module injects
-//! failures deterministically to prove every degradation path under test.
+//! [`DiscoverySession::run_all`] and per shard in sharded runs, and the
+//! [`faults`] module injects failures deterministically to prove every
+//! degradation path under test.
 //!
 //! Large instances can be *sharded* ([`sharded`], [`crr_data::ShardSpec`]):
 //! a typed spec — `ShardSpec::by_key(attr).quantile().shards(4)`, or
 //! `.auto()` to let the cost-based planner pick the count — is resolved
-//! into balanced shards; Algorithm 1 runs per shard — concurrently,
-//! largest shards first, probing a frozen cross-shard model pool published
-//! by the seed shard, with idle workers stolen to fan a straggler's probe
-//! scans — and per-shard rule sets are merged by Algorithm 2, with
-//! per-shard sufficient statistics combined instead of refit.
+//! into balanced shards; Algorithm 1 runs per shard — the seed shard
+//! first, then the rest concurrently, largest first, on the isolated job
+//! runner `run_all` uses, each probing the frozen cross-shard model pool
+//! the seed published — and per-shard rule sets are merged by
+//! Algorithm 2, with per-shard sufficient statistics combined instead of
+//! refit.
 //!
 //! Every run can be *observed*: attach a [`MetricsSink`] (from the
 //! zero-dependency `crr-obs` crate) via [`DiscoveryConfig::with_metrics`]
@@ -136,15 +138,10 @@ pub use parallel::Task;
 pub use predicates::{PredicateGen, PredicateSpace};
 pub use search::{Discovery, DiscoveryStats};
 pub use session::DiscoverySession;
-pub use sharded::{
-    guard_predicates, PlanBoundary, ProofObligations, ShardGuard, ShardOutcome, ShardedDiscovery,
-};
+pub use sharded::{guard_predicates, ProofObligations, ShardGuard, ShardOutcome, ShardedDiscovery};
 // Shard specs live in crr-data (they cut tables, not searches); re-exported
-// so sharded sessions need only this crate. `ShardPlan` stays exported as
-// the planner's output type (`ShardSpec` is the only way to build one).
-pub use crr_data::{
-    balance_permille, Boundary, PlannerCost, Shard, ShardBounds, ShardCount, ShardPlan, ShardSpec,
-};
+// so sharded sessions need only this crate.
+pub use crr_data::{balance_permille, Boundary, PlannerCost, Shard, ShardBounds, ShardSpec};
 // Observability surface, re-exported so callers configuring a metered run
 // need only this crate.
 pub use crr_obs::{MetricsSink, MetricsSnapshot};
@@ -159,7 +156,7 @@ pub mod prelude {
     pub use crate::faults::FaultPlan;
     pub use crate::session::DiscoverySession;
     pub use crate::sharded::{ShardOutcome, ShardedDiscovery};
-    pub use crr_data::{Boundary, ShardCount, ShardSpec};
+    pub use crr_data::{Boundary, ShardSpec};
     pub use crr_obs::{MetricsSink, MetricsSnapshot};
 }
 

@@ -1,18 +1,19 @@
 //! Multi-target parallel discovery (used by the column-scalability
-//! experiment, Figure 7: "we find CRRs for all attributes").
+//! experiment, Figure 7: "we find CRRs for all attributes"), and the one
+//! isolated job runner it shares with sharded discovery.
 //!
-//! Discovery runs are independent per target, so this is a straightforward
-//! scoped-thread fan-out over the same immutable table — no channels, one
-//! mutex-guarded (but uncontended) result slot per target. Each task is
-//! panic-isolated: a
-//! poisoned fit (solver bug, injected fault) becomes that task's
-//! [`DiscoveryError::TaskPanicked`] while every other target completes
-//! normally.
+//! `run_isolated` is a scoped-thread fan-out over immutable inputs — no
+//! channels, one mutex-guarded (but uncontended) result slot per job.
+//! Each job is panic-isolated: a poisoned fit (solver bug, injected
+//! fault) becomes that job's [`DiscoveryError::TaskPanicked`] while every
+//! other job completes normally.
 
 use crate::search::run_search;
 use crate::{Discovery, DiscoveryConfig, DiscoveryError, PredicateSpace, Result};
 use crr_data::{RowSet, Table};
+use crr_obs::{Counter, MetricsSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One discovery task: a configuration plus its predicate space.
@@ -33,72 +34,77 @@ pub(crate) fn discover_all(
     tasks: &[Task],
     threads: usize,
 ) -> Vec<Result<Discovery>> {
-    if threads <= 1 || tasks.len() <= 1 {
-        return tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| run_isolated(table, rows, t, i))
-            .collect();
-    }
-    // One mutex-guarded slot per task: each index is claimed (and so
-    // written) exactly once, so the locks never contend — they only make
-    // the disjoint-index writes safe without raw pointers.
-    let slots: Vec<Mutex<Option<Result<Discovery>>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        // Work-stealing over a shared index: each worker claims the next
-        // unprocessed task until none remain.
-        let (next, slots) = (&next, &slots);
-        for _ in 0..threads.min(tasks.len()) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                let out = run_isolated(table, rows, &tasks[i], i);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
+    let order: Vec<usize> = (0..tasks.len()).collect();
+    run_isolated(
+        &order,
+        threads,
+        |i| (i, &tasks[i].config.metrics),
+        |i| {
+            let task = &tasks[i];
+            run_search(table, rows, &task.config, &task.space, None).map(|r| r.discovery)
+        },
+    )
+}
+
+/// Runs jobs `0..order.len()` on up to `threads` workers and returns
+/// their results by job index.
+///
+/// * Workers claim jobs in `order` over a shared index. Results land in
+///   slots by job index, so the claim order never changes the output.
+/// * The calling thread would only wait for the others, so it is one of
+///   the workers: `w` concurrent jobs start `w − 1` threads.
+/// * A job that panics yields [`DiscoveryError::TaskPanicked`] under the
+///   task id `owner(j)` names, counted as `faults.task_panics` on the sink
+///   it names; every other job is untouched. Jobs only read shared inputs
+///   and a panicking job's partial state is discarded wholesale, so
+///   resuming after the unwind is sound.
+pub(crate) fn run_isolated<'s, T: Send>(
+    order: &[usize],
+    threads: usize,
+    owner: impl Fn(usize) -> (usize, &'s MetricsSink) + Sync,
+    job: impl Fn(usize) -> Result<T> + Sync,
+) -> Vec<Result<T>> {
+    let slots: Vec<Mutex<Option<Result<T>>>> = order.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let run = |j: usize| {
+        catch_unwind(AssertUnwindSafe(|| job(j))).unwrap_or_else(|payload| {
+            let (task, metrics) = owner(j);
+            metrics.incr(Counter::TaskPanics);
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(DiscoveryError::TaskPanicked { task, message })
+        })
+    };
+    let claim = || {
+        while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let out = run(j);
+            *slots[j].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(order.len()) {
+            scope.spawn(claim);
+        }
+        claim();
     });
     slots
         .into_iter()
         .enumerate()
-        .map(|(i, slot)| {
-            let r = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-            r.unwrap_or_else(|| {
-                // Unreachable: the claim loop covers every index. Typed
+        .map(|(j, slot)| {
+            let out = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+            out.unwrap_or_else(|| {
+                // Unreachable when `order` lists every job once. Typed
                 // error rather than panic, to honor the isolation contract.
                 Err(DiscoveryError::TaskPanicked {
-                    task: i,
+                    task: owner(j).0,
                     message: "result slot never written".to_string(),
                 })
             })
         })
         .collect()
-}
-
-/// Runs one task, converting a panic anywhere inside `discover` (a
-/// poisoned solver, an injected fault) into that task's
-/// [`DiscoveryError::TaskPanicked`]. `discover` only reads the shared
-/// table and a panicking run's partial state is discarded wholesale, so
-/// resuming after the unwind is sound.
-fn run_isolated(table: &Table, rows: &RowSet, task: &Task, index: usize) -> Result<Discovery> {
-    catch_unwind(AssertUnwindSafe(|| {
-        run_search(table, rows, &task.config, &task.space, None).map(|r| r.discovery)
-    }))
-    .unwrap_or_else(|payload| {
-        task.config.metrics.incr(crr_obs::Counter::TaskPanics);
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(DiscoveryError::TaskPanicked {
-            task: index,
-            message,
-        })
-    })
 }
 
 #[cfg(test)]
@@ -182,7 +188,7 @@ mod tests {
         ts[1].config.faults = Some(Arc::new(FaultPlan::new().panic_fit_every(1)));
         let sink = MetricsSink::enabled();
         ts[1].config.metrics = sink.clone();
-        for threads in [1, 3] {
+        for threads in [1, 3, 8] {
             let results = discover_all(&t, &t.all_rows(), &ts, threads);
             assert_eq!(results.len(), 3);
             match &results[1] {
@@ -198,9 +204,22 @@ mod tests {
                 assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty());
             }
         }
-        // Both runs (sequential and 3-thread) hit the catch_unwind branch.
+        // Every run (sequential, 3 threads, more threads than tasks) hit
+        // the catch_unwind branch.
         let snap = sink.snapshot();
-        assert_eq!(snap.count("faults", "task_panics"), Some(2));
+        assert_eq!(snap.count("faults", "task_panics"), Some(3));
+    }
+
+    /// Sharded discovery claims shards longest first; whatever the claim
+    /// order, each result must come back under its own job index.
+    #[test]
+    fn results_land_by_job_index_whatever_the_claim_order() {
+        let sink = MetricsSink::disabled();
+        for threads in [1, 2, 4] {
+            let out = run_isolated(&[2, 0, 3, 1], threads, |j| (j, &sink), |j| Ok(j * 10));
+            let got: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(got, vec![0, 10, 20, 30], "threads={threads}");
+        }
     }
 
     #[test]

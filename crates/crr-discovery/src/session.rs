@@ -99,15 +99,12 @@ impl<'a> DiscoverySession<'a> {
         self
     }
 
-    /// Shards the run under `spec`; per-shard rule sets are merged with
-    /// Algorithm 2. The default [`ShardSpec::single`] runs unsharded.
-    ///
-    /// Accepts anything convertible into a [`ShardSpec`] — including a
-    /// legacy [`crr_data::ShardPlan`], which maps onto the equivalent
-    /// spec — so `sharded(ShardSpec::by_key(k).quantile().shards(4))`
-    /// and existing `sharded(plan)` call sites both compile.
-    pub fn sharded(mut self, spec: impl Into<ShardSpec>) -> Self {
-        self.spec = spec.into();
+    /// Shards the run under `spec`, e.g.
+    /// `sharded(ShardSpec::by_key(k).quantile().shards(4))`; per-shard rule
+    /// sets are merged with Algorithm 2. The default [`ShardSpec::single`]
+    /// runs unsharded.
+    pub fn sharded(mut self, spec: ShardSpec) -> Self {
+        self.spec = spec;
         self
     }
 

@@ -3,10 +3,11 @@
 //!
 //! The instance is cut by a [`ShardSpec`] resolved through the
 //! cost-based planner in `crr-data` (quantile or equal-width key
-//! boundaries, fixed or cost-model shard count, or time windows). Shard
-//! 0 — the *seed* — runs plain Algorithm 1 first; the models it trains,
-//! in publication order keyed `(shard_id, seq)`, freeze into a read-only
-//! cross-shard pool. The remaining shards then run concurrently (up to
+//! boundaries, fixed or cost-model shard count). Shard 0 — the *seed* —
+//! runs plain Algorithm 1 first; the models it trains, in publication
+//! order keyed `(shard_id, seq)`, freeze into a read-only cross-shard
+//! pool. The remaining shards then run concurrently on the isolated job
+//! runner [`crate::DiscoverySession::run_all`] uses too (up to
 //! [`crate::DiscoveryConfig::shard_threads`] at a time, the calling
 //! thread among them, largest shards claimed first), each probing that
 //! frozen pool sequentially in `(shard, seq)` order after a complete
@@ -37,6 +38,7 @@
 //! contributes no rules and its rows are counted as uncoverable — a
 //! failed shard degrades, it never aborts the run.
 
+use crate::parallel::run_isolated;
 use crate::search::{global_midrange, partition_midrange, run_search, CrossShardPool, SearchRun};
 use crate::{
     CompactionStats, Discovery, DiscoveryConfig, DiscoveryError, DiscoveryOutcome, DiscoveryStats,
@@ -49,9 +51,7 @@ use crr_data::{
 };
 use crr_models::{ConstantModel, Model, Moments};
 use crr_obs::{Counter as Ctr, Gauge, MetricsSnapshot};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What happened inside one shard of a sharded run.
@@ -141,45 +141,6 @@ pub struct ShardGuard {
     pub guards: Vec<Predicate>,
 }
 
-/// How a plan's interval boundaries were derived, recorded in
-/// [`ProofObligations`] so the verifier can state *which* construction it
-/// audited. All constructions discharge the same four checks — exactness,
-/// disjointness, coverage, confinement — quantile-derived and stolen-work
-/// guards included; the tag is provenance, never a relaxation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanBoundary {
-    /// Equal-width geometry over the observed key range (PR 4's
-    /// construction, and the default for artifacts predating the tag).
-    #[default]
-    EqualWidth,
-    /// Equal-frequency (quantile) boundaries snapped between distinct
-    /// key values.
-    Quantile,
-    /// Fixed-width time windows from the observed minimum.
-    TimeWindow,
-}
-
-impl PlanBoundary {
-    /// Stable lowercase label used in artifacts and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanBoundary::EqualWidth => "equal_width",
-            PlanBoundary::Quantile => "quantile",
-            PlanBoundary::TimeWindow => "time_window",
-        }
-    }
-
-    /// Parses [`Self::label`] back.
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "equal_width" => Some(PlanBoundary::EqualWidth),
-            "quantile" => Some(PlanBoundary::Quantile),
-            "time_window" => Some(PlanBoundary::TimeWindow),
-            _ => None,
-        }
-    }
-}
-
 /// Proof obligations a sharded run discharges onto its verifier: the
 /// shard key, how its boundaries were derived, and, per shard, the guard
 /// predicates actually applied. Emitted by every multi-shard run; the
@@ -189,32 +150,20 @@ impl PlanBoundary {
 pub struct ProofObligations {
     /// The attribute the instance was sharded on.
     pub shard_key: AttrId,
-    /// How the plan's interval boundaries were derived.
-    pub boundary: PlanBoundary,
+    /// How the plan's interval boundaries were derived. Every placement
+    /// discharges the same four checks — exactness, disjointness,
+    /// coverage, confinement; the tag is provenance, never a relaxation.
+    pub boundary: Boundary,
     /// One entry per shard, in shard order.
     pub guards: Vec<ShardGuard>,
 }
-
-/// One shard's raw result before merging.
-enum ShardRun {
-    Ok(SearchRun),
-    Failed(DiscoveryError),
-}
-
-/// Minimum cross-pool probes an auto-count spec needs on the sink before
-/// the planner trusts the hit rate enough to fall back to single-shard.
-const CROSS_POOL_FALLBACK_MIN_PROBES: u64 = 64;
 
 /// Runs sharded discovery over `rows` of `table` under `spec`.
 ///
 /// The spec is resolved by the cost-based planner ([`ShardSpec::plan`])
 /// into concrete shards: quantile or equal-width boundaries, a fixed or
-/// cost-model shard count. An auto-count spec additionally consults this
-/// sink's own `shards.cross_pool_*` history — when at least
-/// [`CROSS_POOL_FALLBACK_MIN_PROBES`] probes have resolved and fewer than
-/// one in five hit, cross-shard sharing demonstrably isn't paying on this
-/// workload and the planner falls back to a single shard
-/// (`shards.plan_fallback_single`).
+/// cost-model shard count. The plan depends on the spec, the rows and the
+/// config alone; the metrics sink is written, never read.
 ///
 /// With a spec that yields one shard this is byte-identical to a plain
 /// unsharded run (no guards, no merge) and errors propagate directly.
@@ -251,26 +200,6 @@ pub(crate) fn discover_sharded(
     let start = Instant::now();
     let mx = &cfg.metrics;
 
-    // Auto-fallback: an auto-count spec defers not just *how many* shards
-    // but *whether* sharding pays. The sink's cumulative cross-pool
-    // counters are the evidence — a cold or disabled sink (zero probes)
-    // never triggers this.
-    let resolved;
-    let spec = if spec.is_auto_count() {
-        let snap = mx.snapshot();
-        let probes = snap.count("shards", "cross_pool_probes").unwrap_or(0);
-        let hits = snap.count("shards", "cross_pool_hits").unwrap_or(0);
-        if probes >= CROSS_POOL_FALLBACK_MIN_PROBES && hits * 5 < probes {
-            mx.incr(Ctr::PlanFallbackSingle);
-            resolved = ShardSpec::single();
-            &resolved
-        } else {
-            spec
-        }
-    } else {
-        spec
-    };
-
     let cost = PlannerCost {
         predicate_vocab: space.len().max(1),
         workers: cfg.shard_threads.max(1),
@@ -288,13 +217,6 @@ pub(crate) fn discover_sharded(
     }
     mx.set_gauge(Gauge::ShardsPlanned, shards.len() as u64);
     mx.set_gauge(Gauge::ShardBalancePermille, balance_permille(&shards));
-    let boundary = match report.boundary {
-        Some(Boundary::Quantile) => PlanBoundary::Quantile,
-        Some(Boundary::EqualWidth) => PlanBoundary::EqualWidth,
-        // Multi-shard plans without a boundary choice are time windows;
-        // the single-shard case emits no obligations at all.
-        None => PlanBoundary::TimeWindow,
-    };
 
     if shards.len() == 1 {
         // Fast path: one shard is plain Algorithm 1 — no guards, no
@@ -336,70 +258,39 @@ pub(crate) fn discover_sharded(
 
     // Seed phase: shard 0 runs alone with no cross pool. Its published
     // models freeze into the pool every later shard probes.
-    let rest = &shards[1..];
-    let seed_run = run_shard_isolated(table, &shards[0], cfg, space, None);
+    let seed_runs = run_isolated(
+        &[0],
+        1,
+        |_| (shards[0].id, mx),
+        |_| run_shard(table, &shards[0], cfg, space, None),
+    );
     let frozen = CrossShardPool {
-        models: match &seed_run {
-            ShardRun::Ok(r) => r
+        models: match &seed_runs[0] {
+            Ok(r) => r
                 .published
                 .iter()
                 .enumerate()
                 .map(|(seq, m)| (0usize, seq as u64, Arc::clone(m)))
                 .collect(),
-            ShardRun::Failed(_) => Vec::new(),
+            Err(_) => Vec::new(),
         },
     };
 
-    // Parallel phase: shards 1.. claim work over a shared index, bounded
-    // by `shard_threads`. Each is a pure function of (its rows, cfg,
-    // space, frozen pool), so the schedule cannot change any result.
-    let mut runs: Vec<Option<ShardRun>> = Vec::with_capacity(rest.len());
-    if cfg.shard_threads <= 1 || rest.len() <= 1 {
-        for shard in rest {
-            runs.push(Some(run_shard_isolated(
-                table,
-                shard,
-                cfg,
-                space,
-                Some(&frozen),
-            )));
-        }
-    } else {
-        // Skew-aware claim order (longest processing time first): the
-        // largest shards are claimed first so the schedule's tail is
-        // short shards, not one straggler holding the run open. Claim
-        // order cannot change any result — each shard is a pure function
-        // of its own rows and the frozen pool — and results land in
-        // slots by original shard index, so output order is unaffected.
-        let mut order: Vec<usize> = (0..rest.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(rest[i].rows.len()));
-        let slots: Vec<Mutex<Option<ShardRun>>> = rest.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let (next, slots, frozen, order) = (&next, &slots, &frozen, &order);
-            let claim = move || loop {
-                let oi = next.fetch_add(1, Ordering::Relaxed);
-                if oi >= order.len() {
-                    break;
-                }
-                let i = order[oi];
-                let out = run_shard_isolated(table, &rest[i], cfg, space, Some(frozen));
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            };
-            // The calling thread would only wait for the scope, so it is
-            // one of the workers: `w` concurrent shards start `w − 1`
-            // threads.
-            for _ in 1..cfg.shard_threads.min(rest.len()) {
-                scope.spawn(claim);
-            }
-            claim();
-        });
-        runs.extend(
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().unwrap_or_else(|e| e.into_inner())),
-        );
-    }
+    // Parallel phase: shards 1.. on up to `shard_threads` workers. Each is
+    // a pure function of (its rows, cfg, space, frozen pool), so the
+    // schedule cannot change any result. Skew-aware claim order (longest
+    // processing time first): the largest shards are claimed first so the
+    // schedule's tail is short shards, not one straggler holding the run
+    // open.
+    let rest = &shards[1..];
+    let mut order: Vec<usize> = (0..rest.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(rest[i].rows.len()));
+    let rest_runs = run_isolated(
+        &order,
+        cfg.shard_threads,
+        |i| (rest[i].id, mx),
+        |i| run_shard(table, &rest[i], cfg, space, Some(&frozen)),
+    );
 
     // Merge phase (sequential, shard order). Guard each shard's rules
     // with its key interval so they stay sound instance-wide, then let
@@ -412,24 +303,17 @@ pub(crate) fn discover_sharded(
     let mut shard_guards = Vec::with_capacity(shards.len());
     let mut global_moments: Option<Moments> = None;
     let mut moments_ok = true;
-    // `.expect`, not `.flatten()`: a silently dropped slot would shift
-    // every later run onto the wrong shard (wrong bounds guarding the
-    // wrong rules). The worker loop fills every slot; hold it to that.
-    #[allow(clippy::expect_used)]
-    let finished = runs
-        .into_iter()
-        .map(|s| s.expect("shard slot unfilled by worker loop"));
-    for (shard, run) in shards.iter().zip(std::iter::once(seed_run).chain(finished)) {
+    for (shard, run) in shards.iter().zip(seed_runs.into_iter().chain(rest_runs)) {
         mx.incr(Ctr::ShardsRun);
         let (mut rules, stats, shard_outcome, error, root_moments) = match run {
-            ShardRun::Ok(r) => (
+            Ok(r) => (
                 r.discovery.rules,
                 r.discovery.stats,
                 r.discovery.outcome,
                 None,
                 r.root_moments,
             ),
-            ShardRun::Failed(e) => {
+            Err(e) => {
                 mx.incr(Ctr::ShardsFailed);
                 let wrapped = DiscoveryError::Shard {
                     shard_id: shard.id,
@@ -500,11 +384,16 @@ pub(crate) fn discover_sharded(
     mx.add(Ctr::MergeFusions, merge_stats.fusions as u64);
     total.learning_time = start.elapsed();
 
-    let obligations = shard_guards.first().map(|g| ProofObligations {
-        shard_key: g.bounds.attr,
-        boundary,
-        guards: shard_guards.clone(),
-    });
+    // A multi-shard plan always cuts on a key with a boundary choice, and
+    // every one of its shards carries bounds.
+    let obligations = match (shard_guards.first(), report.boundary) {
+        (Some(g), Some(boundary)) => Some(ProofObligations {
+            shard_key: g.bounds.attr,
+            boundary,
+            guards: shard_guards,
+        }),
+        _ => None,
+    };
     Ok(ShardedDiscovery {
         rules: merged,
         stats: total,
@@ -517,43 +406,26 @@ pub(crate) fn discover_sharded(
     })
 }
 
-/// Runs one shard with panic isolation: an unwind anywhere inside the
-/// search becomes that shard's [`DiscoveryError::TaskPanicked`] (keyed by
-/// shard id), leaving siblings untouched.
-fn run_shard_isolated(
+/// Runs Algorithm 1 on one shard (panic isolation is the caller's
+/// [`run_isolated`]).
+fn run_shard(
     table: &Table,
     shard: &Shard,
     cfg: &DiscoveryConfig,
     space: &PredicateSpace,
     cross: Option<&CrossShardPool>,
-) -> ShardRun {
-    catch_unwind(AssertUnwindSafe(|| {
-        // Confine the predicate space to the shard's key interval:
-        // predicates constant over the shard (always-false *or*
-        // always-true on its key range) can never separate a partition,
-        // so every split step is spared a scan over candidates the
-        // planner already knows are dead. It can still change the rules
-        // found: once the unconfined available set reaches 128
-        // predicates, `choose_split` samples every ⌊|avail|/64⌋-th
-        // candidate, and a smaller set samples different ones. A
-        // full-range shard keeps the original space.
-        let confined = shard.bounds.as_ref().and_then(|b| space.confined_to(b));
-        let space = confined.as_ref().unwrap_or(space);
-        run_search(table, &shard.rows, cfg, space, cross)
-    }))
-    .unwrap_or_else(|payload| {
-        cfg.metrics.incr(Ctr::TaskPanics);
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(DiscoveryError::TaskPanicked {
-            task: shard.id,
-            message,
-        })
-    })
-    .map_or_else(ShardRun::Failed, ShardRun::Ok)
+) -> Result<SearchRun> {
+    // Confine the predicate space to the shard's key interval: predicates
+    // constant over the shard (always-false *or* always-true on its key
+    // range) can never separate a partition, so every split step is
+    // spared a scan over candidates the planner already knows are dead.
+    // It can still change the rules found: once the unconfined available
+    // set reaches 128 predicates, `choose_split` samples every
+    // ⌊|avail|/64⌋-th candidate, and a smaller set samples different ones.
+    // A full-range shard keeps the original space.
+    let confined = shard.bounds.as_ref().and_then(|b| space.confined_to(b));
+    let space = confined.as_ref().unwrap_or(space);
+    run_search(table, &shard.rows, cfg, space, cross)
 }
 
 /// PR 1 degradation for a failed shard: cover its rows with the honest
@@ -702,17 +574,5 @@ mod tests {
             count("cross_pool_hits") + count("cross_pool_misses"),
             count("cross_pool_probes")
         );
-    }
-
-    #[test]
-    fn plan_boundary_labels_round_trip() {
-        for b in [
-            PlanBoundary::EqualWidth,
-            PlanBoundary::Quantile,
-            PlanBoundary::TimeWindow,
-        ] {
-            assert_eq!(PlanBoundary::from_label(b.label()), Some(b));
-        }
-        assert_eq!(PlanBoundary::from_label("nope"), None);
     }
 }

@@ -11,8 +11,10 @@
 //!   and preserves coverage;
 //! * cross-shard sharing actually engages (hits, adopted translations) and
 //!   its counters reconcile (`hits + misses == probes`);
-//! * a failed shard degrades to constant fallbacks without touching its
-//!   siblings, and the error stays attributable via `Error::Shard`.
+//! * a failed or panicking shard degrades to constant fallbacks without
+//!   touching its siblings, and the error stays attributable via
+//!   `Error::Shard`;
+//! * the plan never depends on what the metrics sink recorded before.
 
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -512,7 +514,6 @@ fn quantile_balances_the_skewed_tax_key() {
 
 #[test]
 fn obligations_record_the_boundary_construction() {
-    use crr_discovery::PlanBoundary;
     let (t, cfg, space) = two_regime_table(200);
     let x = key_of(&t, "x");
     let q = DiscoverySession::on(&t)
@@ -521,10 +522,7 @@ fn obligations_record_the_boundary_construction() {
         .sharded(ShardSpec::by_key(x).quantile().shards(4))
         .run()
         .unwrap();
-    assert_eq!(
-        q.obligations.as_ref().unwrap().boundary,
-        PlanBoundary::Quantile
-    );
+    assert_eq!(q.obligations.as_ref().unwrap().boundary, Boundary::Quantile);
     let ew = DiscoverySession::on(&t)
         .predicates(space)
         .config(cfg)
@@ -533,12 +531,12 @@ fn obligations_record_the_boundary_construction() {
         .unwrap();
     assert_eq!(
         ew.obligations.as_ref().unwrap().boundary,
-        PlanBoundary::EqualWidth
+        Boundary::EqualWidth
     );
     // The boundary survives the artifact round-trip.
     let artifact = q.export_artifact(t.schema()).unwrap();
     let back = crr_discovery::RuleSetArtifact::from_text(&artifact.to_text()).unwrap();
-    assert_eq!(back.obligations.unwrap().boundary, PlanBoundary::Quantile);
+    assert_eq!(back.obligations.unwrap().boundary, Boundary::Quantile);
 }
 
 #[test]
@@ -566,41 +564,98 @@ fn auto_count_plans_from_the_cost_model() {
 }
 
 #[test]
-fn auto_count_falls_back_to_single_shard_on_poor_sharing() {
+fn a_warm_sink_never_changes_the_plan() {
     use crr_obs::Counter;
     let (t, cfg, space) = two_regime_table(4096);
+    let run = |sink: Option<MetricsSink>| {
+        let session = DiscoverySession::on(&t)
+            .predicates(space.clone())
+            .config(cfg.clone().with_shard_threads(2))
+            .sharded(ShardSpec::by_key(key_of(&t, "x")));
+        match sink {
+            Some(sink) => session.metrics(sink),
+            None => session,
+        }
+        .run()
+        .unwrap()
+    };
+    let cold = run(None);
     // A sink whose history says cross-shard sharing never pays: plenty of
-    // probes, no hits.
-    let sink = MetricsSink::enabled();
-    sink.add(Counter::CrossShardPoolProbes, 100);
-    sink.add(Counter::CrossShardPoolMisses, 100);
-    let out = DiscoverySession::on(&t)
-        .predicates(space.clone())
-        .config(cfg.clone())
-        .metrics(sink.clone())
-        .sharded(ShardSpec::by_key(key_of(&t, "x")).auto())
-        .run()
-        .unwrap();
-    assert_eq!(out.shards.len(), 1, "planner must fall back to one shard");
-    assert!(out.obligations.is_none());
-    assert_eq!(
-        sink.snapshot().count("shards", "plan_fallback_single"),
-        Some(1)
-    );
-    // A fixed-count spec is a caller decision: never overridden.
-    let sink2 = MetricsSink::enabled();
-    sink2.add(Counter::CrossShardPoolProbes, 100);
-    sink2.add(Counter::CrossShardPoolMisses, 100);
-    let fixed = DiscoverySession::on(&t)
-        .predicates(space)
-        .config(cfg)
-        .metrics(sink2.clone())
-        .sharded(ShardSpec::by_key(key_of(&t, "x")).quantile().shards(4))
-        .run()
-        .unwrap();
-    assert_eq!(fixed.shards.len(), 4);
-    assert_eq!(
-        sink2.snapshot().count("shards", "plan_fallback_single"),
-        Some(0)
-    );
+    // probes, no hits. Recording is write-only, so the plan must not read
+    // it.
+    let warm = MetricsSink::enabled();
+    warm.add(Counter::CrossShardPoolProbes, 100);
+    warm.add(Counter::CrossShardPoolMisses, 100);
+    let warmed = run(Some(warm));
+    assert_eq!(cold.shards.len(), 3);
+    assert_eq!(warmed.shards.len(), cold.shards.len());
+    assert_eq!(sharded_fingerprint(&warmed), sharded_fingerprint(&cold));
+}
+
+#[test]
+fn a_panicking_shard_is_isolated_at_every_thread_count() {
+    use std::sync::Arc;
+    // Electricity's non-seed shards train models of their own, so the
+    // last fit of a run lands in a shard the parallel phase runs.
+    let (t, cfg, space) = electricity_setup(4000);
+    let spec = ShardSpec::by_key(key_of(&t, "minute"))
+        .equal_width()
+        .shards(4);
+    let run = |plan: FaultPlan, threads: usize, sink: MetricsSink| {
+        let plan = Arc::new(plan);
+        let out = DiscoverySession::on(&t)
+            .predicates(space.clone())
+            .config(
+                cfg.clone()
+                    .with_shard_threads(threads)
+                    .with_faults(Arc::clone(&plan)),
+            )
+            .metrics(sink)
+            .sharded(spec.clone())
+            .run()
+            .unwrap();
+        (out, plan.fits_attempted())
+    };
+    let (_, fits) = run(FaultPlan::new(), 1, MetricsSink::disabled());
+    assert!(fits > 0);
+    for threads in [1, 2, 4] {
+        // Only the run's last fit panics.
+        let sink = MetricsSink::enabled();
+        let (out, _) = run(
+            FaultPlan::new().panic_fit_every(fits),
+            threads,
+            sink.clone(),
+        );
+        assert_eq!(out.shards.len(), 4);
+        let failed: Vec<_> = out.failed_shards().collect();
+        assert_eq!(
+            failed.len(),
+            1,
+            "threads={threads}: exactly one shard fails"
+        );
+        let bad = failed[0];
+        assert!(bad.shard_id > 0, "the seed shard trains first, never last");
+        match bad.error.as_ref().unwrap() {
+            DiscoveryError::Shard { shard_id, source } => {
+                assert_eq!(*shard_id, bad.shard_id);
+                match &**source {
+                    DiscoveryError::TaskPanicked { task, message } => {
+                        assert_eq!(*task, bad.shard_id, "threads={threads}");
+                        assert!(message.contains("injected fit panic"), "{message}");
+                    }
+                    other => panic!("expected TaskPanicked, got {other:?}"),
+                }
+            }
+            other => panic!("expected Error::Shard, got {other:?}"),
+        }
+        for s in out.shards.iter().filter(|s| s.error.is_none()) {
+            assert!(
+                s.outcome.is_complete(),
+                "sibling shard {} degraded",
+                s.shard_id
+            );
+        }
+        assert!(out.rules.uncovered(&t, &t.all_rows()).is_empty());
+        assert_eq!(sink.snapshot().count("faults", "task_panics"), Some(1));
+    }
 }

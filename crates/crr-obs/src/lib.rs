@@ -46,6 +46,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![warn(missing_docs)]
 
 mod analysis;
 pub mod json;

@@ -140,9 +140,6 @@ metric_enum! {
         /// Plans whose shard count came from the cost model rather than
         /// the caller.
         PlanAutoK => ("shards", "plan_auto_k"),
-        /// Auto plans resolved to a single shard because prior cross-shard
-        /// hit/miss evidence showed sharing does not pay on this workload.
-        PlanFallbackSingle => ("shards", "plan_fallback_single"),
         /// Translation rewrites applied while merging per-shard rule
         /// sets with Algorithm 2.
         MergeTranslations => ("shards", "merge_translations"),

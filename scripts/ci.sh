@@ -40,12 +40,13 @@ echo "==> cargo doc --workspace --no-deps (broken intra-doc links are errors)"
 run "rustdoc intra-doc links" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   cargo doc --workspace --no-deps --quiet
 
-echo "==> rustdoc missing-docs wall (crr-core, crr-discovery, crr-stream)"
+echo "==> rustdoc missing-docs wall (crr-core, crr-discovery, crr-stream, crr-data, crr-analyze, crr-obs)"
 # The API-bearing crates additionally deny undocumented public items: a
 # new pub fn without a doc comment fails the build here. (Workspace-wide
 # this would punish the harness crates, so the wall is targeted.)
 run "rustdoc missing-docs wall" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D missing-docs" \
-  cargo doc -p crr-core -p crr-discovery -p crr-stream --no-deps --quiet
+  cargo doc -p crr-core -p crr-discovery -p crr-stream -p crr-data -p crr-analyze -p crr-obs \
+  --no-deps --quiet
 
 echo "==> criterion smoke (perf_fit_engine + perf_scan_kernels compile and run)"
 # The shimmed criterion takes a fast bounded pass (small sample budgets);

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crr_datasets::{Dataset, GenConfig};
     pub use crr_discovery::{
         compact, DiscoveryConfig, DiscoverySession, PredicateGen, PredicateSpace, QueueOrder,
-        ShardPlan, ShardedDiscovery,
+        ShardSpec, ShardedDiscovery,
     };
     pub use crr_models::{fit_model, FitConfig, Model, ModelKind, Regressor, Translation};
 }
