@@ -4,7 +4,7 @@
 //! conjunctions (one per shared data part), and [`crate::RuleSet`]'s
 //! locate is a linear scan over all of them. For the common case — most
 //! conjunctions bound one numeric attribute (the time axis, salary, …) —
-//! [`RuleIndex`] turns locating into a binary search:
+//! an [`IntervalPlan`] turns locating into a binary search:
 //!
 //! 1. pick the numeric attribute bounded by the most conjunctions;
 //! 2. extract each conjunction's (conservative, closed) interval on it;
@@ -17,9 +17,13 @@
 //! the index is purely an accelerator, never a semantic change (asserted
 //! by the equivalence tests below and the property tests in
 //! `tests/proptest_index.rs`).
+//!
+//! The plan owns its segments and borrows nothing, so a maintainer can
+//! keep one per rule set while the relation grows. [`RuleIndex`] pairs a
+//! plan with the rules it was built over for the serving-side queries.
 
 use crate::{CompiledConjunction, Conjunction, Crr, Op, RuleSet};
-use crr_data::{AttrId, RowSet, Table};
+use crr_data::{AttrId, RowSet, Schema, Table};
 use std::collections::HashMap;
 
 /// One candidate: indices of a rule and one of its conjunctions.
@@ -29,10 +33,15 @@ struct Candidate {
     conj: u32,
 }
 
-/// An interval-indexed view of a rule set (see module docs).
-#[derive(Debug, Clone)]
-pub struct RuleIndex<'a> {
-    rules: &'a RuleSet,
+/// The interval plan of one rule set (see module docs): which of its
+/// conjunctions can cover a row, looked up by the row's value on one
+/// numeric attribute. Owns its data and borrows nothing.
+///
+/// Building reads the rules and the schema's attribute types, never a row
+/// value, so appending rows to the table never invalidates a plan; only a
+/// new rule set does. The default plan is the plan of an empty rule set.
+#[derive(Debug, Clone, Default)]
+pub struct IntervalPlan {
     /// The indexed attribute, if one was worth indexing.
     attr: Option<AttrId>,
     /// Sorted segment boundaries over the indexed attribute.
@@ -41,9 +50,22 @@ pub struct RuleIndex<'a> {
     /// `[boundaries[i], boundaries[i+1])`; `segments[boundaries.len()]`
     /// is the right-open tail. Entry 0 is the left-open head.
     segments: Vec<Vec<Candidate>>,
-    /// Conjunctions with no usable bound on `attr` — checked on every
-    /// lookup (merged in rule order).
+    /// Conjunctions with no usable bound on `attr` — candidates for every
+    /// row (merged in rule order). Without an indexed attribute this is
+    /// every conjunction.
     unbounded: Vec<Candidate>,
+    /// Rules and conjunctions the plan was built over.
+    shape: (usize, usize),
+}
+
+/// Rules and total conjunctions of `rules`.
+fn shape_of(rules: &RuleSet) -> (usize, usize) {
+    let conjuncts = rules
+        .rules()
+        .iter()
+        .map(|r| r.condition().conjuncts().len())
+        .sum();
+    (rules.len(), conjuncts)
 }
 
 /// Conservative closed interval of a conjunction on one attribute:
@@ -69,19 +91,23 @@ fn interval_on(conj: &Conjunction, attr: AttrId) -> (f64, f64) {
     (lo, hi)
 }
 
-impl<'a> RuleIndex<'a> {
-    /// Builds the index. Falls back to pure scanning (still correct) when
-    /// no numeric attribute is bounded by at least half the conjunctions.
-    pub fn build(rules: &'a RuleSet, table: &Table) -> RuleIndex<'a> {
+impl IntervalPlan {
+    /// Builds the plan of `rules` over a table with `schema`. Falls back
+    /// to checking every conjunction (still correct) when no numeric
+    /// attribute is bounded by at least half the conjunctions.
+    pub fn build(rules: &RuleSet, schema: &Schema) -> IntervalPlan {
         // Count bounded conjunctions per numeric attribute.
         let mut bound_counts: HashMap<AttrId, usize> = HashMap::new();
-        let mut total_conjuncts = 0usize;
-        for rule in rules.rules() {
-            for conj in rule.condition().conjuncts() {
-                total_conjuncts += 1;
+        let mut all: Vec<Candidate> = Vec::new();
+        for (ri, rule) in rules.rules().iter().enumerate() {
+            for (ci, conj) in rule.condition().conjuncts().iter().enumerate() {
+                all.push(Candidate {
+                    rule: ri as u32,
+                    conj: ci as u32,
+                });
                 let mut seen: Vec<AttrId> = Vec::new();
                 for p in conj.preds() {
-                    if table.schema().attribute(p.attr).ty().is_numeric()
+                    if schema.attribute(p.attr).ty().is_numeric()
                         && !p.op.is_null_test()
                         && p.value.as_f64().is_some()
                         && !seen.contains(&p.attr)
@@ -92,18 +118,20 @@ impl<'a> RuleIndex<'a> {
                 }
             }
         }
+        let total_conjuncts = all.len();
+        let shape = (rules.len(), total_conjuncts);
         let attr = bound_counts
             .into_iter()
             .max_by_key(|&(a, n)| (n, std::cmp::Reverse(a.0)))
             .filter(|&(_, n)| 2 * n >= total_conjuncts && total_conjuncts > 4)
             .map(|(a, _)| a);
         let Some(attr) = attr else {
-            return RuleIndex {
-                rules,
+            return IntervalPlan {
                 attr: None,
                 boundaries: Vec::new(),
                 segments: Vec::new(),
-                unbounded: Vec::new(),
+                unbounded: all,
+                shape,
             };
         };
 
@@ -111,28 +139,24 @@ impl<'a> RuleIndex<'a> {
         let mut entries: Vec<(Candidate, f64, f64)> = Vec::new();
         let mut unbounded: Vec<Candidate> = Vec::new();
         let mut boundaries: Vec<f64> = Vec::new();
-        for (ri, rule) in rules.rules().iter().enumerate() {
-            for (ci, conj) in rule.condition().conjuncts().iter().enumerate() {
-                let cand = Candidate {
-                    rule: ri as u32,
-                    conj: ci as u32,
-                };
-                let (lo, hi) = interval_on(conj, attr);
-                if lo.is_infinite() && hi.is_infinite() {
-                    unbounded.push(cand);
-                    continue;
-                }
-                if lo > hi {
-                    continue; // provably empty on this attribute
-                }
-                if lo.is_finite() {
-                    boundaries.push(lo);
-                }
-                if hi.is_finite() {
-                    boundaries.push(hi);
-                }
-                entries.push((cand, lo, hi));
+        for cand in all {
+            let conj =
+                &rules.rules()[cand.rule as usize].condition().conjuncts()[cand.conj as usize];
+            let (lo, hi) = interval_on(conj, attr);
+            if lo.is_infinite() && hi.is_infinite() {
+                unbounded.push(cand);
+                continue;
             }
+            if lo > hi {
+                continue; // provably empty on this attribute
+            }
+            if lo.is_finite() {
+                boundaries.push(lo);
+            }
+            if hi.is_finite() {
+                boundaries.push(hi);
+            }
+            entries.push((cand, lo, hi));
         }
         boundaries.sort_unstable_by(f64::total_cmp);
         boundaries.dedup();
@@ -148,16 +172,14 @@ impl<'a> RuleIndex<'a> {
                 seg.push(cand);
             }
         }
-        for seg in &mut segments {
-            seg.sort_unstable();
-        }
-        unbounded.sort_unstable();
-        RuleIndex {
-            rules,
+        // Candidates were pushed in (rule, conj) order, so every segment
+        // and the unbounded list are already sorted.
+        IntervalPlan {
             attr: Some(attr),
             boundaries,
             segments,
             unbounded,
+            shape,
         }
     }
 
@@ -166,19 +188,99 @@ impl<'a> RuleIndex<'a> {
         self.attr
     }
 
+    /// The coverage query: every `(rule, conjunction)` index pair that can
+    /// cover `row` and passes `covers`, in ascending `(rule, conjunction)`
+    /// order. `rules` must be the rule set the plan was built over.
+    ///
+    /// The plan only rules out conjunctions whose interval on the indexed
+    /// attribute excludes the row (a null there excludes every bounded
+    /// one); `covers(rule, conjunction)` tests each remaining candidate
+    /// against the row, interpreted or compiled. It is called in that same
+    /// order as the iterator advances, so it may keep state across calls.
+    /// Serving takes the first pair; a write-time monitor walks them all,
+    /// because each covering rule's bias bound is a separate obligation on
+    /// the row.
+    pub fn covering<'p, F>(
+        &'p self,
+        rules: &RuleSet,
+        table: &Table,
+        row: usize,
+        mut covers: F,
+    ) -> impl Iterator<Item = (usize, usize)> + 'p
+    where
+        F: FnMut(usize, usize) -> bool + 'p,
+    {
+        debug_assert_eq!(self.shape, shape_of(rules), "plan of another rule set");
+        let bounded: &[Candidate] = match self.attr.map(|a| table.value_f64(row, a)) {
+            Some(Some(v)) => &self.segments[self.boundaries.partition_point(|&b| b <= v)],
+            // A null on the indexed attribute fails every bounded
+            // conjunction; without an indexed attribute everything is in
+            // `unbounded`.
+            Some(None) | None => &[],
+        };
+        Merge {
+            a: bounded,
+            b: &self.unbounded,
+        }
+        .map(|c| (c.rule as usize, c.conj as usize))
+        .filter(move |&(ri, ci)| covers(ri, ci))
+    }
+}
+
+/// Two pre-sorted candidate lists visited in merged `(rule, conj)` order.
+struct Merge<'p> {
+    a: &'p [Candidate],
+    b: &'p [Candidate],
+}
+
+impl<'p> Iterator for Merge<'p> {
+    type Item = Candidate;
+
+    fn next(&mut self) -> Option<Candidate> {
+        let list: &mut &'p [Candidate] = match (self.a.first(), self.b.first()) {
+            (Some(x), Some(y)) if x <= y => &mut self.a,
+            (Some(_), None) => &mut self.a,
+            _ => &mut self.b,
+        };
+        let (&c, rest) = list.split_first()?;
+        *list = rest;
+        Some(c)
+    }
+}
+
+/// An interval-indexed view of a rule set: its [`IntervalPlan`] plus the
+/// rules it was built over (see module docs).
+#[derive(Debug, Clone)]
+pub struct RuleIndex<'a> {
+    rules: &'a RuleSet,
+    plan: IntervalPlan,
+}
+
+impl<'a> RuleIndex<'a> {
+    /// Builds the index. Falls back to pure scanning (still correct) when
+    /// no numeric attribute is bounded by at least half the conjunctions.
+    pub fn build(rules: &'a RuleSet, table: &Table) -> RuleIndex<'a> {
+        RuleIndex {
+            rules,
+            plan: IntervalPlan::build(rules, table.schema()),
+        }
+    }
+
+    /// The indexed attribute, if any.
+    pub fn indexed_attr(&self) -> Option<AttrId> {
+        self.plan.indexed_attr()
+    }
+
     /// Locates the first (in rule-set order) rule + conjunction covering
     /// `row` — identical to the linear `First` scan.
-    pub fn locate(&self, table: &Table, row: usize) -> Option<(&Crr, &Conjunction)> {
-        let Some(attr) = self.attr else {
-            return self.scan(table, row);
-        };
-        let Some(v) = table.value_f64(row, attr) else {
-            // Null on the indexed attribute: no bounded conjunction can
-            // match (predicates over null are false); check unbounded only.
-            return self.check_candidates(table, row, &self.unbounded, &[]);
-        };
-        let seg = self.boundaries.partition_point(|&b| b <= v);
-        self.check_candidates(table, row, &self.segments[seg], &self.unbounded)
+    pub fn locate(&self, table: &Table, row: usize) -> Option<(&'a Crr, &'a Conjunction)> {
+        let (ri, ci) = self
+            .plan
+            .covering(self.rules, table, row, |ri, ci| {
+                self.resolve(ri, ci).1.eval(table, row)
+            })
+            .next()?;
+        Some(self.resolve(ri, ci))
     }
 
     /// Predicts for `row` using the located rule's conjunction built-ins.
@@ -187,81 +289,15 @@ impl<'a> RuleIndex<'a> {
         predict_at(rule, conj, table, row)
     }
 
-    /// *All* `(rule, conjunction)` index pairs whose conjunction covers
-    /// `row`, in ascending `(rule, conjunction)` order — the maintenance
-    /// side's coverage query. Where [`RuleIndex::locate`] stops at the
-    /// first match (serving semantics), a write-time monitor must charge a
-    /// changed row to *every* rule whose condition claims it, because each
-    /// such rule's bias bound is a separate obligation on that row.
-    pub fn covering(&self, table: &Table, row: usize) -> Vec<(usize, usize)> {
-        let (bounded, unbounded): (&[Candidate], &[Candidate]) = match self.attr {
-            None => {
-                // Nothing was indexed: evaluate every conjunction in order.
-                let mut out = Vec::new();
-                for (ri, rule) in self.rules.rules().iter().enumerate() {
-                    for (ci, conj) in rule.condition().conjuncts().iter().enumerate() {
-                        if conj.eval(table, row) {
-                            out.push((ri, ci));
-                        }
-                    }
-                }
-                return out;
-            }
-            Some(attr) => match table.value_f64(row, attr) {
-                None => (&[], self.unbounded.as_slice()),
-                Some(v) => {
-                    let seg = self.boundaries.partition_point(|&b| b <= v);
-                    (self.segments[seg].as_slice(), self.unbounded.as_slice())
-                }
-            },
-        };
-        let mut out = Vec::new();
-        merge_all(
-            bounded,
-            unbounded,
-            |c| self.conjunction(c).eval(table, row),
-            |c| {
-                out.push((c.rule as usize, c.conj as usize));
-            },
-        );
-        out
-    }
-
     /// RMSE evaluation over `rows` via the index — the accelerated
     /// counterpart of [`RuleSet::evaluate`].
     pub fn evaluate(&self, table: &Table, rows: &RowSet) -> crate::ruleset::EvalReport {
         evaluate_with(self.rules, table, rows, |row| self.locate(table, row))
     }
 
-    /// Evaluates two pre-sorted candidate lists in merged rule order.
-    fn check_candidates(
-        &self,
-        table: &Table,
-        row: usize,
-        a: &[Candidate],
-        b: &[Candidate],
-    ) -> Option<(&Crr, &Conjunction)> {
-        let c = merge_first(a, b, |c| self.conjunction(c).eval(table, row))?;
-        Some(self.resolve(c))
-    }
-
-    /// Fallback linear scan (used when nothing was worth indexing).
-    fn scan(&self, table: &Table, row: usize) -> Option<(&Crr, &Conjunction)> {
-        for rule in self.rules.rules() {
-            if let Some(conj) = rule.condition().matching_conjunct(table, row) {
-                return Some((rule, conj));
-            }
-        }
-        None
-    }
-
-    fn conjunction(&self, c: Candidate) -> &Conjunction {
-        &self.rules.rules()[c.rule as usize].condition().conjuncts()[c.conj as usize]
-    }
-
-    fn resolve(&self, c: Candidate) -> (&'a Crr, &'a Conjunction) {
-        let rule = &self.rules.rules()[c.rule as usize];
-        (rule, &rule.condition().conjuncts()[c.conj as usize])
+    fn resolve(&self, ri: usize, ci: usize) -> (&'a Crr, &'a Conjunction) {
+        let rule = &self.rules.rules()[ri];
+        (rule, &rule.condition().conjuncts()[ci])
     }
 
     /// Compiles every conjunction against `table`'s columns once, yielding
@@ -291,78 +327,6 @@ impl<'a> RuleIndex<'a> {
     }
 }
 
-/// First candidate from two pre-sorted lists (merged in `(rule, conj)`
-/// order) whose conjunction satisfies `sat`.
-fn merge_first(
-    a: &[Candidate],
-    b: &[Candidate],
-    mut sat: impl FnMut(Candidate) -> bool,
-) -> Option<Candidate> {
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    i += 1;
-                    x
-                } else {
-                    j += 1;
-                    y
-                }
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => return None,
-        };
-        if sat(next) {
-            return Some(next);
-        }
-    }
-}
-
-/// Visits every candidate of two pre-sorted lists in merged `(rule, conj)`
-/// order, calling `hit` for each one whose conjunction satisfies `sat` —
-/// the exhaustive sibling of [`merge_first`].
-fn merge_all(
-    a: &[Candidate],
-    b: &[Candidate],
-    mut sat: impl FnMut(Candidate) -> bool,
-    mut hit: impl FnMut(Candidate),
-) {
-    let (mut i, mut j) = (0, 0);
-    loop {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    i += 1;
-                    x
-                } else {
-                    j += 1;
-                    y
-                }
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => return,
-        };
-        if sat(next) {
-            hit(next);
-        }
-    }
-}
-
 /// A [`RuleIndex`] with every conjunction pre-compiled against one table
 /// (see [`RuleIndex::compile`]): attribute → column resolution and constant
 /// typing happen once at build, so the per-row checks inside `locate`,
@@ -378,26 +342,14 @@ pub struct CompiledIndex<'a, 't> {
 impl<'a> CompiledIndex<'a, '_> {
     /// Compiled counterpart of [`RuleIndex::locate`] — identical result.
     pub fn locate(&self, row: usize) -> Option<(&'a Crr, &'a Conjunction)> {
-        let sat = |c: Candidate| self.compiled[c.rule as usize][c.conj as usize].eval_row(row);
-        let Some(attr) = self.index.attr else {
-            // Nothing was worth indexing: scan all conjunctions in rule
-            // order, same as the interpreted fallback.
-            let all: Vec<Candidate> = (0..self.compiled.len() as u32)
-                .flat_map(|rule| {
-                    (0..self.compiled[rule as usize].len() as u32)
-                        .map(move |conj| Candidate { rule, conj })
-                })
-                .collect();
-            return merge_first(&all, &[], sat).map(|c| self.index.resolve(c));
-        };
-        let c = match self.table.value_f64(row, attr) {
-            None => merge_first(&self.index.unbounded, &[], sat)?,
-            Some(v) => {
-                let seg = self.index.boundaries.partition_point(|&b| b <= v);
-                merge_first(&self.index.segments[seg], &self.index.unbounded, sat)?
-            }
-        };
-        Some(self.index.resolve(c))
+        let (ri, ci) = self
+            .index
+            .plan
+            .covering(self.index.rules, self.table, row, |ri, ci| {
+                self.compiled[ri][ci].eval_row(row)
+            })
+            .next()?;
+        Some(self.index.resolve(ri, ci))
     }
 
     /// Compiled counterpart of [`RuleIndex::predict`].
@@ -651,7 +603,21 @@ mod tests {
         assert_eq!(ea.rmse.to_bits(), eb.rmse.to_bits());
     }
 
-    /// Brute-force oracle for `covering`: evaluate every conjunction.
+    /// The plan's coverage query with interpreted candidate tests.
+    fn covering(
+        plan: &IntervalPlan,
+        rules: &RuleSet,
+        t: &Table,
+        row: usize,
+    ) -> Vec<(usize, usize)> {
+        plan.covering(rules, t, row, |ri, ci| {
+            rules.rules()[ri].condition().conjuncts()[ci].eval(t, row)
+        })
+        .collect()
+    }
+
+    /// Brute-force oracle for the coverage query: evaluate every
+    /// conjunction.
     fn covering_scan(rules: &RuleSet, t: &Table, row: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (ri, rule) in rules.rules().iter().enumerate() {
@@ -673,17 +639,17 @@ mod tests {
         let model = Arc::new(Model::Linear(LinearModel::new(vec![2.0], 0.0)));
         let mut rules = segmented_rules(12, 10.0);
         rules.push(Crr::new(vec![x()], y(), model, 0.5, Dnf::tautology()).unwrap());
-        let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(idx.indexed_attr(), Some(x()));
+        let plan = IntervalPlan::build(&rules, t.schema());
+        assert_eq!(plan.indexed_attr(), Some(x()));
         for row in 0..t.num_rows() {
             assert_eq!(
-                idx.covering(&t, row),
+                covering(&plan, &rules, &t, row),
                 covering_scan(&rules, &t, row),
                 "row {row}"
             );
         }
         assert_eq!(
-            idx.covering(&t, 3),
+            covering(&plan, &rules, &t, 3),
             vec![(1, 0)],
             "null row hits only the catch-all"
         );
@@ -693,11 +659,11 @@ mod tests {
     fn covering_matches_on_the_scan_fallback() {
         let t = table(20);
         let rules = segmented_rules(2, 10.0); // unindexable: linear scan
-        let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(idx.indexed_attr(), None);
+        let plan = IntervalPlan::build(&rules, t.schema());
+        assert_eq!(plan.indexed_attr(), None);
         for row in 0..t.num_rows() {
             assert_eq!(
-                idx.covering(&t, row),
+                covering(&plan, &rules, &t, row),
                 covering_scan(&rules, &t, row),
                 "row {row}"
             );

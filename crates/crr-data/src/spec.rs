@@ -112,8 +112,8 @@ pub struct PlanReport {
 /// Construct with [`ShardSpec::single`] or [`ShardSpec::by_key`]; refine
 /// key plans with the chainable [`quantile`](ShardSpec::quantile) /
 /// [`equal_width`](ShardSpec::equal_width) / [`shards`](ShardSpec::shards)
-/// / [`auto`](ShardSpec::auto) modifiers. Key plans default to quantile
-/// boundaries with an auto shard count — the adaptive configuration.
+/// modifiers. Key plans default to quantile boundaries with an auto shard
+/// count — the adaptive configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSpec {
     kind: SpecKind,
@@ -170,15 +170,6 @@ impl ShardSpec {
     pub fn shards(mut self, n: usize) -> Self {
         if let SpecKind::ByKey { count, .. } = &mut self.kind {
             *count = ShardCount::Fixed(n);
-        }
-        self
-    }
-
-    /// Let the cost model pick the shard count. No effect on the single
-    /// spec.
-    pub fn auto(mut self) -> Self {
-        if let SpecKind::ByKey { count, .. } = &mut self.kind {
-            *count = ShardCount::Auto;
         }
         self
     }
@@ -589,11 +580,7 @@ mod tests {
     #[test]
     fn builder_modifiers_are_inert_on_the_single_spec() {
         assert_eq!(
-            ShardSpec::single()
-                .quantile()
-                .equal_width()
-                .shards(4)
-                .auto(),
+            ShardSpec::single().quantile().equal_width().shards(4),
             ShardSpec::single()
         );
     }

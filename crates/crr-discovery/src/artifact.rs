@@ -178,39 +178,41 @@ impl RuleSetArtifact {
     /// never a later panic.
     pub fn check_refs(&self) -> Result<()> {
         let n = self.schema.len();
-        let check = |a: AttrId, what: &str| -> Result<()> {
+        // `what` names the reference; it is formatted only for a bad one.
+        let check = |a: AttrId, what: &dyn Fn() -> String| -> Result<()> {
             if a.0 >= n {
                 return Err(bad(format!(
-                    "{what} references attribute #{} but the schema has {n} attributes",
+                    "{} references attribute #{} but the schema has {n} attributes",
+                    what(),
                     a.0
                 )));
             }
             Ok(())
         };
         for (i, rule) in self.rules.rules().iter().enumerate() {
-            check(rule.target(), &format!("rule {i} target"))?;
+            check(rule.target(), &|| format!("rule {i} target"))?;
             for &a in rule.inputs() {
-                check(a, &format!("rule {i} inputs"))?;
+                check(a, &|| format!("rule {i} inputs"))?;
             }
             for c in rule.condition().conjuncts() {
                 for p in c.preds() {
-                    check(p.attr, &format!("rule {i} condition"))?;
+                    check(p.attr, &|| format!("rule {i} condition"))?;
                 }
             }
         }
         if let Some(ob) = &self.obligations {
-            check(ob.shard_key, "obligations shard key")?;
+            check(ob.shard_key, &|| "obligations shard key".to_string())?;
             for g in &ob.guards {
-                check(g.bounds.attr, "shard guard bounds")?;
+                check(g.bounds.attr, &|| "shard guard bounds".to_string())?;
                 for p in &g.guards {
-                    check(p.attr, "shard guard predicate")?;
+                    check(p.attr, &|| "shard guard predicate".to_string())?;
                 }
             }
         }
         if let Some(rep) = &self.repair {
             for r in &rep.regions {
                 for p in &r.guards {
-                    check(p.attr, &format!("repair region {} guard", r.region_id))?;
+                    check(p.attr, &|| format!("repair region {} guard", r.region_id))?;
                 }
             }
         }
@@ -581,6 +583,47 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(RuleSetArtifact::from_text(&truncated).is_err());
+    }
+
+    #[test]
+    fn bad_references_name_their_place_in_the_error() {
+        let a = sample();
+        let dangling = Crr::new(
+            vec![AttrId(0)],
+            AttrId(1),
+            Arc::new(Model::Linear(LinearModel::new(vec![1.0], 0.0))),
+            0.25,
+            Dnf::single(Conjunction::of(vec![
+                Predicate::ge(AttrId(0), Value::Float(1.0)),
+                Predicate::lt(AttrId(7), Value::Float(2.0)),
+            ])),
+        )
+        .unwrap();
+        let mut rules = a.rules.rules().to_vec();
+        rules.push(dangling);
+        let err =
+            RuleSetArtifact::new(a.schema.clone(), RuleSet::from_rules(rules), None).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "rule error: schema mismatch: rule 1 condition references attribute #7 \
+             but the schema has 2 attributes"
+        );
+
+        let err = a
+            .with_repair(RepairObligations {
+                kept: 1,
+                regions: vec![RepairRegion {
+                    region_id: 3,
+                    origin: RegionOrigin::Uncovered,
+                    guards: vec![Predicate::ge(AttrId(9), Value::Float(0.0))],
+                }],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "rule error: schema mismatch: repair region 3 guard references attribute #9 \
+             but the schema has 2 attributes"
+        );
     }
 
     #[test]

@@ -38,11 +38,11 @@
 //!
 //! Large instances can be *sharded* ([`sharded`], [`crr_data::ShardSpec`]):
 //! a typed spec — `ShardSpec::by_key(attr).quantile().shards(4)`, or
-//! `.auto()` to let the cost-based planner pick the count — is resolved
-//! into balanced shards; Algorithm 1 runs per shard — the seed shard
-//! first, then the rest concurrently, largest first, on the isolated job
-//! runner `run_all` uses, each probing the frozen cross-shard model pool
-//! the seed published — and per-shard rule sets are merged by
+//! plain `ShardSpec::by_key(attr)` to let the cost-based planner pick the
+//! count — is resolved into balanced shards; Algorithm 1 runs per shard —
+//! the seed shard first, then the rest concurrently, largest first, on the
+//! isolated job runner `run_all` uses, each probing the frozen cross-shard
+//! model pool the seed published — and per-shard rule sets are merged by
 //! Algorithm 2, with per-shard sufficient statistics combined instead of
 //! refit.
 //!

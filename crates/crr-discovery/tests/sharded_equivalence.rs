@@ -547,7 +547,7 @@ fn auto_count_plans_from_the_cost_model() {
         .predicates(space)
         .config(cfg.with_shard_threads(4))
         .metrics(sink.clone())
-        .sharded(ShardSpec::by_key(key_of(&t, "x")).auto())
+        .sharded(ShardSpec::by_key(key_of(&t, "x")))
         .run()
         .unwrap();
     let m = sink.snapshot();

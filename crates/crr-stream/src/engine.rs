@@ -1,13 +1,14 @@
 //! The incremental maintenance engine (see the crate docs for the
 //! contract and DESIGN.md §13 for the design rationale).
 
-use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleIndex, RuleSet};
+use crr_core::index::IntervalPlan;
+use crr_core::{CompiledConjunction, Conjunction, Crr, Dnf, Predicate, RuleSet};
 use crr_data::{AttrId, DataError, RowSet, Table, Value};
 use crr_discovery::{
     compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, PredicateSpace,
     RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact,
 };
-use crr_models::{Moments, Translation};
+use crr_models::{Moments, Regressor, Translation};
 use crr_obs::{Counter as Ctr, Gauge, MetricsSink, Phase};
 use std::collections::BTreeMap;
 
@@ -101,7 +102,7 @@ pub struct BatchOutcome {
     pub appended: usize,
     /// Rows deleted (tombstoned) by this batch.
     pub deleted: usize,
-    /// `(row, rule)` coverage pairs the interval index routed.
+    /// `(row, rule)` coverage pairs the interval plan routed.
     pub routed_pairs: usize,
     /// Appended rows no rule condition covers (queued for repair).
     pub uncovered: usize,
@@ -206,6 +207,26 @@ fn guard_rule(d: &Crr, guard: Option<&Conjunction>) -> Result<Crr> {
     .map_err(|e| StreamError::Mismatch(format!("guarded repair rule is invalid: {e}")))
 }
 
+/// `Crr::predict` at a row whose first matching conjunct of `rule` is
+/// already known to be `conj`: the same input reads and model call, so the
+/// same bits, with the inputs read into the reused buffer `x`.
+fn predict_matched(
+    rule: &Crr,
+    conj: &Conjunction,
+    table: &Table,
+    row: usize,
+    x: &mut Vec<f64>,
+) -> Option<f64> {
+    x.clear();
+    for &a in rule.inputs() {
+        x.push(table.value_f64(row, a)?);
+    }
+    Some(match conj.builtin() {
+        Some(t) => rule.model().predict_translated(x, t),
+        None => rule.model().predict(x),
+    })
+}
+
 /// Folds a built-in translation into an affine predictor.
 fn fold_translation(w: &[f64], c: f64, t: Option<&Translation>) -> (Vec<f64>, f64) {
     match t {
@@ -261,6 +282,10 @@ pub struct StreamEngine {
     live: Vec<bool>,
     live_count: usize,
     rules: RuleSet,
+    /// The interval plan of `rules`, rebuilt exactly where `rules` is
+    /// replaced (construction and the repair splice). It reads no row
+    /// values, so appends and deletes keep it valid.
+    plan: IntervalPlan,
     cfg: DiscoveryConfig,
     space: PredicateSpace,
     opts: StreamConfig,
@@ -304,6 +329,7 @@ impl StreamEngine {
             live,
             live_count,
             rules,
+            plan: IntervalPlan::default(),
             cfg,
             space,
             opts,
@@ -340,7 +366,7 @@ impl StreamEngine {
         self.live_count
     }
 
-    /// Appends a batch of rows, routing each through the interval index:
+    /// Appends a batch of rows, routing each through the interval plan:
     /// covering partitions absorb the rows into their `Moments`
     /// (`add_rows`, no rescan), the write-time monitor residual-checks
     /// every covering rule, and the drift picture is refreshed.
@@ -354,7 +380,7 @@ impl StreamEngine {
         self.live_count += rows.len();
         let ids: Vec<u32> = (start..start + rows.len() as u32).collect();
         let batch = self.gather(&ids);
-        let routed = self.route(&ids, true);
+        let routed = self.route(&ids, &batch, true);
         let updates = self.apply_append(&batch, &routed);
         for (&(ri, ci), rows) in &routed.claimed {
             self.members[ri][ci].extend_from_slice(rows);
@@ -410,7 +436,7 @@ impl StreamEngine {
         ids.sort_unstable();
         ids.dedup();
         let batch = self.gather(&ids);
-        let routed = self.route(&ids, false);
+        let routed = self.route(&ids, &batch, false);
         let updates = self.apply_delete(&batch, &routed);
         for &r in &ids {
             self.live[r as usize] = false;
@@ -611,6 +637,7 @@ impl StreamEngine {
             rules_v.push(rule.clone());
         }
         self.rules = RuleSet::from_rules(rules_v);
+        self.plan = IntervalPlan::build(&self.rules, self.table.schema());
         self.states = states;
         self.members = members;
         self.drifted = vec![false; self.rules.len()];
@@ -625,7 +652,7 @@ impl StreamEngine {
         // membership: the healthy rules already hold these rows.
         let ids: Vec<u32> = affected.iter().map(|r| r as u32).collect();
         let batch = self.gather(&ids);
-        let mut routed = self.route(&ids, true);
+        let mut routed = self.route(&ids, &batch, true);
         routed.buckets.retain(|&(ri, _), _| ri >= kept_rules);
         self.apply_append(&batch, &routed);
         for (&(ri, ci), rows) in &routed.claimed {
@@ -746,27 +773,51 @@ impl StreamEngine {
         BatchCols { cols, y, ready }
     }
 
-    /// Routes `ids` through the interval index: buckets each fit-ready row
+    /// Routes `ids`, whose inputs and target the caller gathered into
+    /// `batch`, through the interval plan: buckets each fit-ready row
     /// under its first matching conjunct per covering rule, and (when
     /// `monitor` is set) residual-checks every covering rule at write
     /// time. Pure reads — application happens in a second phase.
-    fn route(&self, ids: &[u32], monitor: bool) -> Routed {
-        let idx = RuleIndex::build(&self.rules, &self.table);
-        let batch = self.gather(ids);
+    fn route(&self, ids: &[u32], batch: &BatchCols, monitor: bool) -> Routed {
         let tol = self.opts.tolerance;
+        let rules = self.rules.rules();
+        // One kernel slot per conjunction, compiled the first time a row
+        // needs it. Kernels never outlive the call: appends move column
+        // buffers and grow string dictionaries.
+        let mut offsets = Vec::with_capacity(rules.len());
+        let mut slots = 0;
+        for rule in rules {
+            offsets.push(slots);
+            slots += rule.condition().conjuncts().len();
+        }
+        let mut kernels: Vec<Option<CompiledConjunction<'_>>> =
+            std::iter::repeat_with(|| None).take(slots).collect();
+        let mut x = Vec::with_capacity(self.cfg.inputs.len());
         let mut out = Routed::default();
         for (i, &r) in ids.iter().enumerate() {
-            let pairs = idx.covering(&self.table, r as usize);
-            if pairs.is_empty() {
-                out.uncovered.push(r);
-                continue;
-            }
-            let mut last_rule = usize::MAX;
-            for (ri, ci) in pairs {
-                if ri == last_rule {
-                    continue; // first matching conjunct per rule wins
+            let row = r as usize;
+            // Only each rule's first matching conjunct is a hit, the one
+            // `Crr::predict` finds; later ones are not even tested.
+            let mut matched_rule = usize::MAX;
+            let hits = self.plan.covering(&self.rules, &self.table, row, |ri, ci| {
+                if ri == matched_rule {
+                    return false;
                 }
-                last_rule = ri;
+                let kernel = kernels[offsets[ri] + ci].get_or_insert_with(|| {
+                    CompiledConjunction::compile(
+                        &rules[ri].condition().conjuncts()[ci],
+                        &self.table,
+                    )
+                });
+                let hit = kernel.eval_row(row);
+                if hit {
+                    matched_rule = ri;
+                }
+                hit
+            });
+            let mut covered = false;
+            for (ri, ci) in hits {
+                covered = true;
                 out.routed_pairs += 1;
                 out.claimed.entry((ri, ci)).or_default().push(r);
                 if batch.ready[i] {
@@ -775,10 +826,11 @@ impl StreamEngine {
                 if !monitor {
                     continue;
                 }
-                let rule = &self.rules.rules()[ri];
+                let rule = &rules[ri];
+                let conj = &rule.condition().conjuncts()[ci];
                 let (Some(pred), Some(actual)) = (
-                    rule.predict(&self.table, r as usize),
-                    self.table.value_f64(r as usize, rule.target()),
+                    predict_matched(rule, conj, &self.table, row, &mut x),
+                    self.table.value_f64(row, rule.target()),
                 ) else {
                     continue; // missing values are vacuously satisfied
                 };
@@ -788,6 +840,9 @@ impl StreamEngine {
                         out.violated_rules.push(ri);
                     }
                 }
+            }
+            if !covered {
+                out.uncovered.push(r);
             }
         }
         out.violated_rules.dedup();
@@ -833,6 +888,7 @@ impl StreamEngine {
     /// audit of the current rule set: rules caught violating are flagged
     /// drifted immediately.
     fn rebuild_states(&mut self) {
+        self.plan = IntervalPlan::build(&self.rules, self.table.schema());
         let d = self.cfg.inputs.len();
         self.states = self
             .rules
@@ -857,7 +913,7 @@ impl StreamEngine {
             .filter(|&r| self.live[r as usize])
             .collect();
         let batch = self.gather(&ids);
-        let routed = self.route(&ids, true);
+        let routed = self.route(&ids, &batch, true);
         self.apply_append(&batch, &routed);
         for (&(ri, ci), rows) in &routed.claimed {
             self.members[ri][ci].extend_from_slice(rows);
@@ -938,6 +994,7 @@ impl StreamEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crr_core::Op;
     use crr_data::{AttrType, Schema};
     use crr_discovery::PredicateGen;
 
@@ -1150,6 +1207,332 @@ mod tests {
                 prop_assert_eq!(format!("{before:?}"), format!("{after:?}"));
             }
         }
+    }
+
+    #[test]
+    fn a_row_only_a_repaired_rule_covers_routes_to_it_next_batch() {
+        let mut e = engine(160);
+        // A new regime past the discovered range: repair learns rules
+        // for it and splices them in after the kept ones.
+        let batch: Vec<Vec<Value>> = (160..240).map(|i| row(i as f64, 5.0 * i as f64)).collect();
+        e.append(&batch).unwrap();
+        let report = e.repair().unwrap();
+        assert!(report.discovered_rules > 0);
+        assert!(!e.needs_repair());
+
+        // One more row of the new regime, which only repaired rules claim.
+        let probe = e.table().num_rows() as u32;
+        let out = e.append(&[row(238.5, 5.0 * 238.5)]).unwrap();
+        let covering: Vec<usize> = (0..e.rules().len())
+            .filter(|&ri| e.rules().rules()[ri].covers(e.table(), probe as usize))
+            .collect();
+        assert!(!covering.is_empty());
+        assert!(
+            covering.iter().all(|&ri| ri >= report.kept_rules),
+            "kept rules {} also cover the probe: {covering:?}",
+            report.kept_rules
+        );
+        assert_eq!(out.uncovered, 0);
+        assert_eq!(out.routed_pairs, covering.len());
+        assert_eq!(out.violations, 0);
+        for &ri in &covering {
+            let ci = e.rules().rules()[ri]
+                .condition()
+                .conjuncts()
+                .iter()
+                .position(|c| c.eval(e.table(), probe as usize))
+                .unwrap();
+            assert_eq!(e.members[ri][ci].last(), Some(&probe), "rule {ri}");
+        }
+    }
+
+    /// The routing oracle: every conjunction evaluated by the interpreter,
+    /// the first match per rule kept, the monitor through `Crr::predict`.
+    fn oracle_route(e: &StreamEngine, ids: &[u32], monitor: bool) -> Routed {
+        let t = &e.table;
+        let mut out = Routed::default();
+        for (i, &r) in ids.iter().enumerate() {
+            let row = r as usize;
+            let ready = e
+                .cfg
+                .inputs
+                .iter()
+                .chain([&e.cfg.target])
+                .all(|&a| t.value_f64(row, a).is_some_and(f64::is_finite));
+            let mut covered = false;
+            for (ri, rule) in e.rules.rules().iter().enumerate() {
+                let Some(ci) = rule
+                    .condition()
+                    .conjuncts()
+                    .iter()
+                    .position(|c| c.eval(t, row))
+                else {
+                    continue;
+                };
+                covered = true;
+                out.routed_pairs += 1;
+                out.claimed.entry((ri, ci)).or_default().push(r);
+                if ready {
+                    out.buckets.entry((ri, ci)).or_default().push(i as u32);
+                }
+                if !monitor {
+                    continue;
+                }
+                let (Some(pred), Some(actual)) =
+                    (rule.predict(t, row), t.value_f64(row, rule.target()))
+                else {
+                    continue;
+                };
+                if (actual - pred).abs() > rule.rho() + e.opts.tolerance {
+                    out.violations += 1;
+                    if out.violated_rules.last() != Some(&ri) {
+                        out.violated_rules.push(ri);
+                    }
+                }
+            }
+            if !covered {
+                out.uncovered.push(r);
+            }
+        }
+        out.violated_rules.dedup();
+        out
+    }
+
+    /// Routes `ids` on the engine's current state, checks every field
+    /// against the oracle, and returns the oracle's routing.
+    fn assert_route_matches_oracle(
+        e: &StreamEngine,
+        ids: &[u32],
+        monitor: bool,
+        ctx: &str,
+    ) -> Routed {
+        let got = e.route(ids, &e.gather(ids), monitor);
+        let want = oracle_route(e, ids, monitor);
+        assert_eq!(got.claimed, want.claimed, "{ctx}: claimed rows");
+        assert_eq!(got.buckets, want.buckets, "{ctx}: buckets");
+        assert_eq!(got.uncovered, want.uncovered, "{ctx}: uncovered rows");
+        assert_eq!(got.routed_pairs, want.routed_pairs, "{ctx}: routed pairs");
+        assert_eq!(got.violations, want.violations, "{ctx}: violations");
+        assert_eq!(
+            got.violated_rules, want.violated_rules,
+            "{ctx}: violated rules"
+        );
+        want
+    }
+
+    /// SplitMix64, so every case is reproducible from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<'v>(&mut self, from: &'v [&'v str]) -> &'v str {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    /// Schema of the routing property test: `k` is the attribute most
+    /// conjunctions bound (the indexed one, unless a case draws a rule set
+    /// without an indexable attribute), `s` a string condition attribute,
+    /// `i` an integer one, `x` the input and `y` the target.
+    const K: AttrId = AttrId(0);
+    const S: AttrId = AttrId(1);
+    const I: AttrId = AttrId(2);
+    const X: AttrId = AttrId(3);
+    const Y: AttrId = AttrId(4);
+
+    /// A random row. `words` are the strings `s` may take: appended
+    /// batches draw from a wider set, growing the dictionary.
+    fn random_row(rng: &mut Rng, words: &[&str]) -> Vec<Value> {
+        let k = match rng.below(10) {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            _ => Value::Float(rng.below(40) as f64 / 2.0),
+        };
+        let s = if rng.chance(8) {
+            Value::Null
+        } else {
+            Value::from(rng.pick(words))
+        };
+        let i = if rng.chance(8) {
+            Value::Null
+        } else {
+            Value::Int(rng.below(10) as i64)
+        };
+        let x = rng.below(20) as f64;
+        let y = match rng.below(12) {
+            0 => Value::Null,
+            1 => Value::Float(f64::NAN),
+            _ => Value::Float(2.0 * x + rng.below(5) as f64 - 2.0),
+        };
+        vec![k, s, i, Value::Float(x), y]
+    }
+
+    /// A random predicate; `bound_k` forces an interval bound on `k`.
+    fn random_pred(rng: &mut Rng, bound_k: bool) -> Predicate {
+        let ops = [Op::Eq, Op::Ne, Op::Gt, Op::Ge, Op::Lt, Op::Le];
+        let op = ops[rng.below(6) as usize];
+        if bound_k {
+            let c = Value::Float(rng.below(40) as f64 / 2.0);
+            let op = [Op::Gt, Op::Ge, Op::Lt, Op::Le, Op::Eq][rng.below(5) as usize];
+            return Predicate::new(K, op, c);
+        }
+        match rng.below(7) {
+            0 => Predicate::new(K, op, Value::Float(rng.below(40) as f64 / 2.0)),
+            // "d" and "e" enter the dictionary only in appended batches.
+            1 | 2 => Predicate::new(S, op, Value::from(rng.pick(&["a", "b", "bb", "d", "e"]))),
+            3 => Predicate::new(I, op, Value::Int(rng.below(10) as i64)),
+            4 => Predicate::new(I, op, Value::Float(rng.below(20) as f64 / 2.0)),
+            5 => match rng.below(4) {
+                0 => Predicate::is_null(K),
+                1 => Predicate::not_null(K),
+                2 => Predicate::is_null(S),
+                _ => Predicate::not_null(I),
+            },
+            _ => Predicate::new(X, op, Value::Float(rng.below(20) as f64)),
+        }
+    }
+
+    /// A random rule set over `x → y`: several conjuncts per rule, some
+    /// with translated built-ins. With `indexable` most conjuncts bound
+    /// `k`; otherwise none does.
+    fn random_rules(rng: &mut Rng, indexable: bool) -> RuleSet {
+        let n_rules = 1 + rng.below(7) as usize;
+        let rules = (0..n_rules)
+            .map(|_| {
+                let n_conj = 1 + rng.below(4) as usize;
+                let conjuncts = (0..n_conj)
+                    .map(|_| {
+                        let mut preds = Vec::new();
+                        if indexable && rng.chance(85) {
+                            for _ in 0..1 + rng.below(3) {
+                                preds.push(random_pred(rng, true));
+                            }
+                        }
+                        for _ in 0..rng.below(3) {
+                            let p = random_pred(rng, false);
+                            if indexable || p.attr != K {
+                                preds.push(p);
+                            }
+                        }
+                        if rng.chance(40) {
+                            let t = Translation {
+                                delta_x: vec![rng.below(5) as f64 - 2.0],
+                                delta_y: rng.below(5) as f64 - 2.0,
+                            };
+                            Conjunction::with_builtin(preds, t)
+                        } else {
+                            Conjunction::of(preds)
+                        }
+                    })
+                    .collect();
+                let model = crr_models::Model::Linear(crr_models::LinearModel::new(
+                    vec![rng.below(5) as f64 / 2.0],
+                    rng.below(5) as f64 - 2.0,
+                ));
+                Crr::new(
+                    vec![X],
+                    Y,
+                    std::sync::Arc::new(model),
+                    rng.below(4) as f64,
+                    Dnf::of(conjuncts),
+                )
+                .unwrap()
+            })
+            .collect();
+        RuleSet::from_rules(rules)
+    }
+
+    /// Seeded property test: over random tables and rule sets, every
+    /// append and delete batch routes exactly as the interpreted oracle
+    /// does — claimed rows, buckets, uncovered rows, routed pairs,
+    /// violations and violated rules — and the batch outcomes report the
+    /// oracle's counts.
+    #[test]
+    fn routing_matches_the_interpreted_oracle() {
+        let mut seen_indexed = 0;
+        let mut seen_fallback = 0;
+        let mut seen_new_words = 0;
+        // Routed pairs, violations and uncovered rows over all appends.
+        let mut seen = (0, 0, 0);
+        for seed in 0..96u64 {
+            let mut rng = Rng(seed);
+            let schema = Schema::new(vec![
+                ("k", AttrType::Float),
+                ("s", AttrType::Str),
+                ("i", AttrType::Int),
+                ("x", AttrType::Float),
+                ("y", AttrType::Float),
+            ]);
+            let mut t = Table::new(schema);
+            for _ in 0..40 {
+                t.push_row(random_row(&mut rng, &["a", "b", "c"])).unwrap();
+            }
+            let indexable = rng.chance(75);
+            let rules = random_rules(&mut rng, indexable);
+            let space = PredicateGen::binary(3).generate(&t, &[K], Y, 1);
+            let cfg = DiscoveryConfig::new(vec![X], Y, 1.0);
+            let mut e = StreamEngine::new(t, rules, cfg, space, StreamConfig::default()).unwrap();
+            if e.plan.indexed_attr().is_some() {
+                seen_indexed += 1;
+            } else {
+                seen_fallback += 1;
+            }
+            for step in 0..6 {
+                let ctx = format!("seed {seed} step {step}");
+                if step % 2 == 0 || e.live_count() < 10 {
+                    let rows: Vec<Vec<Value>> = (0..1 + rng.below(24))
+                        .map(|_| random_row(&mut rng, &["a", "b", "c", "d", "e"]))
+                        .collect();
+                    let dict_len =
+                        |e: &StreamEngine| e.table.column(S).dict().map_or(0, |d| d.len());
+                    let words = dict_len(&e);
+                    let start = e.table.num_rows() as u32;
+                    let out = e.append(&rows).unwrap();
+                    if dict_len(&e) > words {
+                        seen_new_words += 1;
+                    }
+                    let ids: Vec<u32> = (start..e.table.num_rows() as u32).collect();
+                    let want = assert_route_matches_oracle(&e, &ids, true, &ctx);
+                    seen.0 += want.routed_pairs;
+                    seen.1 += want.violations;
+                    seen.2 += want.uncovered.len();
+                    assert_eq!(out.routed_pairs, want.routed_pairs, "{ctx}");
+                    assert_eq!(out.uncovered, want.uncovered.len(), "{ctx}");
+                    assert_eq!(out.violations, want.violations, "{ctx}");
+                } else {
+                    let live: Vec<u32> = e.live_rows().iter().map(|r| r as u32).collect();
+                    let ids: Vec<u32> = live.iter().copied().filter(|_| rng.chance(30)).collect();
+                    let want = assert_route_matches_oracle(&e, &ids, false, &ctx);
+                    let rows: Vec<usize> = ids.iter().map(|&r| r as usize).collect();
+                    let out = e.delete(&rows).unwrap();
+                    assert_eq!(out.routed_pairs, want.routed_pairs, "{ctx}");
+                }
+            }
+        }
+        assert!(
+            seen_indexed > 0 && seen_fallback > 0,
+            "{seen_indexed} indexed, {seen_fallback} fallback"
+        );
+        assert!(seen_new_words > 0, "no batch grew the dictionary");
+        assert!(
+            seen.0 > 0 && seen.1 > 0 && seen.2 > 0,
+            "pairs, violations, uncovered: {seen:?}"
+        );
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! append/delete batches without rediscovery, following the maintenance
 //! contract documented in DESIGN.md §13:
 //!
-//! 1. **Route** — every changed row is pushed through the interval
-//!    [`crr_core::RuleIndex`] coverage query to find *all* rule
-//!    conjunctions whose condition claims it (not just the first match:
-//!    each covering rule's bias bound is a separate obligation).
+//! 1. **Route** — every changed row is pushed through the coverage query
+//!    of the rule set's [`crr_core::index::IntervalPlan`] (built once per
+//!    rule-set version) to find, for *every* rule, the first conjunction
+//!    whose condition claims it (not just the first rule: each covering
+//!    rule's bias bound is a separate obligation). Candidates are tested
+//!    on compiled kernels, and the monitor predicts from the matched
+//!    conjunct.
 //! 2. **Delta** — each covering conjunction's partition statistics
 //!    ([`crr_models::Moments`]) absorb the change exactly:
 //!    `Moments::add_rows` on append, `Moments::subtract` on delete —
@@ -33,7 +36,7 @@
 //!    over- or under-claims its regions is rejected at the swap gate.
 //!
 //! Everything is observable through the `stream.*` counters and gauges of
-//! [`crr_obs`] (metrics schema v5), and the whole loop is benchmarked in
+//! [`crr_obs`] (metrics schema v9), and the whole loop is benchmarked in
 //! `BENCH_stream.json` (schema `crr-stream-v1`): incremental maintenance
 //! of an appended Electricity slice against full rediscovery.
 //!

@@ -153,6 +153,10 @@ echo "==> lifecycle benchmark smoke (every perfbench workload, 1 s each)"
 # and runs all four workloads with every output check, so a broken build
 # or a failed lifecycle check fails here rather than in a benchmark run.
 run "perfbench smoke" python3 perfbench/run.py --workload all --seconds 1 --trace 0
+# The traced half's check: with the metrics sink on, every pass must still
+# repeat the repaired artifacts, RMSE and rule count of the untraced ones.
+run "perfbench traced maintain-window smoke" \
+  python3 perfbench/run.py --workload maintain-window --seconds 1 --trace 1
 
 if [ ${#FAILED[@]} -gt 0 ]; then
   echo "CI FAILED: ${#FAILED[@]} step(s) failed:" >&2
