@@ -334,7 +334,6 @@ impl BaselinePredictor for FittedRegTree {
 mod tests {
     use super::*;
     use crate::evaluate_predictor;
-    use crr_core::LocateStrategy;
     use crr_data::Schema;
 
     /// Two linear regimes split at x = 100.
@@ -378,7 +377,7 @@ mod tests {
         assert!(rules.uncovered(&t, &t.all_rows()).is_empty());
         for row in (0..200).step_by(7) {
             let tree_pred = tree.predict_row(&t, row).unwrap();
-            let rule_pred = rules.predict(&t, row, LocateStrategy::First).unwrap();
+            let rule_pred = rules.predict(&t, row).unwrap();
             assert!((tree_pred - rule_pred).abs() < 1e-12, "row {row}");
         }
     }

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use crr_bench::*;
-use crr_core::{LocateStrategy, RuleIndex};
+use crr_core::RuleIndex;
 use crr_discovery::SplitStrategy;
 
 /// Single-shard discovery through the session front door.
@@ -65,11 +65,11 @@ fn bench(c: &mut Criterion) {
     };
     let (_, rules) = measure_crr(&sc, &rows, &opts);
     g.bench_function("locate_scan", |b| {
-        b.iter(|| rules.evaluate(sc.table(), &rows, LocateStrategy::First))
+        b.iter(|| rules.evaluate(sc.table(), &rows))
     });
     let index = RuleIndex::build(&rules, sc.table());
     g.bench_function("locate_index", |b| {
-        b.iter(|| index.evaluate(sc.table(), &rows))
+        b.iter(|| index.compile(sc.table()).evaluate(&rows))
     });
     g.bench_function("index_build", |b| {
         b.iter(|| RuleIndex::build(&rules, sc.table()))

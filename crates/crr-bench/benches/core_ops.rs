@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use crr_bench::*;
 use crr_core::inference::{fusion, translation};
-use crr_core::{Conjunction, Crr, Dnf, LocateStrategy, Predicate};
+use crr_core::{Conjunction, Crr, Dnf, Predicate};
 use crr_data::Value;
 use crr_models::{fit_model, FitConfig, LinearModel, Model, ModelKind};
 use std::sync::Arc;
@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
     };
     let (_, rules) = measure_crr(&sc, &rows, &opts);
     c.bench_function("ruleset_evaluate_10k", |b| {
-        b.iter(|| rules.evaluate(table, &rows, LocateStrategy::First))
+        b.iter(|| rules.evaluate(table, &rows))
     });
 
     // Inference rules on synthetic rule pairs.

@@ -133,7 +133,6 @@
 
 use crr_baselines::{RegTree, RegTreeConfig};
 use crr_bench::*;
-use crr_core::LocateStrategy;
 use crr_data::{RowSet, ShardSpec, Table};
 use crr_datasets::{abalone, airquality, birdmap, electricity, paper_sizes, tax, GenConfig};
 use crr_discovery::{
@@ -672,7 +671,7 @@ fn fig7(scale: f64) {
         let mut rule_sum = 0usize;
         for r in &results {
             let d = r.as_ref().expect("discovery");
-            let report = d.rules.evaluate(table, &sc.rows(), LocateStrategy::First);
+            let report = d.rules.evaluate(table, &sc.rows());
             rmse_sum += report.rmse;
             rule_sum += d.rules.len();
         }
@@ -709,7 +708,7 @@ fn fig8(scale: f64) {
                 ..Default::default()
             };
             let (crr, ruleset) = measure_crr(sc, &train, &opts);
-            let test_rep = ruleset.evaluate(sc.table(), &test, LocateStrategy::First);
+            let test_rep = ruleset.evaluate(sc.table(), &test);
             rows.push(vec![
                 name.to_string(),
                 format!("{rho}"),
@@ -1014,7 +1013,7 @@ fn ablation(scale: f64) {
         let start = Instant::now();
         let d = session.run().expect("discover");
         let learn = start.elapsed();
-        let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
+        let rep = d.rules.evaluate(sc.table(), &rows);
         out.push(vec![
             label.to_string(),
             secs(learn),
@@ -1043,7 +1042,7 @@ fn ablation(scale: f64) {
         ("compact=pure", compact(&d.rules, 1e-6).expect("compact").0),
         ("compact=none", d.rules.clone()),
     ] {
-        let rep = rules.evaluate(sc.table(), &rows, LocateStrategy::First);
+        let rep = rules.evaluate(sc.table(), &rows);
         out.push(vec![
             label.to_string(),
             "-".into(),
@@ -1057,11 +1056,11 @@ fn ablation(scale: f64) {
     let (compacted, _) =
         compact_on_data(&d.rules, 1e-6, cfg.rho_max, sc.table(), &rows).expect("compact");
     let t0 = Instant::now();
-    let scan_rep = compacted.evaluate(sc.table(), &rows, LocateStrategy::First);
+    let scan_rep = compacted.evaluate(sc.table(), &rows);
     let scan_time = t0.elapsed();
     let t1 = Instant::now();
     let index = RuleIndex::build(&compacted, sc.table());
-    let idx_rep = index.evaluate(sc.table(), &rows);
+    let idx_rep = index.compile(sc.table()).evaluate(&rows);
     let idx_time = t1.elapsed();
     assert_eq!(scan_rep, idx_rep, "index must match the scan exactly");
     out.push(vec![
@@ -1102,7 +1101,6 @@ fn ablation(scale: f64) {
 /// the snapshots are written as a `metrics.json` document after in-process
 /// invariant checks.
 fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
-    use crr_core::LocateStrategy;
     use crr_discovery::MetricsSink;
 
     let reps = if scale >= 1.0 { 3 } else { 1 };
@@ -1144,7 +1142,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                 found = Some(d);
             }
             let d = found.expect("at least one rep");
-            let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
+            let rep = d.rules.evaluate(sc.table(), &rows);
             table_rows.push(vec![
                 name.to_string(),
                 rows.len().to_string(),
@@ -1250,7 +1248,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             }
         }
         let d = quantile_found.expect("at least one quantile rep");
-        let rep = d.rules.evaluate(sc.table(), &rows, LocateStrategy::First);
+        let rep = d.rules.evaluate(sc.table(), &rows);
         let quantile_best = secs[2].iter().copied().fold(f64::INFINITY, f64::min);
         table_rows.push(vec![
             name.to_string(),
@@ -1671,13 +1669,12 @@ fn serving_cmd(scale: f64, path: &str) {
     for &row in &probe_rows {
         probe.push_row(sc.table().row(row)).expect("probe row");
     }
-    let index = crr_core::RuleIndex::build(&artifact.rules, &probe);
     let mut expected = String::from("\"predictions\": [");
     for row in 0..probe.num_rows() {
         if row > 0 {
             expected.push_str(", ");
         }
-        match index.predict(&probe, row) {
+        match artifact.rules.predict(&probe, row) {
             Some(x) => expected.push_str(&crr_obs::json::num(x)),
             None => expected.push_str("null"),
         }
@@ -2003,13 +2000,12 @@ fn stream_cell(
             probe.push_row(engine.table().row(row)).expect("probe row");
         }
         body.push_str("]}");
-        let index = crr_core::RuleIndex::build(&artifact.rules, &probe);
         let mut expected = String::from("\"predictions\": [");
         for row in 0..probe.num_rows() {
             if row > 0 {
                 expected.push_str(", ");
             }
-            match index.predict(&probe, row) {
+            match artifact.rules.predict(&probe, row) {
                 Some(x) => expected.push_str(&crr_obs::json::num(x)),
                 None => expected.push_str("null"),
             }

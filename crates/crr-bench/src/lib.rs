@@ -317,7 +317,7 @@ pub fn measure_crr(sc: &Scenario, rows: &RowSet, opts: &CrrOptions) -> (MethodRe
     // logarithmic instead of a scan.
     let eval_start = Instant::now();
     let index = RuleIndex::build(&rules, sc.table());
-    let report = index.evaluate(sc.table(), rows);
+    let report = index.compile(sc.table()).evaluate(rows);
     let eval = eval_start.elapsed();
     (
         MethodResult {

@@ -8,7 +8,7 @@
 //! (flag suspect GPS fixes, mistyped tax amounts) before or instead of
 //! repair.
 
-use crate::{Crr, RuleSet};
+use crate::RuleSet;
 use crr_data::{RowSet, Table};
 
 /// One detected violation.
@@ -91,38 +91,10 @@ pub fn check(rules: &RuleSet, table: &Table, rows: &RowSet) -> CheckReport {
     report
 }
 
-/// Convenience: checks one rule (e.g. a freshly learned candidate) and
-/// returns the first violation, mirroring [`Crr::find_violation`] but with
-/// full diagnostics.
-pub fn first_violation(rule: &Crr, table: &Table, rows: &RowSet) -> Option<Violation> {
-    for row in rows.iter() {
-        if !rule.covers(table, row) {
-            continue;
-        }
-        let (Some(predicted), Some(actual)) = (
-            rule.predict(table, row),
-            table.value_f64(row, rule.target()),
-        ) else {
-            continue;
-        };
-        let deviation = (actual - predicted).abs();
-        if deviation > rule.rho() + 1e-12 {
-            return Some(Violation {
-                row,
-                rule: 0,
-                actual,
-                predicted,
-                deviation,
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conjunction, Dnf, Predicate};
+    use crate::{Conjunction, Crr, Dnf, Predicate};
     use crr_data::{AttrId, AttrType, Schema, Value};
     use crr_models::{LinearModel, Model};
     use std::sync::Arc;
@@ -214,16 +186,6 @@ mod tests {
         assert!(report.is_clean()); // the outlier at row 7 is uncovered
         assert_eq!(report.checked, 5);
         assert_eq!(report.uncovered, 15);
-    }
-
-    #[test]
-    fn first_violation_gives_diagnostics() {
-        let t = table_with_outlier();
-        let rules = exact_rule(0.5);
-        let v = first_violation(&rules.rules()[0], &t, &t.all_rows()).unwrap();
-        assert_eq!(v.row, 7);
-        assert_eq!(v.actual, 19.0);
-        assert_eq!(v.predicted, 14.0);
     }
 
     #[test]

@@ -1,29 +1,34 @@
-//! Interval index for rule locating.
+//! Interval index and the compiled coverage engine.
 //!
 //! Rule sets produced by discovery + compaction hold few rules but many
 //! conjunctions (one per shared data part), and [`crate::RuleSet`]'s
 //! locate is a linear scan over all of them. For the common case — most
 //! conjunctions bound one numeric attribute (the time axis, salary, …) —
-//! an [`IntervalPlan`] turns locating into a binary search:
+//! an [`IntervalPlan`] turns that scan into a binary search:
 //!
 //! 1. pick the numeric attribute bounded by the most conjunctions;
 //! 2. extract each conjunction's (conservative, closed) interval on it;
 //! 3. flatten all interval endpoints into segments; each segment stores
 //!    the conjunctions overlapping it, in `(rule, conjunction)` order.
 //!
-//! A lookup binary-searches the segment for the row's value and then
-//! *fully evaluates* only the candidate conjunctions, so the result is
-//! exactly what the linear [`crate::LocateStrategy::First`] scan returns —
-//! the index is purely an accelerator, never a semantic change (asserted
-//! by the equivalence tests below and the property tests in
-//! `tests/proptest_index.rs`).
+//! [`CompiledIndex`] answers the coverage questions through a plan: it
+//! binary-searches the segment for the row's value and then *fully
+//! evaluates* only the candidate conjunctions, on [`crate::compiled`]
+//! kernels. Its `locate` returns exactly the rule and conjunct the linear
+//! [`crate::RuleSet::locate`] scan uses, and its `covering` visits exactly
+//! the rules [`crate::check::check`] tests — the index is purely an
+//! accelerator, never a semantic change (asserted by the equivalence tests
+//! below and the property tests in `tests/proptest_index.rs`).
 //!
-//! The plan owns its segments and borrows nothing, so a maintainer can
-//! keep one per rule set while the relation grows. [`RuleIndex`] pairs a
-//! plan with the rules it was built over for the serving-side queries.
+//! The plan owns its segments and borrows nothing, so a maintainer or a
+//! serving set can keep one per rule set while the relation grows and
+//! requests come and go. [`RuleIndex`] pairs a plan with the rules it was
+//! built over.
 
+use crate::ruleset::{evaluate_with, EvalReport};
 use crate::{CompiledConjunction, Conjunction, Crr, Op, RuleSet};
 use crr_data::{AttrId, RowSet, Schema, Table};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// One candidate: indices of a rule and one of its conjunctions.
@@ -56,16 +61,6 @@ pub struct IntervalPlan {
     unbounded: Vec<Candidate>,
     /// Rules and conjunctions the plan was built over.
     shape: (usize, usize),
-}
-
-/// Rules and total conjunctions of `rules`.
-fn shape_of(rules: &RuleSet) -> (usize, usize) {
-    let conjuncts = rules
-        .rules()
-        .iter()
-        .map(|r| r.condition().conjuncts().len())
-        .sum();
-    (rules.len(), conjuncts)
 }
 
 /// Conservative closed interval of a conjunction on one attribute:
@@ -188,29 +183,11 @@ impl IntervalPlan {
         self.attr
     }
 
-    /// The coverage query: every `(rule, conjunction)` index pair that can
-    /// cover `row` and passes `covers`, in ascending `(rule, conjunction)`
-    /// order. `rules` must be the rule set the plan was built over.
-    ///
-    /// The plan only rules out conjunctions whose interval on the indexed
-    /// attribute excludes the row (a null there excludes every bounded
-    /// one); `covers(rule, conjunction)` tests each remaining candidate
-    /// against the row, interpreted or compiled. It is called in that same
-    /// order as the iterator advances, so it may keep state across calls.
-    /// Serving takes the first pair; a write-time monitor walks them all,
-    /// because each covering rule's bias bound is a separate obligation on
-    /// the row.
-    pub fn covering<'p, F>(
-        &'p self,
-        rules: &RuleSet,
-        table: &Table,
-        row: usize,
-        mut covers: F,
-    ) -> impl Iterator<Item = (usize, usize)> + 'p
-    where
-        F: FnMut(usize, usize) -> bool + 'p,
-    {
-        debug_assert_eq!(self.shape, shape_of(rules), "plan of another rule set");
+    /// The `(rule, conjunction)` candidates that can cover `row`, in
+    /// ascending order. The plan only rules out conjunctions whose
+    /// interval on the indexed attribute excludes the row (a null there
+    /// excludes every bounded one); the caller tests the rest.
+    fn candidates(&self, table: &Table, row: usize) -> Merge<'_> {
         let bounded: &[Candidate] = match self.attr.map(|a| table.value_f64(row, a)) {
             Some(Some(v)) => &self.segments[self.boundaries.partition_point(|&b| b <= v)],
             // A null on the indexed attribute fails every bounded
@@ -222,8 +199,6 @@ impl IntervalPlan {
             a: bounded,
             b: &self.unbounded,
         }
-        .map(|c| (c.rule as usize, c.conj as usize))
-        .filter(move |&(ri, ci)| covers(ri, ci))
     }
 }
 
@@ -249,7 +224,7 @@ impl<'p> Iterator for Merge<'p> {
 }
 
 /// An interval-indexed view of a rule set: its [`IntervalPlan`] plus the
-/// rules it was built over (see module docs).
+/// rules it was built over.
 #[derive(Debug, Clone)]
 pub struct RuleIndex<'a> {
     rules: &'a RuleSet,
@@ -266,177 +241,123 @@ impl<'a> RuleIndex<'a> {
         }
     }
 
-    /// The indexed attribute, if any.
-    pub fn indexed_attr(&self) -> Option<AttrId> {
-        self.plan.indexed_attr()
-    }
-
-    /// Locates the first (in rule-set order) rule + conjunction covering
-    /// `row` — identical to the linear `First` scan.
-    pub fn locate(&self, table: &Table, row: usize) -> Option<(&'a Crr, &'a Conjunction)> {
-        let (ri, ci) = self
-            .plan
-            .covering(self.rules, table, row, |ri, ci| {
-                self.resolve(ri, ci).1.eval(table, row)
-            })
-            .next()?;
-        Some(self.resolve(ri, ci))
-    }
-
-    /// Predicts for `row` using the located rule's conjunction built-ins.
-    pub fn predict(&self, table: &Table, row: usize) -> Option<f64> {
-        let (rule, conj) = self.locate(table, row)?;
-        predict_at(rule, conj, table, row)
-    }
-
-    /// RMSE evaluation over `rows` via the index — the accelerated
-    /// counterpart of [`RuleSet::evaluate`].
-    pub fn evaluate(&self, table: &Table, rows: &RowSet) -> crate::ruleset::EvalReport {
-        evaluate_with(self.rules, table, rows, |row| self.locate(table, row))
-    }
-
-    fn resolve(&self, ri: usize, ci: usize) -> (&'a Crr, &'a Conjunction) {
-        let rule = &self.rules.rules()[ri];
-        (rule, &rule.condition().conjuncts()[ci])
-    }
-
-    /// Compiles every conjunction against `table`'s columns once, yielding
-    /// a locate/evaluate engine whose per-row predicate checks run on the
-    /// [`crate::compiled`] kernels instead of the interpreter. The compiled
-    /// kernels are byte-identical to `Conjunction::eval` (pinned by the
-    /// equivalence tests in `crate::compiled` and below), so every
-    /// `CompiledIndex` answer equals the interpreted [`RuleIndex`] answer.
+    /// The coverage engine of this index's rules and plan over `table`
+    /// (see [`CompiledIndex::new`]).
     pub fn compile<'t>(&'a self, table: &'t Table) -> CompiledIndex<'a, 't> {
-        let compiled = self
-            .rules
-            .rules()
-            .iter()
-            .map(|rule| {
-                rule.condition()
-                    .conjuncts()
-                    .iter()
-                    .map(|conj| CompiledConjunction::compile(conj, table))
-                    .collect()
-            })
-            .collect();
-        CompiledIndex {
-            index: self,
-            table,
-            compiled,
-        }
+        CompiledIndex::new(self.rules, &self.plan, table)
     }
 }
 
-/// A [`RuleIndex`] with every conjunction pre-compiled against one table
-/// (see [`RuleIndex::compile`]): attribute → column resolution and constant
-/// typing happen once at build, so the per-row checks inside `locate`,
-/// `predict`, `evaluate` and `covers` are branch-light column reads.
+/// The coverage engine of one rule set over one table: which rules cover a
+/// row, and under which conjunct. Candidates come from the rule set's
+/// [`IntervalPlan`]; each candidate conjunction is compiled against the
+/// table's columns the first time a row needs it, so attribute → column
+/// resolution and constant typing happen once per conjunction and the
+/// per-row checks are branch-light column reads. The kernels agree with
+/// `Conjunction::eval` on every row (pinned by the equivalence tests in
+/// [`crate::compiled`] and below), so every answer equals the interpreted
+/// definition's.
+///
+/// The lazily filled kernels make the engine `!Sync`: build one per
+/// thread.
 #[derive(Debug)]
 pub struct CompiledIndex<'a, 't> {
-    index: &'a RuleIndex<'a>,
+    rules: &'a RuleSet,
+    plan: &'a IntervalPlan,
     table: &'t Table,
-    /// `compiled[rule][conj]`, parallel to the rule set's conjunctions.
-    compiled: Vec<Vec<CompiledConjunction<'t>>>,
+    /// Index in `kernels` of each rule's first conjunction.
+    offsets: Vec<usize>,
+    /// One cell per conjunction of the rule set, in `(rule, conjunction)`
+    /// order, compiled on first use.
+    kernels: Vec<OnceCell<CompiledConjunction<'t>>>,
 }
 
-impl<'a> CompiledIndex<'a, '_> {
-    /// Compiled counterpart of [`RuleIndex::locate`] — identical result.
-    pub fn locate(&self, row: usize) -> Option<(&'a Crr, &'a Conjunction)> {
-        let (ri, ci) = self
-            .index
-            .plan
-            .covering(self.index.rules, self.table, row, |ri, ci| {
-                self.compiled[ri][ci].eval_row(row)
-            })
-            .next()?;
-        Some(self.index.resolve(ri, ci))
+impl<'a, 't> CompiledIndex<'a, 't> {
+    /// The engine of `rules` over `table`, looking candidates up in
+    /// `plan`, which must be [`IntervalPlan::build`]'s plan of `rules`.
+    /// Compiles nothing yet.
+    ///
+    /// # Panics
+    ///
+    /// When `plan` was built over a rule set with a different number of
+    /// rules or conjunctions.
+    pub fn new(rules: &'a RuleSet, plan: &'a IntervalPlan, table: &'t Table) -> Self {
+        let mut offsets = Vec::with_capacity(rules.len());
+        let mut slots = 0;
+        for rule in rules.rules() {
+            offsets.push(slots);
+            slots += rule.condition().conjuncts().len();
+        }
+        assert_eq!(
+            plan.shape,
+            (rules.len(), slots),
+            "interval plan of another rule set"
+        );
+        CompiledIndex {
+            rules,
+            plan,
+            table,
+            offsets,
+            kernels: std::iter::repeat_with(OnceCell::new).take(slots).collect(),
+        }
     }
 
-    /// Compiled counterpart of [`RuleIndex::predict`].
+    /// Whether candidate `c`'s conjunction covers `row`.
+    fn matches(&self, c: Candidate, row: usize) -> bool {
+        let (ri, ci) = (c.rule as usize, c.conj as usize);
+        self.kernels[self.offsets[ri] + ci]
+            .get_or_init(|| {
+                let conj = &self.rules.rules()[ri].condition().conjuncts()[ci];
+                CompiledConjunction::compile(conj, self.table)
+            })
+            .eval_row(row)
+    }
+
+    /// The first rule covering `row`, in rule-set order, with its first
+    /// conjunction that does: the rule [`RuleSet::locate`] finds and the
+    /// conjunct [`Crr::predict`] applies.
+    pub fn locate(&self, row: usize) -> Option<(&'a Crr, &'a Conjunction)> {
+        let c = self
+            .plan
+            .candidates(self.table, row)
+            .find(|&c| self.matches(c, row))?;
+        let rule = &self.rules.rules()[c.rule as usize];
+        Some((rule, &rule.condition().conjuncts()[c.conj as usize]))
+    }
+
+    /// Calls `visit(rule, conjunction)` with the index of every rule
+    /// covering `row`, in rule-set order, and the index of that rule's
+    /// first conjunction covering it; later conjunctions of a covering
+    /// rule are not tested. These are the rules [`crate::check::check`]
+    /// holds the row to: each covering rule's bias bound is a separate
+    /// constraint on it.
+    pub fn covering(&self, row: usize, mut visit: impl FnMut(usize, usize)) {
+        let mut matched = None;
+        for c in self.plan.candidates(self.table, row) {
+            if matched != Some(c.rule) && self.matches(c, row) {
+                matched = Some(c.rule);
+                visit(c.rule as usize, c.conj as usize);
+            }
+        }
+    }
+
+    /// [`RuleSet::predict`] through the engine.
     pub fn predict(&self, row: usize) -> Option<f64> {
         let (rule, conj) = self.locate(row)?;
-        predict_at(rule, conj, self.table, row)
+        rule.predict_at(conj, self.table, row, &mut Vec::new())
     }
 
-    /// Whether any rule covers `row` (first-match semantics).
-    pub fn covers(&self, row: usize) -> bool {
-        self.locate(row).is_some()
-    }
-
-    /// Compiled counterpart of [`RuleIndex::evaluate`] — same accumulation
-    /// order, so the report is bitwise identical.
-    pub fn evaluate(&self, rows: &RowSet) -> crate::ruleset::EvalReport {
-        evaluate_with(self.index.rules, self.table, rows, |row| self.locate(row))
-    }
-}
-
-/// One rule's prediction at `row`, applying the conjunction's built-in
-/// translation — shared by the interpreted and compiled locate paths.
-fn predict_at(rule: &Crr, conj: &Conjunction, table: &Table, row: usize) -> Option<f64> {
-    let x: Vec<f64> = rule
-        .inputs()
-        .iter()
-        .map(|&a| table.value_f64(row, a))
-        .collect::<Option<Vec<f64>>>()?;
-    Some(match conj.builtin() {
-        Some(t) => rule.model().predict_translated(&x, t),
-        None => crr_models::Regressor::predict(rule.model().as_ref(), &x),
-    })
-}
-
-/// RMSE/MAE accumulation over `rows` given a locate engine — the single
-/// source of truth both `evaluate` paths share, so interpreted and
-/// compiled reports can only differ if `locate` itself differs.
-fn evaluate_with<'r>(
-    rules: &'r RuleSet,
-    table: &Table,
-    rows: &RowSet,
-    mut locate: impl FnMut(usize) -> Option<(&'r Crr, &'r Conjunction)>,
-) -> crate::ruleset::EvalReport {
-    let target = rules.rules().first().map(Crr::target);
-    let mut sse = 0.0;
-    let mut sae = 0.0;
-    let mut covered = 0usize;
-    let mut scored = 0usize;
-    for row in rows.iter() {
-        let Some((rule, conj)) = locate(row) else {
-            continue;
-        };
-        covered += 1;
-        let x: Option<Vec<f64>> = rule
-            .inputs()
-            .iter()
-            .map(|&a| table.value_f64(row, a))
-            .collect();
-        let (Some(x), Some(actual)) = (x, target.and_then(|t| table.value_f64(row, t))) else {
-            continue;
-        };
-        let pred = match conj.builtin() {
-            Some(t) => rule.model().predict_translated(&x, t),
-            None => crr_models::Regressor::predict(rule.model().as_ref(), &x),
-        };
-        scored += 1;
-        let e = pred - actual;
-        sse += e * e;
-        sae += e.abs();
-    }
-    crate::ruleset::EvalReport {
-        rmse: if scored > 0 {
-            (sse / scored as f64).sqrt()
-        } else {
-            0.0
-        },
-        mae: if scored > 0 { sae / scored as f64 } else { 0.0 },
-        covered,
-        scored,
-        total: rows.len(),
+    /// [`RuleSet::evaluate`] through the engine: the same accumulation in
+    /// the same order, so the report is bitwise identical.
+    pub fn evaluate(&self, rows: &RowSet) -> EvalReport {
+        evaluate_with(self.rules, self.table, rows, |row| self.locate(row))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dnf, LocateStrategy, Predicate};
+    use crate::{Dnf, Predicate};
     use crr_data::{AttrType, Schema, Value};
     use crr_models::{LinearModel, Model, Translation};
     use std::sync::Arc;
@@ -487,27 +408,69 @@ mod tests {
         .unwrap()])
     }
 
-    #[test]
-    fn index_matches_linear_scan() {
-        let t = table(200);
-        let rules = segmented_rules(20, 10.0);
-        let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(idx.indexed_attr(), Some(x()));
-        for row in 0..t.num_rows() {
-            let scan = rules.predict(&t, row, LocateStrategy::First);
-            let fast = idx.predict(&t, row);
-            assert_eq!(scan, fast, "row {row}");
+    /// The coverage oracle: every rule's first covering conjunction, by
+    /// the interpreter.
+    fn covering_scan(rules: &RuleSet, t: &Table, row: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (ri, rule) in rules.rules().iter().enumerate() {
+            let conjuncts = rule.condition().conjuncts();
+            if let Some(ci) = conjuncts.iter().position(|c| c.eval(t, row)) {
+                out.push((ri, ci));
+            }
         }
+        out
+    }
+
+    fn covering(fast: &CompiledIndex<'_, '_>, row: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        fast.covering(row, |ri, ci| out.push((ri, ci)));
+        out
+    }
+
+    /// Every engine answer equals the interpreted definition's on every
+    /// row of `t`: the located rule and conjunct, the prediction's bits,
+    /// the covering rules, and the evaluation report.
+    fn assert_matches_scan(rules: &RuleSet, t: &Table) {
+        let idx = RuleIndex::build(rules, t);
+        let fast = idx.compile(t);
+        for row in 0..t.num_rows() {
+            let want = rules
+                .locate(t, row)
+                .map(|r| (r, r.condition().matching_conjunct(t, row).unwrap()));
+            let got = fast.locate(row);
+            assert_eq!(
+                got.map(|(r, c)| (r as *const Crr, c as *const Conjunction)),
+                want.map(|(r, c)| (r as *const Crr, c as *const Conjunction)),
+                "row {row}"
+            );
+            assert_eq!(
+                fast.predict(row).map(f64::to_bits),
+                rules.predict(t, row).map(f64::to_bits),
+                "row {row}"
+            );
+            assert_eq!(
+                covering(&fast, row),
+                covering_scan(rules, t, row),
+                "row {row}"
+            );
+        }
+        let a = rules.evaluate(t, &t.all_rows());
+        let b = fast.evaluate(&t.all_rows());
+        assert_eq!(a, b);
+        assert_eq!(a.rmse.to_bits(), b.rmse.to_bits());
     }
 
     #[test]
-    fn evaluate_matches_ruleset_evaluate() {
-        let t = table(150);
-        let rules = segmented_rules(15, 10.0);
-        let idx = RuleIndex::build(&rules, &t);
-        let a = rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
-        let b = idx.evaluate(&t, &t.all_rows());
-        assert_eq!(a, b);
+    fn index_matches_linear_scan() {
+        let mut t = table(200);
+        t.set_null(7, x());
+        t.set_null(42, x());
+        let rules = segmented_rules(20, 10.0);
+        assert_eq!(
+            IntervalPlan::build(&rules, t.schema()).indexed_attr(),
+            Some(x())
+        );
+        assert_matches_scan(&rules, &t);
     }
 
     #[test]
@@ -548,28 +511,19 @@ mod tests {
         all.extend(more);
         all.push(catch_all);
         let rules = RuleSet::from_rules(all);
-        let idx = RuleIndex::build(&rules, &t);
-        for row in 0..t.num_rows() {
-            assert_eq!(
-                rules.predict(&t, row, LocateStrategy::First),
-                idx.predict(&t, row),
-                "row {row}"
-            );
-        }
+        assert_eq!(
+            IntervalPlan::build(&rules, t.schema()).indexed_attr(),
+            Some(x())
+        );
+        assert_matches_scan(&rules, &t);
     }
 
     #[test]
     fn small_or_unindexable_sets_fall_back_to_scan() {
         let t = table(20);
         let rules = segmented_rules(2, 10.0); // too few conjuncts to index
-        let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(idx.indexed_attr(), None);
-        for row in 0..t.num_rows() {
-            assert_eq!(
-                rules.predict(&t, row, LocateStrategy::First),
-                idx.predict(&t, row)
-            );
-        }
+        assert_eq!(IntervalPlan::build(&rules, t.schema()).indexed_attr(), None);
+        assert_matches_scan(&rules, &t);
     }
 
     #[test]
@@ -578,56 +532,8 @@ mod tests {
         t.set_null(5, x());
         let rules = segmented_rules(10, 10.0);
         let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(rules.predict(&t, 5, LocateStrategy::First), None);
-        assert_eq!(idx.predict(&t, 5), None);
-    }
-
-    #[test]
-    fn compiled_index_matches_interpreted_on_every_row() {
-        let mut t = table(200);
-        t.set_null(7, x());
-        t.set_null(42, x());
-        let rules = segmented_rules(20, 10.0);
-        let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(idx.indexed_attr(), Some(x()));
-        let fast = idx.compile(&t);
-        for row in 0..t.num_rows() {
-            let a = idx.predict(&t, row);
-            let b = fast.predict(row);
-            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "row {row}");
-            assert_eq!(idx.locate(&t, row).is_some(), fast.covers(row), "row {row}");
-        }
-        let ea = idx.evaluate(&t, &t.all_rows());
-        let eb = fast.evaluate(&t.all_rows());
-        assert_eq!(ea, eb);
-        assert_eq!(ea.rmse.to_bits(), eb.rmse.to_bits());
-    }
-
-    /// The plan's coverage query with interpreted candidate tests.
-    fn covering(
-        plan: &IntervalPlan,
-        rules: &RuleSet,
-        t: &Table,
-        row: usize,
-    ) -> Vec<(usize, usize)> {
-        plan.covering(rules, t, row, |ri, ci| {
-            rules.rules()[ri].condition().conjuncts()[ci].eval(t, row)
-        })
-        .collect()
-    }
-
-    /// Brute-force oracle for the coverage query: evaluate every
-    /// conjunction.
-    fn covering_scan(rules: &RuleSet, t: &Table, row: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (ri, rule) in rules.rules().iter().enumerate() {
-            for (ci, conj) in rule.condition().conjuncts().iter().enumerate() {
-                if conj.eval(t, row) {
-                    out.push((ri, ci));
-                }
-            }
-        }
-        out
+        assert_eq!(rules.predict(&t, 5), None);
+        assert_eq!(idx.compile(&t).predict(5), None);
     }
 
     #[test]
@@ -635,50 +541,31 @@ mod tests {
         let mut t = table(120);
         t.set_null(3, x());
         // Segmented rule + a tautological catch-all: every non-null row is
-        // covered by exactly two conjunctions, null rows by one.
+        // covered by both rules, null rows by the catch-all only.
         let model = Arc::new(Model::Linear(LinearModel::new(vec![2.0], 0.0)));
         let mut rules = segmented_rules(12, 10.0);
         rules.push(Crr::new(vec![x()], y(), model, 0.5, Dnf::tautology()).unwrap());
-        let plan = IntervalPlan::build(&rules, t.schema());
-        assert_eq!(plan.indexed_attr(), Some(x()));
-        for row in 0..t.num_rows() {
-            assert_eq!(
-                covering(&plan, &rules, &t, row),
-                covering_scan(&rules, &t, row),
-                "row {row}"
-            );
-        }
         assert_eq!(
-            covering(&plan, &rules, &t, 3),
+            IntervalPlan::build(&rules, t.schema()).indexed_attr(),
+            Some(x())
+        );
+        assert_matches_scan(&rules, &t);
+        let idx = RuleIndex::build(&rules, &t);
+        let fast = idx.compile(&t);
+        assert_eq!(covering(&fast, 25), vec![(0, 2), (1, 0)]);
+        assert_eq!(
+            covering(&fast, 3),
             vec![(1, 0)],
             "null row hits only the catch-all"
         );
     }
 
     #[test]
-    fn covering_matches_on_the_scan_fallback() {
-        let t = table(20);
-        let rules = segmented_rules(2, 10.0); // unindexable: linear scan
-        let plan = IntervalPlan::build(&rules, t.schema());
-        assert_eq!(plan.indexed_attr(), None);
-        for row in 0..t.num_rows() {
-            assert_eq!(
-                covering(&plan, &rules, &t, row),
-                covering_scan(&rules, &t, row),
-                "row {row}"
-            );
-        }
-    }
-
-    #[test]
-    fn compiled_index_matches_on_the_scan_fallback() {
-        let t = table(20);
-        let rules = segmented_rules(2, 10.0); // unindexable: linear scan
-        let idx = RuleIndex::build(&rules, &t);
-        assert_eq!(idx.indexed_attr(), None);
-        let fast = idx.compile(&t);
-        for row in 0..t.num_rows() {
-            assert_eq!(idx.predict(&t, row), fast.predict(row), "row {row}");
-        }
+    #[should_panic(expected = "interval plan of another rule set")]
+    fn a_plan_of_another_rule_set_is_refused() {
+        let t = table(10);
+        let plan = IntervalPlan::build(&segmented_rules(6, 10.0), t.schema());
+        let rules = segmented_rules(5, 10.0);
+        let _ = CompiledIndex::new(&rules, &plan, &t);
     }
 }

@@ -71,7 +71,7 @@ pub use error::CoreError;
 pub use index::{CompiledIndex, RuleIndex};
 pub use predicate::{Op, Predicate};
 pub use rule::Crr;
-pub use ruleset::{EvalReport, LocateStrategy, RuleSet};
+pub use ruleset::{EvalReport, RuleSet};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -1,6 +1,6 @@
-use crate::{CoreError, Dnf, Result};
+use crate::{Conjunction, CoreError, Dnf, Result};
 use crr_data::{AttrId, RowSet, Schema, Table};
-use crr_models::{Model, Regressor, Translation};
+use crr_models::{Model, Regressor};
 use std::fmt;
 use std::sync::Arc;
 
@@ -116,14 +116,28 @@ impl Crr {
     /// `None` when the tuple is not covered or has missing inputs.
     pub fn predict(&self, table: &Table, row: usize) -> Option<f64> {
         let conj = self.condition.matching_conjunct(table, row)?;
-        let x: Vec<f64> = self
-            .inputs
-            .iter()
-            .map(|&a| table.value_f64(row, a))
-            .collect::<Option<Vec<f64>>>()?;
+        self.predict_at(conj, table, row, &mut Vec::new())
+    }
+
+    /// The prediction at `row` under `conj`, the conjunction of this rule
+    /// found to cover the row: the model applied to the row's inputs,
+    /// translated by `conj`'s built-ins. The inputs are read into `x`, a
+    /// buffer the caller may reuse across rows. `None` when an input is
+    /// missing.
+    pub fn predict_at(
+        &self,
+        conj: &Conjunction,
+        table: &Table,
+        row: usize,
+        x: &mut Vec<f64>,
+    ) -> Option<f64> {
+        x.clear();
+        for &a in &self.inputs {
+            x.push(table.value_f64(row, a)?);
+        }
         Some(match conj.builtin() {
-            Some(t) => self.model.predict_translated(&x, t),
-            None => self.model.predict(&x),
+            Some(t) => self.model.predict_translated(x, t),
+            None => self.model.predict(x),
         })
     }
 
@@ -164,15 +178,6 @@ impl Crr {
             .any(|c| c.builtin().is_some_and(|t| !t.is_identity()))
     }
 
-    /// The built-in translation of the conjunct covering `row`, defaulting
-    /// to the identity.
-    pub fn builtin_for(&self, table: &Table, row: usize) -> Translation {
-        self.condition
-            .matching_conjunct(table, row)
-            .and_then(|c| c.builtin().cloned())
-            .unwrap_or_else(|| Translation::identity(self.inputs.len()))
-    }
-
     /// Renders the rule with attribute names.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         struct D<'a>(&'a Crr, &'a Schema);
@@ -196,9 +201,9 @@ impl Crr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Conjunction, Predicate};
+    use crate::Predicate;
     use crr_data::{AttrType, Schema, Value};
-    use crr_models::LinearModel;
+    use crr_models::{LinearModel, Translation};
 
     fn table() -> Table {
         let schema = Schema::new(vec![("date", AttrType::Int), ("lat", AttrType::Float)]);

@@ -1,20 +1,8 @@
-use crate::Crr;
+use crate::{Conjunction, Crr};
 use crr_data::{RowSet, Schema, Table};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
-
-/// How a rule set locates the rule to answer a prediction with when several
-/// rules cover the same tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LocateStrategy {
-    /// First covering rule in discovery order (the paper's behaviour: the
-    /// priority queue emits more-shareable conditions first).
-    #[default]
-    First,
-    /// The covering rule with the smallest bias `ρ` — tightest guarantee.
-    MinRho,
-}
 
 /// An ordered collection of CRRs over the same `X → Y`, with rule locating,
 /// prediction and error evaluation (the downstream-application side of the
@@ -92,21 +80,16 @@ impl RuleSet {
             .sum()
     }
 
-    /// Locates the rule answering for `row`, per `strategy`.
-    pub fn locate(&self, table: &Table, row: usize, strategy: LocateStrategy) -> Option<&Crr> {
-        match strategy {
-            LocateStrategy::First => self.rules.iter().find(|r| r.covers(table, row)),
-            LocateStrategy::MinRho => self
-                .rules
-                .iter()
-                .filter(|r| r.covers(table, row))
-                .min_by(|a, b| a.rho().total_cmp(&b.rho())),
-        }
+    /// Locates the rule answering for `row`: the first covering rule in
+    /// discovery order (the paper's behaviour: the priority queue emits
+    /// more-shareable conditions first).
+    pub fn locate(&self, table: &Table, row: usize) -> Option<&Crr> {
+        self.rules.iter().find(|r| r.covers(table, row))
     }
 
     /// Predicts `Y` for `row`: locate then apply (with built-ins).
-    pub fn predict(&self, table: &Table, row: usize, strategy: LocateStrategy) -> Option<f64> {
-        self.locate(table, row, strategy)?.predict(table, row)
+    pub fn predict(&self, table: &Table, row: usize) -> Option<f64> {
+        self.locate(table, row)?.predict(table, row)
     }
 
     /// Rows of `rows` covered by no rule — Problem 1 requires discovery to
@@ -116,39 +99,12 @@ impl RuleSet {
     }
 
     /// Evaluates prediction error over `rows`.
-    pub fn evaluate(&self, table: &Table, rows: &RowSet, strategy: LocateStrategy) -> EvalReport {
-        let target = self.rules.first().map(Crr::target);
-        let mut sse = 0.0;
-        let mut sae = 0.0;
-        let mut covered = 0usize;
-        let mut scored = 0usize;
-        for row in rows.iter() {
-            let Some(rule) = self.locate(table, row, strategy) else {
-                continue;
-            };
-            covered += 1;
-            let (Some(pred), Some(actual)) = (
-                rule.predict(table, row),
-                target.and_then(|t| table.value_f64(row, t)),
-            ) else {
-                continue;
-            };
-            scored += 1;
-            let e = pred - actual;
-            sse += e * e;
-            sae += e.abs();
-        }
-        EvalReport {
-            rmse: if scored > 0 {
-                (sse / scored as f64).sqrt()
-            } else {
-                0.0
-            },
-            mae: if scored > 0 { sae / scored as f64 } else { 0.0 },
-            covered,
-            scored,
-            total: rows.len(),
-        }
+    pub fn evaluate(&self, table: &Table, rows: &RowSet) -> EvalReport {
+        evaluate_with(self, table, rows, |row| {
+            self.rules
+                .iter()
+                .find_map(|r| Some((r, r.condition().matching_conjunct(table, row)?)))
+        })
     }
 
     /// Renders all rules with attribute names, one per line.
@@ -172,6 +128,51 @@ impl IntoIterator for RuleSet {
 
     fn into_iter(self) -> Self::IntoIter {
         self.rules.into_iter()
+    }
+}
+
+/// RMSE/MAE accumulation over `rows`, given the rule and conjunct located
+/// for each row: shared by [`RuleSet::evaluate`] and
+/// [`crate::CompiledIndex::evaluate`], so their reports can only differ if
+/// their locates do.
+pub(crate) fn evaluate_with<'r>(
+    rules: &'r RuleSet,
+    table: &Table,
+    rows: &RowSet,
+    mut locate: impl FnMut(usize) -> Option<(&'r Crr, &'r Conjunction)>,
+) -> EvalReport {
+    let target = rules.rules().first().map(Crr::target);
+    let mut x = Vec::new();
+    let mut sse = 0.0;
+    let mut sae = 0.0;
+    let mut covered = 0usize;
+    let mut scored = 0usize;
+    for row in rows.iter() {
+        let Some((rule, conj)) = locate(row) else {
+            continue;
+        };
+        covered += 1;
+        let (Some(pred), Some(actual)) = (
+            rule.predict_at(conj, table, row, &mut x),
+            target.and_then(|t| table.value_f64(row, t)),
+        ) else {
+            continue;
+        };
+        scored += 1;
+        let e = pred - actual;
+        sse += e * e;
+        sae += e.abs();
+    }
+    EvalReport {
+        rmse: if scored > 0 {
+            (sse / scored as f64).sqrt()
+        } else {
+            0.0
+        },
+        mae: if scored > 0 { sae / scored as f64 } else { 0.0 },
+        covered,
+        scored,
+        total: rows.len(),
     }
 }
 
@@ -225,26 +226,15 @@ mod tests {
     fn locate_and_predict() {
         let t = table();
         let s = split_set();
-        assert_eq!(s.predict(&t, 1, LocateStrategy::First), Some(1.0));
-        assert_eq!(s.predict(&t, 2, LocateStrategy::First), Some(30.0));
-    }
-
-    #[test]
-    fn min_rho_prefers_tighter_rule() {
-        let t = table();
-        let s = RuleSet::from_rules(vec![
-            rule(0.0, 99.0, 5.0, Dnf::tautology()),
-            rule(1.0, 0.0, 0.1, Dnf::tautology()),
-        ]);
-        assert_eq!(s.predict(&t, 1, LocateStrategy::First), Some(99.0));
-        assert_eq!(s.predict(&t, 1, LocateStrategy::MinRho), Some(1.0));
+        assert_eq!(s.predict(&t, 1), Some(1.0));
+        assert_eq!(s.predict(&t, 2), Some(30.0));
     }
 
     #[test]
     fn evaluate_reports_exact_fit() {
         let t = table();
         let s = split_set();
-        let rep = s.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let rep = s.evaluate(&t, &t.all_rows());
         assert_eq!(rep.covered, 4);
         assert_eq!(rep.scored, 4);
         assert!(rep.rmse < 1e-12);
@@ -261,7 +251,7 @@ mod tests {
             Dnf::single(Conjunction::of(vec![Predicate::lt(x(), Value::Int(5))])),
         )]);
         assert_eq!(s.uncovered(&t, &t.all_rows()).as_slice(), &[2, 3]);
-        let rep = s.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let rep = s.evaluate(&t, &t.all_rows());
         assert_eq!(rep.covered, 2);
         assert_eq!(rep.total, 4);
     }
@@ -282,7 +272,7 @@ mod tests {
         let mut t = table();
         t.set_null(0, y());
         let s = split_set();
-        let rep = s.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let rep = s.evaluate(&t, &t.all_rows());
         assert_eq!(rep.covered, 4);
         assert_eq!(rep.scored, 3);
     }

@@ -408,10 +408,7 @@ mod tests {
         let rules = sample_rules();
         let back = from_text(&to_text(&rules)).unwrap();
         for row in 0..t.num_rows() {
-            assert_eq!(
-                rules.predict(&t, row, crate::LocateStrategy::First),
-                back.predict(&t, row, crate::LocateStrategy::First),
-            );
+            assert_eq!(rules.predict(&t, row,), back.predict(&t, row,),);
         }
     }
 

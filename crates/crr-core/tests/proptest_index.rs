@@ -1,11 +1,12 @@
 //! Property test: the interval rule index is semantically transparent —
-//! for arbitrary rule sets and tables, `RuleIndex` locates exactly what
-//! the linear `First` scan locates.
+//! for arbitrary rule sets and tables, its compiled engine locates exactly
+//! what the linear `RuleSet` scan locates, and finds exactly the covering
+//! rules and first matching conjuncts the interpreter finds.
 
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_core::{Conjunction, Crr, Dnf, LocateStrategy, Op, Predicate, RuleIndex, RuleSet};
+use crr_core::{Conjunction, Crr, Dnf, Op, Predicate, RuleIndex, RuleSet};
 use crr_data::{AttrId, AttrType, Schema, Table, Value};
 use crr_models::{LinearModel, Model};
 use proptest::prelude::*;
@@ -72,26 +73,53 @@ fn arb_rules() -> impl Strategy<Value = RuleSet> {
     })
 }
 
+/// The interpreted coverage answer: every covering rule with its first
+/// covering conjunction.
+fn covering_scan(rules: &RuleSet, table: &Table, row: usize) -> Vec<(usize, usize)> {
+    rules
+        .rules()
+        .iter()
+        .enumerate()
+        .filter_map(|(ri, r)| {
+            let conjuncts = r.condition().conjuncts();
+            Some((ri, conjuncts.iter().position(|c| c.eval(table, row))?))
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn index_predicts_exactly_like_first_scan(table in arb_table(), rules in arb_rules()) {
         let idx = RuleIndex::build(&rules, &table);
+        let fast = idx.compile(&table);
         for row in 0..table.num_rows() {
             prop_assert_eq!(
-                rules.predict(&table, row, LocateStrategy::First),
-                idx.predict(&table, row),
+                rules.predict(&table, row).map(f64::to_bits),
+                fast.predict(row).map(f64::to_bits),
                 "row {}", row
             );
         }
     }
 
     #[test]
-    fn index_evaluate_matches_scan_evaluate(table in arb_table(), rules in arb_rules()) {
-        let a = rules.evaluate(&table, &table.all_rows(), LocateStrategy::First);
+    fn index_covering_matches_the_interpreter(table in arb_table(), rules in arb_rules()) {
         let idx = RuleIndex::build(&rules, &table);
-        let b = idx.evaluate(&table, &table.all_rows());
+        let fast = idx.compile(&table);
+        for row in 0..table.num_rows() {
+            let mut got = Vec::new();
+            fast.covering(row, |ri, ci| got.push((ri, ci)));
+            prop_assert_eq!(got, covering_scan(&rules, &table, row), "row {}", row);
+        }
+    }
+
+    #[test]
+    fn index_evaluate_matches_scan_evaluate(table in arb_table(), rules in arb_rules()) {
+        let a = rules.evaluate(&table, &table.all_rows());
+        let idx = RuleIndex::build(&rules, &table);
+        let b = idx.compile(&table).evaluate(&table.all_rows());
+        prop_assert_eq!(a.rmse.to_bits(), b.rmse.to_bits());
         prop_assert_eq!(a, b);
     }
 
@@ -101,9 +129,6 @@ proptest! {
         let row = k % table.num_rows();
         table.set_null(row, X);
         let idx = RuleIndex::build(&rules, &table);
-        prop_assert_eq!(
-            rules.predict(&table, row, LocateStrategy::First),
-            idx.predict(&table, row)
-        );
+        prop_assert_eq!(rules.predict(&table, row), idx.compile(&table).predict(row));
     }
 }

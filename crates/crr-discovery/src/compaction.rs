@@ -302,7 +302,7 @@ fn rewrite_onto(phi: &Crr, phi_p: &Crr, tol: f64) -> Result<Crr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crr_core::{Conjunction, Dnf, LocateStrategy, Predicate};
+    use crr_core::{Conjunction, Dnf, Predicate};
     use crr_data::{AttrId, AttrType, Schema, Table, Value};
     use crr_models::{LinearModel, Model};
 
@@ -350,11 +350,7 @@ mod tests {
         // Semantics preserved: same predictions everywhere.
         let t = table();
         for row in 0..t.num_rows() {
-            assert_eq!(
-                rules.predict(&t, row, LocateStrategy::First),
-                out.predict(&t, row, LocateStrategy::First),
-                "row {row}"
-            );
+            assert_eq!(rules.predict(&t, row), out.predict(&t, row), "row {row}");
         }
     }
 
@@ -453,8 +449,8 @@ mod tests {
         // Validation measures the drift and keeps the rules apart.
         assert_eq!(validated.len(), 2);
         // ... and keeps the semantics exact, unlike the pure merge.
-        let exact = validated.evaluate(&t, &t.all_rows(), LocateStrategy::First);
-        let drifted = pure.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let exact = validated.evaluate(&t, &t.all_rows());
+        let drifted = pure.evaluate(&t, &t.all_rows());
         assert!(exact.rmse < 1e-9);
         assert!(drifted.rmse > 0.1);
     }
@@ -471,8 +467,8 @@ mod tests {
         let (out, stats) = compact_on_data(&rules, 1e-9, 0.01, &t, &t.all_rows()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(stats.translations, 1);
-        let before = rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
-        let after = out.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let before = rules.evaluate(&t, &t.all_rows());
+        let after = out.evaluate(&t, &t.all_rows());
         assert!((before.rmse - after.rmse).abs() < 1e-9);
     }
 
@@ -484,9 +480,9 @@ mod tests {
             rule(1.0, 0.0, 0.1, 50.0, 100.0),
             rule(1.0, -50.0, 0.1, 100.0, 200.0),
         ]);
-        let before = rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let before = rules.evaluate(&t, &t.all_rows());
         let (out, _) = compact(&rules, 1e-9).unwrap();
-        let after = out.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let after = out.evaluate(&t, &t.all_rows());
         assert_eq!(out.len(), 1);
         assert!((before.rmse - after.rmse).abs() < 1e-12);
         assert_eq!(before.covered, after.covered);

@@ -111,7 +111,6 @@ pub(crate) fn run_isolated<'s, T: Send>(
 mod tests {
     use super::*;
     use crate::PredicateGen;
-    use crr_core::LocateStrategy;
     use crr_data::{AttrType, Schema, Value};
 
     fn table() -> Table {
@@ -172,7 +171,7 @@ mod tests {
         for r in results {
             let d = r.unwrap();
             assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty());
-            let rep = d.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+            let rep = d.rules.evaluate(&t, &t.all_rows());
             assert!(rep.rmse < 1e-9);
         }
     }

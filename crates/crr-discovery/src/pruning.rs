@@ -140,7 +140,7 @@ fn within_rho(rule: &Crr, conj: &Conjunction, table: &Table, r: usize) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crr_core::{Dnf, LocateStrategy, Predicate};
+    use crr_core::{Dnf, Predicate};
     use crr_data::{AttrId, AttrType, Schema, Value};
     use crr_models::{LinearModel, Model};
     use std::sync::Arc;
@@ -203,7 +203,7 @@ mod tests {
         let conj = &pruned.rules()[0].condition().conjuncts()[0];
         assert!(!conj.preds().iter().any(|p| p.attr == z()));
         // Wider coverage, still exact.
-        let rep = pruned.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let rep = pruned.evaluate(&t, &t.all_rows());
         assert_eq!(rep.covered, 60);
         assert!(rep.rmse < 1e-12);
     }

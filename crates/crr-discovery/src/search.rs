@@ -1258,7 +1258,6 @@ fn split_score(a: Sums, b: Sums) -> f64 {
 mod tests {
     use super::*;
     use crate::{Budget, CancelToken, FaultPlan, PredicateGen};
-    use crr_core::LocateStrategy;
     use crr_data::{AttrType, Schema, Value};
     use crr_models::ModelKind;
 
@@ -1302,7 +1301,7 @@ mod tests {
         // Coverage (Problem 1).
         assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty());
         // Exact piecewise-linear data: error ~ 0.
-        let rep = d.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let rep = d.rules.evaluate(&t, &t.all_rows());
         assert!(rep.rmse < 1e-9, "rmse {}", rep.rmse);
         // The second segment reuses the first segment's model via sharing:
         // fewer distinct models than rules, and at least one shared hit.
@@ -1340,7 +1339,7 @@ mod tests {
         assert!(d.stats.models_trained >= 2);
         // Still accurate and covering.
         assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty());
-        let rep = d.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+        let rep = d.rules.evaluate(&t, &t.all_rows());
         assert!(rep.rmse < 1e-9);
     }
 
@@ -1401,7 +1400,7 @@ mod tests {
         let d = discover(&t, &one, &cfg, &space_for(&t, 3)).unwrap();
         assert_eq!(d.rules.len(), 1);
         assert_eq!(d.rules.rules()[0].rho(), 0.0);
-        assert_eq!(d.rules.predict(&t, 7, LocateStrategy::First), Some(7.0));
+        assert_eq!(d.rules.predict(&t, 7), Some(7.0));
     }
 
     #[test]
@@ -1416,7 +1415,7 @@ mod tests {
             let cfg = cfg_for(&t).with_order(order);
             let d = discover(&t, &t.all_rows(), &cfg, &space).unwrap();
             assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty(), "{order:?}");
-            let rep = d.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+            let rep = d.rules.evaluate(&t, &t.all_rows());
             assert!(rep.rmse < 1e-9, "{order:?}");
         }
     }

@@ -4,7 +4,6 @@
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_core::LocateStrategy;
 use crr_data::{AttrType, RowSet, Schema, Table, Value};
 use crr_discovery::{
     DiscoveryConfig, DiscoverySession, PredicateGen, PredicateSpace, QueueOrder, ShardedDiscovery,
@@ -112,7 +111,7 @@ proptest! {
                 .with_order(order);
             let d = discover(&table, &table.all_rows(), &cfg, &space).unwrap();
             prop_assert!(d.rules.uncovered(&table, &table.all_rows()).is_empty());
-            let rep = d.rules.evaluate(&table, &table.all_rows(), LocateStrategy::First);
+            let rep = d.rules.evaluate(&table, &table.all_rows());
             prop_assert!(rep.covered == table.num_rows());
         }
     }
@@ -134,8 +133,8 @@ proptest! {
         prop_assert!(compacted.len() <= d.rules.len());
         prop_assert!(compacted.uncovered(&table, &table.all_rows()).is_empty());
         for row in 0..table.num_rows() {
-            let a = d.rules.predict(&table, row, LocateStrategy::First).unwrap();
-            let b = compacted.predict(&table, row, LocateStrategy::First).unwrap();
+            let a = d.rules.predict(&table, row).unwrap();
+            let b = compacted.predict(&table, row).unwrap();
             prop_assert!((a - b).abs() <= 2.0 * rho + 1e-9, "row {}: {} vs {}", row, a, b);
         }
     }

@@ -36,7 +36,7 @@
 #![deny(unsafe_code)]
 
 use crr_baselines::BaselinePredictor;
-use crr_core::{LocateStrategy, RuleSet};
+use crr_core::RuleSet;
 use crr_data::{AttrId, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,7 +126,7 @@ pub fn impute_with_rules(table: &Table, rules: &RuleSet, plan: &MaskPlan) -> Imp
     let mut imputed = 0usize;
     let mut unanswered = 0usize;
     for &(row, original) in &plan.masked {
-        match rules.predict(table, row, LocateStrategy::First) {
+        match rules.predict(table, row) {
             Some(pred) => {
                 imputed += 1;
                 let e = pred - original;
@@ -195,7 +195,7 @@ impl IntervalImputation {
 /// certificate, not a confidence heuristic.
 #[allow(clippy::expect_used)] // locate returned a reference into this very set
 pub fn impute_interval(table: &Table, rules: &RuleSet, row: usize) -> Option<IntervalImputation> {
-    let rule = rules.locate(table, row, LocateStrategy::First)?;
+    let rule = rules.locate(table, row)?;
     let value = rule.predict(table, row)?;
     let idx = rules
         .rules()
@@ -215,7 +215,7 @@ pub fn fill_missing(table: &mut Table, rules: &RuleSet, attr: AttrId) -> usize {
     let mut filled = 0usize;
     for row in 0..table.num_rows() {
         if table.value(row, attr).is_null() {
-            if let Some(pred) = rules.predict(table, row, LocateStrategy::First) {
+            if let Some(pred) = rules.predict(table, row) {
                 table.set_value(row, attr, Value::Float(pred));
                 filled += 1;
             }

@@ -1,16 +1,17 @@
 //! Request routing and the batched predict/impute/check handlers.
 //!
 //! Every data-plane handler follows one shape: parse the JSON body, build
-//! a request-local [`Table`] against the serving schema, build the
-//! interval [`RuleIndex`] over the pinned serving set, then walk the batch
-//! under the request's [`Budget`]/[`CancelToken`] — a tripped deadline or
+//! a request-local [`Table`] against the serving schema, open a
+//! [`CompiledIndex`] over the pinned serving set's rules, its interval
+//! plan (built once per set) and that table, then walk the batch under
+//! the request's [`Budget`]/[`CancelToken`] — a tripped deadline or
 //! cancellation stops the walk and the answered prefix is returned with
 //! `complete: false`, so slow batches degrade instead of hanging.
 
 use crate::http::{Request, Response};
 use crate::store::{RuleStore, ServingSet, SwapError};
 use crate::ServeError;
-use crr_core::{CompiledConjunction, RuleIndex};
+use crr_core::CompiledIndex;
 use crr_data::{AttrType, Table, Value};
 use crr_discovery::{Budget, CancelToken, DiscoveryOutcome};
 use crr_obs::json::{self, Json};
@@ -174,7 +175,9 @@ fn decode_cell(cell: &Json, ty: AttrType) -> Result<Value, String> {
     match (cell, ty) {
         (Json::Null, _) => Ok(Value::Null),
         (Json::Num(x), AttrType::Int) => {
-            if x.fract() == 0.0 && x.abs() <= i64::MAX as f64 {
+            // i64 holds [-2^63, 2^63); `as` would saturate 2^63 silently.
+            const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+            if x.fract() == 0.0 && (-TWO_63..TWO_63).contains(x) {
                 Ok(Value::Int(*x as i64))
             } else {
                 Err(format!("expected an integer, got {x}"))
@@ -233,12 +236,7 @@ fn batch(req: &Request, ctx: &RequestCtx<'_>, kind: BatchKind) -> Response {
     };
     let table = &input.table;
     let rules = &set.artifact.rules;
-    let index = RuleIndex::build(rules, table);
-    // Compile every conjunction against the request table once: the
-    // per-row checks inside the walk run on the columnar predicate
-    // kernels, byte-identical to the interpreted index (pinned by
-    // crr_core's equivalence tests).
-    let fast = index.compile(table);
+    let fast = CompiledIndex::new(rules, set.plan(), table);
     match kind {
         BatchKind::Predict => {
             let mut predictions: Vec<Option<f64>> = vec![None; table.num_rows()];
@@ -283,39 +281,25 @@ fn batch(req: &Request, ctx: &RequestCtx<'_>, kind: BatchKind) -> Response {
             Response::json(200, body)
         }
         BatchKind::Check => {
-            // Violation checking tests *all* covering rules per row, the
-            // constraint semantics of crr_core::check, under the budget.
-            // The all-rules × all-rows coverage filter is the hot loop:
-            // compile each rule's conjunctions once, test rows against the
-            // kernels (identical to `Crr::covers`, which ORs the same
-            // conjuncts in the same order).
-            let coverage: Vec<Vec<CompiledConjunction<'_>>> = rules
-                .rules()
-                .iter()
-                .map(|r| {
-                    r.condition()
-                        .conjuncts()
-                        .iter()
-                        .map(|c| CompiledConjunction::compile(c, table))
-                        .collect()
-                })
-                .collect();
+            // Violation checking holds each row to *every* covering rule,
+            // the constraint semantics of crr_core::check, under the
+            // budget; each rule predicts under the conjunct that covered.
+            let mut x = Vec::new();
             let mut violations = String::new();
             let mut checked = 0usize;
             let mut uncovered = 0usize;
             let mut nviol = 0usize;
             let (outcome, answered) = budgeted_walk(table.num_rows(), ctx, input.deadline, |row| {
                 let mut covered = false;
-                for (ri, rule) in rules.rules().iter().enumerate() {
-                    if !coverage[ri].iter().any(|c| c.eval_row(row)) {
-                        continue;
-                    }
+                fast.covering(row, |ri, ci| {
                     covered = true;
+                    let rule = &rules.rules()[ri];
+                    let conj = &rule.condition().conjuncts()[ci];
                     let (Some(predicted), Some(actual)) = (
-                        rule.predict(table, row),
+                        rule.predict_at(conj, table, row, &mut x),
                         table.value_f64(row, rule.target()),
                     ) else {
-                        continue;
+                        return; // missing values are vacuously satisfied
                     };
                     let deviation = (actual - predicted).abs();
                     if deviation > rule.rho() + 1e-12 {
@@ -331,7 +315,7 @@ fn batch(req: &Request, ctx: &RequestCtx<'_>, kind: BatchKind) -> Response {
                         );
                         nviol += 1;
                     }
-                }
+                });
                 if covered {
                     checked += 1;
                 } else {
@@ -357,5 +341,24 @@ fn render_opt_nums(out: &mut String, values: &[Option<f64>]) {
             Some(x) => out.push_str(&json::num(*x)),
             None => out.push_str("null"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integer_cells_must_fit_an_i64() {
+        let int = |x: f64| decode_cell(&Json::Num(x), AttrType::Int);
+        let two_63 = 2f64.powi(63);
+        assert_eq!(
+            int(two_63),
+            Err(format!("expected an integer, got {two_63}")),
+            "2^63 does not fit"
+        );
+        assert_eq!(int(-two_63), Ok(Value::Int(i64::MIN)));
+        assert_eq!(int(2f64.powi(53)), Ok(Value::Int(1 << 53)));
+        assert!(int(0.5).is_err());
     }
 }

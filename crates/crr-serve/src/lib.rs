@@ -5,8 +5,9 @@
 //! violation checking (§II). This crate is that front end: a long-lived,
 //! zero-dependency HTTP/1.1 server over `std::net` that loads a compacted
 //! [`crr_discovery::RuleSetArtifact`] behind an atomically swappable
-//! serving set and answers batched requests through the interval rule
-//! index. Robustness is the design center:
+//! serving set and answers batched requests through one
+//! [`crr_core::CompiledIndex`] per request, over the interval plan the
+//! serving set builds once. Robustness is the design center:
 //!
 //! * **Admission control** ([`RuleStore`]) — a candidate rule set is only
 //!   swapped in after the in-process `crr-analyze` verifier passes

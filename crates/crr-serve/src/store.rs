@@ -31,10 +31,11 @@
 
 use crate::Result;
 use crr_analyze::{analyze_artifact, AnalysisReport};
+use crr_core::index::IntervalPlan;
 use crr_discovery::RuleSetArtifact;
 use crr_obs::{Counter, Gauge, MetricsSink};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// An immutable, admitted rule set plus its swap generation. Requests
 /// hold one `Arc<ServingSet>` end-to-end.
@@ -45,6 +46,28 @@ pub struct ServingSet {
     /// Monotone swap generation: the seed set is generation 0, each
     /// accepted swap increments.
     pub generation: u64,
+    /// The interval plan of the artifact's rules over its schema, built
+    /// by the first request that reads the set: a set swapped out before
+    /// any request reads it never pays for one.
+    plan: OnceLock<IntervalPlan>,
+}
+
+impl ServingSet {
+    fn new(artifact: RuleSetArtifact, generation: u64) -> ServingSet {
+        ServingSet {
+            artifact,
+            generation,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// The set's interval plan, built on the first call. It depends only
+    /// on the rules and the schema, so every request table of this set
+    /// shares it.
+    pub(crate) fn plan(&self) -> &IntervalPlan {
+        self.plan
+            .get_or_init(|| IntervalPlan::build(&self.artifact.rules, &self.artifact.schema))
+    }
 }
 
 /// Why a candidate was refused admission.
@@ -101,10 +124,7 @@ impl RuleStore {
     pub fn open(artifact: RuleSetArtifact, metrics: MetricsSink) -> Result<Self> {
         admit(&artifact)?;
         let store = RuleStore {
-            current: RwLock::new(Arc::new(ServingSet {
-                artifact,
-                generation: 0,
-            })),
+            current: RwLock::new(Arc::new(ServingSet::new(artifact, 0))),
             generation: AtomicU64::new(0),
             metrics,
         };
@@ -164,10 +184,7 @@ impl RuleStore {
             // Numbered and published under the write lock: concurrent
             // swaps get distinct generations, and a reader that sees the
             // new set also sees `generation()` at least as far.
-            let next = Arc::new(ServingSet {
-                artifact,
-                generation: slot.generation + 1,
-            });
+            let next = Arc::new(ServingSet::new(artifact, slot.generation + 1));
             *slot = Arc::clone(&next);
             self.generation.store(next.generation, Ordering::Release);
             next

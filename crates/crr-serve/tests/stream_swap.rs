@@ -1,14 +1,13 @@
 //! End-to-end maintenance → serving pin: a `crr-stream` repair must
 //! produce an artifact that passes the `crr-analyze` admission gate,
 //! hot-swaps into a live server over `/admin/swap`, and then serves
-//! `/v1/predict` answers **byte-identical** to offline evaluation of the
-//! repaired rules — the last step of the streaming maintenance contract
-//! (DESIGN.md §13).
+//! `/v1/predict` and `/v1/check` answers **byte-identical** to offline
+//! evaluation and checking of the repaired rules — the last step of the
+//! streaming maintenance contract (DESIGN.md §13).
 
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_core::RuleIndex;
 use crr_data::{Table, Value};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{DiscoveryConfig, DiscoverySession, PredicateGen};
@@ -138,10 +137,19 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
     assert!(analysis.is_sound(), "{analysis:?}");
     assert!(analysis.counters.repair_regions >= 1);
 
+    // The probe of Gates 3 and 4: rows spanning base and repaired regions.
+    let probe_rows: Vec<usize> = (0..engine.table().num_rows()).step_by(24).collect();
+    let rows: Vec<Vec<Value>> = probe_rows.iter().map(|&r| engine.table().row(r)).collect();
+    let (body, probe) = request(engine.table(), &rows);
+
     // Gate 2: a server standing on the base artifact admits the repair.
     let store = Arc::new(RuleStore::open(base_artifact, crr_obs::MetricsSink::disabled()).unwrap());
     let server = Server::start(Arc::clone(&store), ServeConfig::default()).unwrap();
     let addr = server.addr();
+    // Read the base set first, so the plan it serves from exists before
+    // the swap: answers after it must come from the repaired set's own.
+    let (status, _) = roundtrip(addr, "POST", "/v1/predict", &body).unwrap();
+    assert_eq!(status, 200);
     let (status, _) = roundtrip(addr, "POST", "/admin/swap", &artifact.to_text()).unwrap();
     assert_eq!(status, 200, "sound repaired artifact must be admitted");
     assert_eq!(store.generation(), 1);
@@ -158,32 +166,13 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
 
     // Gate 3: served answers are byte-identical to offline evaluation of
     // the repaired rules on a probe spanning base and repaired regions.
-    let probe_rows: Vec<usize> = (0..engine.table().num_rows()).step_by(24).collect();
-    let mut body = String::from("{\"rows\": [");
-    let mut probe = Table::new(engine.table().schema().clone());
-    for (i, &row) in probe_rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push('[');
-        for (j, v) in engine.table().row(row).iter().enumerate() {
-            if j > 0 {
-                body.push_str(", ");
-            }
-            body.push_str(&render_cell(v));
-        }
-        body.push(']');
-        probe.push_row(engine.table().row(row)).unwrap();
-    }
-    body.push_str("]}");
-    let index = RuleIndex::build(&artifact.rules, &probe);
     let mut expected = String::from("\"predictions\": [");
     let mut answered = 0usize;
     for row in 0..probe.num_rows() {
         if row > 0 {
             expected.push_str(", ");
         }
-        match index.predict(&probe, row) {
+        match artifact.rules.predict(&probe, row) {
             Some(x) => {
                 let _ = write!(expected, "{}", json::num(x));
                 answered += 1;
@@ -198,10 +187,81 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
         probe.num_rows()
     );
     let (status, resp) = roundtrip(addr, "POST", "/v1/predict", &body).unwrap();
-    server.shutdown();
     assert_eq!(status, 200, "{resp}");
     assert!(
         resp.contains(&expected),
         "served answers diverged from offline evaluation after the swap"
     );
+
+    // Gate 4: served checks equal `crr_core::check` of the repaired rules
+    // on the probe with every 7th target raised by 10 and every 11th
+    // minute nulled, so violations and uncovered rows both occur.
+    let perturbed: Vec<Vec<Value>> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut row = row.clone();
+            if let (0, Value::Float(y)) = (i % 7, &row[target.0]) {
+                row[target.0] = Value::Float(y + 10.0);
+            }
+            if i % 11 == 0 {
+                row[minute.0] = Value::Null;
+            }
+            row
+        })
+        .collect();
+    let (body, probe) = request(engine.table(), &perturbed);
+    let report = crr_core::check(&artifact.rules, &probe, &probe.all_rows());
+    assert!(
+        report.violations.len() >= 5 && report.uncovered >= 1,
+        "fixture too weak: {} violations, {} uncovered rows",
+        report.violations.len(),
+        report.uncovered
+    );
+    let violations: Vec<String> = report
+        .violations
+        .iter()
+        .map(|v| {
+            format!(
+                "{{\"row\": {}, \"rule\": {}, \"actual\": {}, \"predicted\": {}, \"deviation\": {}}}",
+                v.row,
+                v.rule,
+                json::num(v.actual),
+                json::num(v.predicted),
+                json::num(v.deviation)
+            )
+        })
+        .collect();
+    let expected = format!(
+        "\"checked\": {}, \"uncovered\": {}, \"violations\": [{}]}}",
+        report.checked,
+        report.uncovered,
+        violations.join(", ")
+    );
+    let (status, resp) = roundtrip(addr, "POST", "/v1/check", &body).unwrap();
+    server.shutdown();
+    assert_eq!(status, 200, "{resp}");
+    assert!(
+        resp.ends_with(&expected),
+        "served checks diverged from offline checking:\n{resp}\nwant ...{expected}"
+    );
+}
+
+/// A `/v1/*` request body carrying `rows`, and the same rows as a table
+/// over `like`'s schema.
+fn request(like: &Table, rows: &[Vec<Value>]) -> (String, Table) {
+    let mut body = String::from("{\"rows\": [");
+    let mut table = Table::new(like.schema().clone());
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            body.push_str(", ");
+        }
+        let cells: Vec<String> = row.iter().map(render_cell).collect();
+        body.push('[');
+        body.push_str(&cells.join(", "));
+        body.push(']');
+        table.push_row(row.clone()).unwrap();
+    }
+    body.push_str("]}");
+    (body, table)
 }

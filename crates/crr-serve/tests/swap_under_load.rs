@@ -7,7 +7,6 @@
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_core::RuleIndex;
 use crr_data::{Table, Value};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{DiscoveryConfig, DiscoverySession, PredicateGen, RuleSetArtifact};
@@ -71,14 +70,13 @@ fn predictions_stay_byte_identical_to_offline_while_swaps_churn() {
     for &row in &probe_rows {
         probe.push_row(t.row(row)).unwrap();
     }
-    let index = RuleIndex::build(&artifact.rules, &probe);
     let mut expected = String::from("\"predictions\": [");
     let mut offline_answered = 0usize;
     for row in 0..probe.num_rows() {
         if row > 0 {
             expected.push_str(", ");
         }
-        match index.predict(&probe, row) {
+        match artifact.rules.predict(&probe, row) {
             Some(x) => {
                 let _ = write!(expected, "{}", json::num(x));
                 offline_answered += 1;

@@ -2,13 +2,13 @@
 //! contract and DESIGN.md §13 for the design rationale).
 
 use crr_core::index::IntervalPlan;
-use crr_core::{CompiledConjunction, Conjunction, Crr, Dnf, Predicate, RuleSet};
+use crr_core::{CompiledIndex, Conjunction, Crr, Dnf, Predicate, RuleSet};
 use crr_data::{AttrId, DataError, RowSet, Table, Value};
 use crr_discovery::{
     compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, PredicateSpace,
     RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact,
 };
-use crr_models::{Moments, Regressor, Translation};
+use crr_models::{Moments, Translation};
 use crr_obs::{Counter as Ctr, Gauge, MetricsSink, Phase};
 use std::collections::BTreeMap;
 
@@ -205,26 +205,6 @@ fn guard_rule(d: &Crr, guard: Option<&Conjunction>) -> Result<Crr> {
         Dnf::of(conjuncts),
     )
     .map_err(|e| StreamError::Mismatch(format!("guarded repair rule is invalid: {e}")))
-}
-
-/// `Crr::predict` at a row whose first matching conjunct of `rule` is
-/// already known to be `conj`: the same input reads and model call, so the
-/// same bits, with the inputs read into the reused buffer `x`.
-fn predict_matched(
-    rule: &Crr,
-    conj: &Conjunction,
-    table: &Table,
-    row: usize,
-    x: &mut Vec<f64>,
-) -> Option<f64> {
-    x.clear();
-    for &a in rule.inputs() {
-        x.push(table.value_f64(row, a)?);
-    }
-    Some(match conj.builtin() {
-        Some(t) => rule.model().predict_translated(x, t),
-        None => rule.model().predict(x),
-    })
 }
 
 /// Folds a built-in translation into an affine predictor.
@@ -781,42 +761,15 @@ impl StreamEngine {
     fn route(&self, ids: &[u32], batch: &BatchCols, monitor: bool) -> Routed {
         let tol = self.opts.tolerance;
         let rules = self.rules.rules();
-        // One kernel slot per conjunction, compiled the first time a row
-        // needs it. Kernels never outlive the call: appends move column
-        // buffers and grow string dictionaries.
-        let mut offsets = Vec::with_capacity(rules.len());
-        let mut slots = 0;
-        for rule in rules {
-            offsets.push(slots);
-            slots += rule.condition().conjuncts().len();
-        }
-        let mut kernels: Vec<Option<CompiledConjunction<'_>>> =
-            std::iter::repeat_with(|| None).take(slots).collect();
+        // A fresh engine per call: appends move column buffers and grow
+        // string dictionaries, so compiled kernels never outlive a batch.
+        let index = CompiledIndex::new(&self.rules, &self.plan, &self.table);
         let mut x = Vec::with_capacity(self.cfg.inputs.len());
         let mut out = Routed::default();
         for (i, &r) in ids.iter().enumerate() {
             let row = r as usize;
-            // Only each rule's first matching conjunct is a hit, the one
-            // `Crr::predict` finds; later ones are not even tested.
-            let mut matched_rule = usize::MAX;
-            let hits = self.plan.covering(&self.rules, &self.table, row, |ri, ci| {
-                if ri == matched_rule {
-                    return false;
-                }
-                let kernel = kernels[offsets[ri] + ci].get_or_insert_with(|| {
-                    CompiledConjunction::compile(
-                        &rules[ri].condition().conjuncts()[ci],
-                        &self.table,
-                    )
-                });
-                let hit = kernel.eval_row(row);
-                if hit {
-                    matched_rule = ri;
-                }
-                hit
-            });
             let mut covered = false;
-            for (ri, ci) in hits {
+            index.covering(row, |ri, ci| {
                 covered = true;
                 out.routed_pairs += 1;
                 out.claimed.entry((ri, ci)).or_default().push(r);
@@ -824,15 +777,15 @@ impl StreamEngine {
                     out.buckets.entry((ri, ci)).or_default().push(i as u32);
                 }
                 if !monitor {
-                    continue;
+                    return;
                 }
                 let rule = &rules[ri];
                 let conj = &rule.condition().conjuncts()[ci];
                 let (Some(pred), Some(actual)) = (
-                    predict_matched(rule, conj, &self.table, row, &mut x),
+                    rule.predict_at(conj, &self.table, row, &mut x),
                     self.table.value_f64(row, rule.target()),
                 ) else {
-                    continue; // missing values are vacuously satisfied
+                    return; // missing values are vacuously satisfied
                 };
                 if (actual - pred).abs() > rule.rho() + tol {
                     out.violations += 1;
@@ -840,7 +793,7 @@ impl StreamEngine {
                         out.violated_rules.push(ri);
                     }
                 }
-            }
+            });
             if !covered {
                 out.uncovered.push(r);
             }

@@ -7,13 +7,13 @@
 //! append/delete batches without rediscovery, following the maintenance
 //! contract documented in DESIGN.md §13:
 //!
-//! 1. **Route** — every changed row is pushed through the coverage query
-//!    of the rule set's [`crr_core::index::IntervalPlan`] (built once per
-//!    rule-set version) to find, for *every* rule, the first conjunction
-//!    whose condition claims it (not just the first rule: each covering
-//!    rule's bias bound is a separate obligation). Candidates are tested
-//!    on compiled kernels, and the monitor predicts from the matched
-//!    conjunct.
+//! 1. **Route** — every changed row is pushed through
+//!    [`crr_core::CompiledIndex::covering`] over the rule set's
+//!    [`crr_core::index::IntervalPlan`] (built once per rule-set version)
+//!    to find, for *every* rule, the first conjunction whose condition
+//!    claims it (not just the first rule: each covering rule's bias bound
+//!    is a separate obligation). The monitor predicts with
+//!    [`crr_core::Crr::predict_at`] under the matched conjunct.
 //! 2. **Delta** — each covering conjunction's partition statistics
 //!    ([`crr_models::Moments`]) absorb the change exactly:
 //!    `Moments::add_rows` on append, `Moments::subtract` on delete —

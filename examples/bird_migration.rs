@@ -79,7 +79,7 @@ fn main() {
         );
     }
 
-    let report = rules.evaluate(table, &maria, LocateStrategy::First);
+    let report = rules.evaluate(table, &maria);
     println!(
         "\nevaluation: coverage {}/{}, rmse {:.4}",
         report.covered, report.total, report.rmse

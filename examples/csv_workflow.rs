@@ -50,11 +50,11 @@ fn main() {
 
     // Reloaded rules predict identically.
     for row in (0..table.num_rows()).step_by(17) {
-        let a = rules.predict(&table, row, LocateStrategy::First);
-        let b = reloaded.predict(&table, row, LocateStrategy::First);
+        let a = rules.predict(&table, row);
+        let b = reloaded.predict(&table, row);
         assert_eq!(a, b, "row {row}");
     }
-    let report = reloaded.evaluate(&table, &table.all_rows(), LocateStrategy::First);
+    let report = reloaded.evaluate(&table, &table.all_rows());
     println!(
         "reloaded rules: coverage {}/{}, rmse {:.4}",
         report.covered, report.total, report.rmse

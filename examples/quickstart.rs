@@ -61,7 +61,7 @@ fn main() {
     println!("\nrules:\n{}", rules.display(table.schema()));
 
     // 5. Evaluate.
-    let report = rules.evaluate(&table, &table.all_rows(), LocateStrategy::First);
+    let report = rules.evaluate(&table, &table.all_rows());
     println!(
         "coverage {}/{}, rmse {:.6}, mae {:.6}",
         report.covered, report.total, report.rmse, report.mae

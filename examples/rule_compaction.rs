@@ -66,8 +66,8 @@ fn main() {
     );
 
     // Semantics are preserved throughout.
-    let before = tree_rules.evaluate(table, &table.all_rows(), LocateStrategy::First);
-    let after = pruned.evaluate(table, &table.all_rows(), LocateStrategy::First);
+    let before = tree_rules.evaluate(table, &table.all_rows());
+    let after = pruned.evaluate(table, &table.all_rows());
     println!(
         "\nrmse before {:.4} (covered {}) vs after {:.4} (covered {})",
         before.rmse, before.covered, after.rmse, after.covered

@@ -47,7 +47,7 @@ fn main() {
         "compaction: {} -> {} rules ({} translations, {} fusions)",
         stats.rules_in, stats.rules_out, stats.translations, stats.fusions
     );
-    let report = rules.evaluate(table, &table.all_rows(), LocateStrategy::First);
+    let report = rules.evaluate(table, &table.all_rows());
     println!("CRR rmse {:.3} with {} rules\n", report.rmse, rules.len());
 
     // Baseline for contrast: a model tree over the same attributes.

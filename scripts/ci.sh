@@ -40,12 +40,12 @@ echo "==> cargo doc --workspace --no-deps (broken intra-doc links are errors)"
 run "rustdoc intra-doc links" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   cargo doc --workspace --no-deps --quiet
 
-echo "==> rustdoc missing-docs wall (crr-core, crr-discovery, crr-stream, crr-data, crr-analyze, crr-obs)"
+echo "==> rustdoc missing-docs wall (crr-core, crr-discovery, crr-stream, crr-serve, crr-data, crr-analyze, crr-obs)"
 # The API-bearing crates additionally deny undocumented public items: a
 # new pub fn without a doc comment fails the build here. (Workspace-wide
 # this would punish the harness crates, so the wall is targeted.)
 run "rustdoc missing-docs wall" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D missing-docs" \
-  cargo doc -p crr-core -p crr-discovery -p crr-stream -p crr-data -p crr-analyze -p crr-obs \
+  cargo doc -p crr-core -p crr-discovery -p crr-stream -p crr-serve -p crr-data -p crr-analyze -p crr-obs \
   --no-deps --quiet
 
 echo "==> criterion smoke (perf_fit_engine + perf_scan_kernels compile and run)"
@@ -157,6 +157,10 @@ run "perfbench smoke" python3 perfbench/run.py --workload all --seconds 1 --trac
 # repeat the repaired artifacts, RMSE and rule count of the untraced ones.
 run "perfbench traced maintain-window smoke" \
   python3 perfbench/run.py --workload maintain-window --seconds 1 --trace 1
+# Only the traced half runs the server with its metrics sink on; the same
+# run replays the predict requests offline through the rule index.
+run "perfbench traced serve-mixed smoke" \
+  python3 perfbench/run.py --workload serve-mixed --seconds 1 --trace 1
 
 if [ ${#FAILED[@]} -gt 0 ]; then
   echo "CI FAILED: ${#FAILED[@]} step(s) failed:" >&2

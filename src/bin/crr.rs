@@ -13,7 +13,7 @@
 //!
 //! Flags are `--name value` pairs; `crr <command> --help` lists them.
 
-use crr::core::{check, serialize, LocateStrategy, RuleSet};
+use crr::core::{check, serialize, RuleSet};
 use crr::data::{csv, Table};
 use crr::discovery::{
     compact_on_data, DiscoveryConfig, DiscoverySession, PredicateGen, QueueOrder,
@@ -228,7 +228,7 @@ fn cmd_show(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_evaluate(flags: &HashMap<String, String>) -> Result<(), String> {
     let table = load_table(flags)?;
     let rules = load_rules(flags)?;
-    let report = rules.evaluate(&table, &table.all_rows(), LocateStrategy::First);
+    let report = rules.evaluate(&table, &table.all_rows());
     println!(
         "rows {} covered {} scored {} rmse {:.6} mae {:.6}",
         report.total, report.covered, report.scored, report.rmse, report.mae

@@ -65,7 +65,7 @@ pub use crr_stream as stream;
 
 /// The names most applications need, in one import.
 pub mod prelude {
-    pub use crr_core::{Conjunction, Crr, Dnf, LocateStrategy, Op, Predicate, RuleSet};
+    pub use crr_core::{Conjunction, Crr, Dnf, Op, Predicate, RuleSet};
     pub use crr_data::{AttrId, AttrType, RowSet, Schema, Table, Value};
     pub use crr_datasets::{Dataset, GenConfig};
     pub use crr_discovery::{

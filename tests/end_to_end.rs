@@ -51,7 +51,7 @@ fn tax_pipeline_discovers_rate_groups() {
     // 20 states fall into 4 rate groups; compaction should get close to
     // one rule per group (allowing a little fragmentation).
     assert!(rules.len() <= 8, "{} rules after compaction", rules.len());
-    let report = rules.evaluate(table, &table.all_rows(), LocateStrategy::First);
+    let report = rules.evaluate(table, &table.all_rows());
     assert!(report.rmse <= cfg.rho_max, "rmse {}", report.rmse);
     assert_eq!(report.covered, table.num_rows());
 
@@ -61,7 +61,7 @@ fn tax_pipeline_discovers_rate_groups() {
     row[state.0] = Value::str("IA");
     row[salary.0] = Value::Float(100_000.0);
     probe.push_row(row).unwrap();
-    let pred = rules.predict(&probe, 0, LocateStrategy::First).unwrap();
+    let pred = rules.predict(&probe, 0).unwrap();
     assert!(
         (pred - (0.04 * 100_000.0 - 230.0)).abs() < 5.0,
         "IA prediction {pred}"
@@ -106,8 +106,8 @@ fn birdmap_pipeline_shares_models_across_years() {
     let back = crr::core::serialize::from_text(&text).unwrap();
     for row in (0..table.num_rows()).step_by(101) {
         assert_eq!(
-            rules.predict(table, row, LocateStrategy::First),
-            back.predict(table, row, LocateStrategy::First),
+            rules.predict(table, row),
+            back.predict(table, row),
             "row {row}"
         );
     }
@@ -147,8 +147,8 @@ fn tree_export_compaction_preserves_semantics() {
         stats.rules_out
     );
 
-    let before = exported.evaluate(table, &rows, LocateStrategy::First);
-    let after = compacted.evaluate(table, &rows, LocateStrategy::First);
+    let before = exported.evaluate(table, &rows);
+    let after = compacted.evaluate(table, &rows);
     assert_eq!(before.covered, after.covered);
     assert!(
         (before.rmse - after.rmse).abs() <= rho,
@@ -211,7 +211,7 @@ fn crr_beats_rr_on_mixed_distribution() {
     let space = PredicateGen::binary(1023).generate(table, &[hour], no2, 0);
     let cfg = DiscoveryConfig::new(vec![hour], no2, rho);
     let found = discover_via_session(table, &rows, &cfg, &space);
-    let crr_report = found.rules.evaluate(table, &rows, LocateStrategy::First);
+    let crr_report = found.rules.evaluate(table, &rows);
 
     let rr = crr::baselines::Rr::fit(
         table,
@@ -248,6 +248,6 @@ fn prelude_supports_the_readme_workflow() {
     let found = discover_via_session(&t, &t.all_rows(), &cfg, &space);
     let (rules, _) = compact(&found.rules, 1e-9).unwrap();
     assert_eq!(rules.len(), 1);
-    let pred = rules.predict(&t, 10, LocateStrategy::First).unwrap();
+    let pred = rules.predict(&t, 10).unwrap();
     assert!((pred - 20.0).abs() < 1e-9, "pred {pred}");
 }

@@ -110,8 +110,8 @@ fn compaction_preserves_coverage_and_predictions() {
             ds.name
         );
         for row in (0..ds.table.num_rows()).step_by(37) {
-            let a = found.rules.predict(&ds.table, row, LocateStrategy::First);
-            let b = compacted.predict(&ds.table, row, LocateStrategy::First);
+            let a = found.rules.predict(&ds.table, row);
+            let b = compacted.predict(&ds.table, row);
             match (a, b) {
                 (Some(a), Some(b)) => assert!(
                     (a - b).abs() <= 2.0 * cfg.rho_max + 1e-9,
@@ -138,10 +138,8 @@ fn sharing_reduces_models_without_hurting_rmse() {
     let with = discover_via_session(&ds.table, &rows, &cfg.clone().with_sharing(true), &space);
     let without = discover_via_session(&ds.table, &rows, &cfg.with_sharing(false), &space);
     assert!(with.stats.models_trained <= without.stats.models_trained);
-    let rw = with.rules.evaluate(&ds.table, &rows, LocateStrategy::First);
-    let rwo = without
-        .rules
-        .evaluate(&ds.table, &rows, LocateStrategy::First);
+    let rw = with.rules.evaluate(&ds.table, &rows);
+    let rwo = without.rules.evaluate(&ds.table, &rows);
     assert!(
         rw.rmse <= rwo.rmse * 2.0 + 0.1,
         "with {} vs without {}",
@@ -185,9 +183,7 @@ fn smaller_rho_never_fits_worse_in_sample() {
     for rho in [5.0, 1.0, 0.5] {
         let (cfg, space) = scenario(&ds, rho);
         let found = discover_via_session(&ds.table, &rows, &cfg, &space);
-        let report = found
-            .rules
-            .evaluate(&ds.table, &rows, LocateStrategy::First);
+        let report = found.rules.evaluate(&ds.table, &rows);
         assert!(
             report.rmse <= last_rmse + 1e-9,
             "rho {rho}: rmse {} after {}",

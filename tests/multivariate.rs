@@ -58,7 +58,7 @@ fn discovers_multivariate_planes_and_shares_them() {
     let cfg = DiscoveryConfig::new(vec![x1, x2], y, 0.1);
     let d = discover_via_session(&t, &t.all_rows(), &cfg, &space);
     assert!(d.rules.uncovered(&t, &t.all_rows()).is_empty());
-    let rep = d.rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+    let rep = d.rules.evaluate(&t, &t.all_rows());
     assert!(rep.rmse < 1e-9, "rmse {}", rep.rmse);
     // The second regime shares the first regime's plane.
     assert!(d.stats.models_shared >= 1, "stats {:?}", d.stats);
@@ -71,7 +71,7 @@ fn discovers_multivariate_planes_and_shares_them() {
         "{} models",
         rules.num_distinct_models()
     );
-    let rep2 = rules.evaluate(&t, &t.all_rows(), LocateStrategy::First);
+    let rep2 = rules.evaluate(&t, &t.all_rows());
     assert!(rep2.rmse < 1e-9);
 }
 
@@ -138,7 +138,7 @@ fn abalone_rings_from_two_features() {
         let cfg = DiscoveryConfig::new(vec![length, diameter], rings, rho).with_kind(kind);
         let d = discover_via_session(t, &t.all_rows(), &cfg, &space);
         assert!(d.rules.uncovered(t, &t.all_rows()).is_empty(), "{kind:?}");
-        let rep = d.rules.evaluate(t, &t.all_rows(), LocateStrategy::First);
+        let rep = d.rules.evaluate(t, &t.all_rows());
         assert!(rep.rmse <= rho, "{kind:?}: rmse {}", rep.rmse);
     }
 }
@@ -155,9 +155,6 @@ fn serialization_roundtrips_multivariate_builtins() {
     let (rules, _) = compact_on_data(&d.rules, 1e-6, 0.1, &t, &t.all_rows()).unwrap();
     let back = crr::core::serialize::from_text(&crr::core::serialize::to_text(&rules)).unwrap();
     for row in (0..t.num_rows()).step_by(13) {
-        assert_eq!(
-            rules.predict(&t, row, LocateStrategy::First),
-            back.predict(&t, row, LocateStrategy::First),
-        );
+        assert_eq!(rules.predict(&t, row), back.predict(&t, row),);
     }
 }
