@@ -22,6 +22,9 @@ pub enum Severity {
 }
 
 impl Severity {
+    /// Every severity, worst first.
+    pub const ALL: [Severity; 3] = [Severity::Unsound, Severity::Redundant, Severity::Hygiene];
+
     /// Stable lowercase label used in `analysis.json`.
     pub fn label(self) -> &'static str {
         match self {
@@ -53,6 +56,17 @@ pub enum Check {
 }
 
 impl Check {
+    /// Every check, A1 to A7.
+    pub const ALL: [Check; 7] = [
+        Check::Satisfiability,
+        Check::Subsumption,
+        Check::GuardSoundness,
+        Check::InferenceAudit,
+        Check::RhoMonotonicity,
+        Check::CompileEquivalence,
+        Check::RepairObligations,
+    ];
+
     /// Stable kebab-case label used in `analysis.json`.
     pub fn label(self) -> &'static str {
         match self {

@@ -107,7 +107,7 @@ impl Mclr {
                         e * e
                     })
                     .sum();
-                if best.as_ref().is_none_or(|(b, _)| sse < *b) {
+                if best.as_ref().map_or(true, |(b, _)| sse < *b) {
                     best = Some((sse, candidate));
                 }
             }

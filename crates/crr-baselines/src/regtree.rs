@@ -247,7 +247,7 @@ fn best_split(
             };
             let score =
                 (n1 as f64 * var(n1, s1, q1) + n2 as f64 * var(n2, s2, q2)) / (n1 + n2) as f64;
-            if best.as_ref().is_none_or(|(b, _)| score < *b) {
+            if best.as_ref().map_or(true, |(b, _)| score < *b) {
                 best = Some((score, pred));
             }
         }

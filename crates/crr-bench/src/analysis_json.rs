@@ -3,13 +3,13 @@
 //! `--check` so a drifted emitter — or an artifact with an `unsound`
 //! finding — fails CI, not a reader.
 //!
-//! Like [`crate::metrics_json`], rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The layout is
-//! documented in `EXPERIMENTS.md`, section "Benchmark artifact schemas".
+//! The runs render and parse through [`crate::artifact`]; check and
+//! severity labels are `crr-analyze`'s own. The layout is documented in
+//! `EXPERIMENTS.md`, section "Benchmark artifact schemas".
 
-use crr_analyze::AnalysisReport;
-use crr_obs::json::{esc, parse, Json};
-use std::fmt::Write as _;
+use crate::artifact::{codec, parse, record};
+use crr_analyze::{AnalysisReport, Finding, Severity, Summary};
+use crr_obs::AnalysisCounters;
 
 /// Schema tag stamped into the file; bump when the layout changes.
 /// `v2` added the A6/A7 check labels and the `absdom_transfers` /
@@ -17,106 +17,73 @@ use std::fmt::Write as _;
 /// source for artifacts coming out of a stream repair.
 pub const SCHEMA: &str = "crr-analysis-v2";
 
-/// Severity labels the validator accepts, worst first.
-pub const SEVERITIES: [&str; 3] = ["unsound", "redundant", "hygiene"];
-
-/// Check labels the validator accepts.
-pub const CHECKS: [&str; 7] = [
-    "satisfiability",
-    "subsumption",
-    "guard-soundness",
-    "inference-audit",
-    "rho-monotonicity",
-    "compile-equivalence",
-    "repair-obligations",
-];
-
-/// One analyzed artifact and its verification report.
-#[derive(Debug, Clone)]
-pub struct AnalysisRun {
-    /// Dataset label (`electricity`, `tax`).
-    pub dataset: String,
-    /// Instance size |I| the rules were discovered on.
-    pub rows: usize,
-    /// `single` for an unsharded run (no guard obligations), `sharded`
-    /// for a multi-shard run verified against its
-    /// [`crr_discovery::ProofObligations`], `repair` for a stream-repaired
-    /// artifact audited against its [`crr_discovery::RepairObligations`].
-    pub source: String,
-    /// The analyzer's report.
-    pub report: AnalysisReport,
+record! {
+    /// One analyzed artifact and its verification report.
+    #[derive(Debug, Clone)]
+    pub struct AnalysisRun(BLOCK) {
+        /// Dataset label (`electricity`, `tax`).
+        pub dataset: String,
+        /// Instance size |I| the rules were discovered on.
+        pub rows: usize,
+        /// `single` for an unsharded run (no guard obligations), `sharded`
+        /// for a multi-shard run verified against its
+        /// [`crr_discovery::ProofObligations`], `repair` for a stream-repaired
+        /// artifact audited against its [`crr_discovery::RepairObligations`].
+        pub source: String,
+        /// Rules examined.
+        pub rules: usize,
+        /// DNF conjuncts examined across all rules.
+        pub conjuncts: usize,
+        /// Shard-guard obligations examined (0 for unsharded artifacts).
+        pub shards: usize,
+        /// Work tallies of the pass.
+        pub counters: AnalysisCounters,
+        /// All findings, ranked worst-first.
+        pub findings: Vec<Finding>,
+        /// Findings tallied by severity.
+        pub summary: Summary,
+    }
 }
 
-/// Renders the runs as pretty-printed JSON with a stable key order.
-pub fn render(runs: &[AnalysisRun]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"dataset\": \"{}\",", esc(&r.dataset));
-        let _ = writeln!(out, "      \"rows\": {},", r.rows);
-        let _ = writeln!(out, "      \"source\": \"{}\",", esc(&r.source));
-        let _ = writeln!(out, "      \"rules\": {},", r.report.rules);
-        let _ = writeln!(out, "      \"conjuncts\": {},", r.report.conjuncts);
-        let _ = writeln!(out, "      \"shards\": {},", r.report.shards);
-        let _ = writeln!(out, "      \"counters\": {},", r.report.counters.to_json(6));
-        let _ = writeln!(out, "      \"findings\": [");
-        for (k, f) in r.report.findings.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"check\": \"{}\", \"severity\": \"{}\"",
-                f.check.label(),
-                f.severity.label()
-            );
-            if let Some(rule) = f.rule {
-                let _ = write!(out, ", \"rule\": {rule}");
-            }
-            if let Some(shard) = f.shard {
-                let _ = write!(out, ", \"shard\": {shard}");
-            }
-            let comma = if k + 1 < r.report.findings.len() {
-                ","
-            } else {
-                ""
-            };
-            let _ = writeln!(out, ", \"message\": \"{}\"}}{comma}", esc(&f.message));
+codec!(AnalysisCounters(BLOCK) {
+    rules, conjuncts, shards, implication_checks, unsat_checks, absdom_transfers,
+    compile_equiv_checks, repair_regions, findings_unsound, findings_redundant, findings_hygiene,
+});
+codec!(Finding(INLINE) { check, severity, rule, shard, message });
+codec!(Summary(INLINE) { unsound, redundant, hygiene });
+
+record! {
+    /// The `analysis.json` document.
+    #[derive(Debug, Clone)]
+    pub struct AnalysisRuns(BLOCK, schema = SCHEMA) {
+        /// Every analyzed artifact.
+        pub runs: Vec<AnalysisRun>,
+    }
+}
+
+impl AnalysisRun {
+    /// The run recording `report`, the analysis of an artifact discovered
+    /// on `rows` rows of `dataset`.
+    pub fn new(dataset: &str, rows: usize, source: &str, report: AnalysisReport) -> Self {
+        AnalysisRun {
+            dataset: dataset.to_string(),
+            rows,
+            source: source.to_string(),
+            rules: report.rules,
+            conjuncts: report.conjuncts,
+            shards: report.shards,
+            counters: report.counters,
+            summary: report.summary(),
+            findings: report.findings,
         }
-        let _ = writeln!(out, "      ],");
-        let s = r.report.summary();
-        let _ = writeln!(
-            out,
-            "      \"summary\": {{\"unsound\": {}, \"redundant\": {}, \"hygiene\": {}}}",
-            s.unsound, s.redundant, s.hygiene
-        );
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing '{key}'"))?
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: '{key}' is not a number"))?;
-    if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: '{key}' is not a non-negative integer ({v})"
-        ));
-    }
-    Ok(v as u64)
 }
 
 /// Validates an `analysis.json` document. On success, returns a one-line
 /// summary; on failure, a message naming the first violation.
 ///
-/// Beyond shape (schema tag, non-empty `runs`, known `source` / check /
-/// severity labels), this enforces:
+/// Beyond shape (schema tag, every field's type, non-empty `runs`, a known
+/// `source`, check and severity labels), this enforces:
 ///
 /// * **the soundness gate** — no finding anywhere carries severity
 ///   `unsound`; an artifact that fails its own static verification never
@@ -133,40 +100,21 @@ fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
 ///   (`counters.repair_regions ≥ 1`) while `single` / `sharded` runs
 ///   audited none.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("document: missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'runs' missing or not an array")?;
-    if runs.is_empty() {
+    let doc: AnalysisRuns = parse(text)?;
+    if doc.runs.is_empty() {
         return Err("'runs' is empty".to_string());
     }
-    let mut total_findings = 0u64;
-    for (i, r) in runs.iter().enumerate() {
+    let mut total_findings = 0usize;
+    for (i, r) in doc.runs.iter().enumerate() {
         let ctx = format!("runs[{i}]");
-        r.get("dataset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'dataset'"))?;
-        let source = r
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'source'"))?;
+        let source = r.source.as_str();
         if source != "single" && source != "sharded" && source != "repair" {
             return Err(format!("{ctx}: unknown source '{source}'"));
         }
-        let rules = uint(r, "rules", &ctx)?;
-        let conjuncts = uint(r, "conjuncts", &ctx)?;
-        let shards = uint(r, "shards", &ctx)?;
-        if rules == 0 {
+        if r.rules == 0 {
             return Err(format!("{ctx}: analyzed an empty rule set"));
         }
+        let shards = r.shards;
         match source {
             "sharded" if shards < 2 => {
                 return Err(format!(
@@ -180,28 +128,26 @@ pub fn validate(text: &str) -> Result<String, String> {
             }
             _ => {}
         }
-        let counters = r
-            .get("counters")
-            .ok_or_else(|| format!("{ctx}: missing 'counters'"))?;
-        if uint(counters, "rules", &ctx)? != rules {
+        let (c, conjuncts) = (&r.counters, r.conjuncts as u64);
+        if c.rules != r.rules as u64 {
             return Err(format!("{ctx}: counters.rules disagrees with rules"));
         }
-        if uint(counters, "conjuncts", &ctx)? != conjuncts {
+        if c.conjuncts != conjuncts {
             return Err(format!(
                 "{ctx}: counters.conjuncts disagrees with conjuncts"
             ));
         }
-        if uint(counters, "unsat_checks", &ctx)? < conjuncts {
+        if c.unsat_checks < conjuncts {
             return Err(format!(
                 "{ctx}: not every conjunct was satisfiability-checked"
             ));
         }
-        if uint(counters, "compile_equiv_checks", &ctx)? != conjuncts {
+        if c.compile_equiv_checks != conjuncts {
             return Err(format!(
                 "{ctx}: not every conjunct went through the compile-equivalence check"
             ));
         }
-        let repair_regions = uint(counters, "repair_regions", &ctx)?;
+        let repair_regions = c.repair_regions;
         match source {
             "repair" if repair_regions == 0 => {
                 return Err(format!("{ctx}: repair run audited no repair regions"));
@@ -213,66 +159,54 @@ pub fn validate(text: &str) -> Result<String, String> {
             }
             _ => {}
         }
-        let findings = r
-            .get("findings")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{ctx}: 'findings' missing or not an array"))?;
-        let mut tally = [0u64; 3]; // unsound, redundant, hygiene
-        for (k, f) in findings.iter().enumerate() {
-            let fctx = format!("{ctx}.findings[{k}]");
-            let check = f
-                .get("check")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{fctx}: missing 'check'"))?;
-            if !CHECKS.contains(&check) {
-                return Err(format!("{fctx}: unknown check '{check}'"));
-            }
-            let severity = f
-                .get("severity")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{fctx}: missing 'severity'"))?;
-            let Some(si) = SEVERITIES.iter().position(|&s| s == severity) else {
-                return Err(format!("{fctx}: unknown severity '{severity}'"));
-            };
-            tally[si] += 1;
-            let msg = f
-                .get("message")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{fctx}: missing 'message'"))?;
-            if severity == "unsound" {
-                return Err(format!(
-                    "{fctx}: UNSOUND ({check}): {msg} — the artifact fails its own \
-                     static verification"
-                ));
-            }
+        if let Some(k) = r
+            .findings
+            .iter()
+            .position(|f| f.severity == Severity::Unsound)
+        {
+            let f = &r.findings[k];
+            return Err(format!(
+                "{ctx}.findings[{k}]: UNSOUND ({}): {} — the artifact fails its own \
+                 static verification",
+                f.check.label(),
+                f.message
+            ));
         }
-        let summary = r
-            .get("summary")
-            .ok_or_else(|| format!("{ctx}: missing 'summary'"))?;
-        for (si, name) in SEVERITIES.iter().enumerate() {
-            if uint(summary, name, &ctx)? != tally[si] {
-                return Err(format!(
-                    "{ctx}: summary.{name} disagrees with the findings listed"
-                ));
-            }
-            let counter_key = format!("findings_{name}");
-            if uint(counters, &counter_key, &ctx)? != tally[si] {
-                return Err(format!(
-                    "{ctx}: counters.{counter_key} disagrees with the findings listed"
-                ));
-            }
+        let listed = |s: Severity| r.findings.iter().filter(|f| f.severity == s).count();
+        let tally = Summary {
+            unsound: listed(Severity::Unsound),
+            redundant: listed(Severity::Redundant),
+            hygiene: listed(Severity::Hygiene),
+        };
+        if r.summary != tally {
+            return Err(format!(
+                "{ctx}: summary {:?} disagrees with the findings listed {tally:?}",
+                r.summary
+            ));
         }
-        total_findings += tally.iter().sum::<u64>();
+        let counted = [c.findings_unsound, c.findings_redundant, c.findings_hygiene];
+        if counted != [tally.unsound, tally.redundant, tally.hygiene].map(|n| n as u64) {
+            return Err(format!(
+                "{ctx}: counters.findings_* {counted:?} disagrees with the findings {tally:?}"
+            ));
+        }
+        total_findings += r.findings.len();
     }
     Ok(format!(
         "ok: {} run(s), 0 unsound, {total_findings} non-blocking finding(s)",
-        runs.len()
+        doc.runs.len()
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn render(runs: &[AnalysisRun]) -> String {
+        crate::artifact::render(&AnalysisRuns {
+            runs: runs.to_vec(),
+        })
+    }
     use crr_analyze::analyze_artifact;
     use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleSet};
     use crr_data::{AttrId, AttrType, Schema, Value};
@@ -331,24 +265,24 @@ mod tests {
             })
             .expect("repair obligations");
         vec![
-            AnalysisRun {
-                dataset: "electricity".into(),
-                rows: 2880,
-                source: "single".into(),
-                report: analyze_artifact(&artifact_of(clean)),
-            },
-            AnalysisRun {
-                dataset: "tax".into(),
-                rows: 2500,
-                source: "single".into(),
-                report: analyze_artifact(&artifact_of(redundant)),
-            },
-            AnalysisRun {
-                dataset: "electricity".into(),
-                rows: 3168,
-                source: "repair".into(),
-                report: analyze_artifact(&repaired_artifact),
-            },
+            AnalysisRun::new(
+                "electricity",
+                2880,
+                "single",
+                analyze_artifact(&artifact_of(clean)),
+            ),
+            AnalysisRun::new(
+                "tax",
+                2500,
+                "single",
+                analyze_artifact(&artifact_of(redundant)),
+            ),
+            AnalysisRun::new(
+                "electricity",
+                3168,
+                "repair",
+                analyze_artifact(&repaired_artifact),
+            ),
         ]
     }
 
@@ -389,7 +323,7 @@ mod tests {
             analyze_artifact(&artifact_of(tampered))
         };
         assert!(!report.is_sound());
-        runs[0].report = report;
+        runs[0] = AnalysisRun::new("electricity", 2880, "single", report);
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("UNSOUND"), "{err}");
     }
@@ -399,9 +333,17 @@ mod tests {
         let mut runs = sample();
         // Drop a finding but keep the counters: summary and counters now
         // both disagree with the list.
-        runs[1].report.findings.clear();
+        runs[1].findings.clear();
         let err = validate(&render(&runs)).expect_err("must fail");
+        assert!(err.contains("runs[1]: summary"), "{err}");
         assert!(err.contains("disagrees"), "{err}");
+        // With the summary re-tallied, the analyzer's counters still do.
+        runs[1].summary = Summary::default();
+        let err = validate(&render(&runs)).expect_err("must fail");
+        assert!(
+            err.contains("counters.findings_* [0, 1, 0] disagrees"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -419,5 +361,26 @@ mod tests {
         // The previous schema generation is refused, not silently accepted.
         assert!(validate("{\"schema\": \"crr-analysis-v1\", \"runs\": [1]}").is_err());
         assert!(validate("{\"schema\": \"other\", \"runs\": [1]}").is_err());
+    }
+
+    #[test]
+    fn labels_are_read_from_crr_analyze() {
+        let text = render(&sample());
+        let err = validate(&text.replacen("\"severity\": \"", "\"severity\": \"cosmetic-", 1))
+            .expect_err("unknown severity must fail");
+        assert!(
+            err.contains(".severity: unknown severity 'cosmetic-"),
+            "{err}"
+        );
+        let err = validate(&text.replacen("\"check\": \"", "\"check\": \"x", 1))
+            .expect_err("unknown check must fail");
+        assert!(err.contains(".check: unknown check 'x"), "{err}");
+    }
+
+    #[test]
+    fn committed_artifact_round_trips_byte_for_byte() {
+        let text = include_str!("../../../analysis.json");
+        let doc: AnalysisRuns = parse(text).expect("the committed file parses");
+        assert_eq!(crate::artifact::render(&doc), text);
     }
 }

@@ -2,17 +2,12 @@
 //! `BENCH_discovery.json`, and CI (`scripts/ci.sh`, via `--check`) re-parses
 //! and validates it so a regressed or malformed emitter fails the build.
 //!
-//! The workspace deliberately carries no serde; rendering and re-parsing
-//! ride on the hand-rolled JSON layer in [`crr_obs::json`] (shared with
-//! the `metrics.json` emitter in [`crate::metrics_json`]). The schema is
+//! The records render and parse through [`crate::artifact`]. The schema is
 //! documented field by field in `EXPERIMENTS.md`, section "Benchmark
 //! artifact schemas".
 
-use crr_obs::json::{esc, num};
-use std::fmt::Write as _;
-
-// Re-exported so existing callers keep one import path for parsing.
-pub use crr_obs::json::{parse, Json};
+use crate::artifact::{parse, record};
+use crr_data::Boundary;
 
 /// Schema tag stamped into the file; bump when the layout changes.
 /// v2 added the `sharded` section and the `sharded` engine label; v3 added
@@ -29,11 +24,6 @@ pub use crr_obs::json::{parse, Json};
 /// five-number [`Spread`] of its times and ratio.
 pub const SCHEMA: &str = "crr-bench-discovery-v5";
 
-/// Boundary labels a sharded cell may carry; every dataset must measure
-/// both, so the adaptive (quantile) planner is always benchmarked against
-/// the equal-width geometry it replaced as the default.
-pub const BOUNDARY_CELLS: [&str; 2] = ["equal_width", "quantile"];
-
 /// Tax instance size at and above which the sharding gate applies: the
 /// full-scale tracked cell. Smoke-scale cells take one round, whose ratio
 /// is noise.
@@ -44,22 +34,24 @@ pub const SHARDING_GATE_ROWS: usize = 10_000;
 /// quartile ([`Spread::q1`]).
 pub const MIN_SHARDING_RATIO: f64 = 1.6;
 
-/// Five-number summary of one timed quantity over a cell's paired rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Spread {
-    /// Smallest sample.
-    pub min: f64,
-    /// Lower quartile. Over 21 rounds this is the 6th smallest sample, a
-    /// distribution-free one-sided lower confidence bound on the median
-    /// at 98.7% (fewer than 6 of 21 samples fall below the median with
-    /// probability 0.013).
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Upper quartile.
-    pub q3: f64,
-    /// Largest sample.
-    pub max: f64,
+record! {
+    /// Five-number summary of one timed quantity over a cell's paired rounds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Spread(INLINE) {
+        /// Smallest sample.
+        pub min: f64,
+        /// Lower quartile. Over 21 rounds this is the 6th smallest sample, a
+        /// distribution-free one-sided lower confidence bound on the median
+        /// at 98.7% (fewer than 6 of 21 samples fall below the median with
+        /// probability 0.013).
+        pub q1: f64,
+        /// Median.
+        pub median: f64,
+        /// Upper quartile.
+        pub q3: f64,
+        /// Largest sample.
+        pub max: f64,
+    }
 }
 
 impl Spread {
@@ -78,330 +70,214 @@ impl Spread {
         }
     }
 
-    fn render(&self) -> String {
-        format!(
-            "{{\"min\": {}, \"q1\": {}, \"median\": {}, \"q3\": {}, \"max\": {}}}",
-            num(self.min),
-            num(self.q1),
-            num(self.median),
-            num(self.q3),
-            num(self.max)
-        )
-    }
-
-    fn parse(obj: &Json, key: &str, ctx: &str) -> Result<Spread, String> {
-        let v = obj
-            .get(key)
-            .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?;
-        let ctx = format!("{ctx}.{key}");
-        let s = Spread {
-            min: finite_num(v, "min", &ctx)?,
-            q1: finite_num(v, "q1", &ctx)?,
-            median: finite_num(v, "median", &ctx)?,
-            q3: finite_num(v, "q3", &ctx)?,
-            max: finite_num(v, "max", &ctx)?,
-        };
-        if s.min <= 0.0 {
-            return Err(format!("{ctx}: non-positive min {}", s.min));
+    /// Checks a recorded spread of times or ratios: positive and ordered.
+    fn check(&self, path: &str) -> Result<(), String> {
+        if self.min <= 0.0 {
+            return Err(format!("{path}: non-positive min {}", self.min));
         }
-        if !(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max) {
-            return Err(format!("{ctx}: summary out of order {s:?}"));
+        let ordered = [self.min, self.q1, self.median, self.q3, self.max];
+        if ordered.windows(2).any(|w| w[0] > w[1]) {
+            return Err(format!("{path}: summary out of order {self:?}"));
         }
-        Ok(s)
+        Ok(())
     }
 }
 
-/// One timed discovery run: a (dataset, size, engine) cell.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Dataset label (`electricity`, `tax`).
-    pub dataset: String,
-    /// Instance size |I| actually used.
-    pub rows: usize,
-    /// `moments` for a whole-instance run, or `sharded` for the
-    /// multi-shard cell (the same engine under a key-range shard plan).
-    pub engine: String,
-    /// Best-of-reps wall-clock discovery time, seconds.
-    pub learn_secs: f64,
-    /// Rules discovered.
-    pub rules: usize,
-    /// Models actually trained (rest were shared from the pool).
-    pub trained: usize,
-    /// RMSE of the discovered rule set over the instance.
-    pub rmse: f64,
-}
-
-/// Sharded-vs-single comparison at one (dataset, size) point: the same
-/// instance discovered whole and under an N-way key-range shard plan, in
-/// `reps` interleaved rounds that each time the single-shard baseline and
-/// both shard plans back to back.
-#[derive(Debug, Clone)]
-pub struct ShardedEntry {
-    /// Dataset label.
-    pub dataset: String,
-    /// Instance size.
-    pub rows: usize,
-    /// Shard count of the sharded run (≥ 2).
-    pub shards: usize,
-    /// Boundary placement of the shard plan: `equal_width` or `quantile`.
-    pub boundary: String,
-    /// Shard balance of the plan's interval shards, min/max row count in
-    /// permille (1000 = perfectly even). This is the geometry the
-    /// boundary choice controls: on a single-core host the wall-clock
-    /// ratio measures total work, so balance is where a quantile plan's
-    /// advantage on a skewed key is visible and gated.
-    pub balance_permille: u64,
-    /// Paired rounds timed.
-    pub reps: usize,
-    /// Single-shard (whole-instance) time per round, seconds.
-    pub single_secs: Spread,
-    /// N-shard time per round including the Algorithm 2 merge, seconds.
-    pub sharded_secs: Spread,
-    /// Per-round `single / sharded` time — above 1.0 means sharding is
-    /// faster. Summarized over the paired ratios, not divided from the
-    /// two time summaries.
-    pub ratio: Spread,
-}
-
-/// The full report the `bench` experiment emits.
-#[derive(Debug, Clone, Default)]
-pub struct BenchReport {
-    /// Every timed cell.
-    pub records: Vec<BenchRecord>,
-    /// Sharded-vs-single comparisons, one per dataset at its largest size.
-    pub sharded: Vec<ShardedEntry>,
-}
-
-/// Renders the report as pretty-printed JSON with a stable key order.
-pub fn render(report: &BenchReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in report.records.iter().enumerate() {
-        let comma = if i + 1 < report.records.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"rows\": {}, \"engine\": \"{}\", \
-             \"learn_secs\": {}, \"rules\": {}, \"trained\": {}, \"rmse\": {}}}{comma}",
-            esc(&r.dataset),
-            r.rows,
-            esc(&r.engine),
-            num(r.learn_secs),
-            r.rules,
-            r.trained,
-            num(r.rmse),
-        );
+record! {
+    /// One timed discovery run: a (dataset, size, engine) cell.
+    #[derive(Debug, Clone)]
+    pub struct BenchRecord(INLINE) {
+        /// Dataset label (`electricity`, `tax`).
+        pub dataset: String,
+        /// Instance size |I| actually used.
+        pub rows: usize,
+        /// `moments` for a whole-instance run, or `sharded` for the
+        /// multi-shard cell (the same engine under a key-range shard plan).
+        pub engine: String,
+        /// Best-of-reps wall-clock discovery time, seconds.
+        pub learn_secs: f64,
+        /// Rules discovered.
+        pub rules: usize,
+        /// Models actually trained (rest were shared from the pool).
+        pub trained: usize,
+        /// RMSE of the discovered rule set over the instance.
+        pub rmse: f64,
     }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"sharded\": [");
-    for (i, s) in report.sharded.iter().enumerate() {
-        let comma = if i + 1 < report.sharded.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"rows\": {}, \"shards\": {}, \"boundary\": \"{}\", \
-             \"balance_permille\": {}, \"reps\": {}, \"single_secs\": {}, \
-             \"sharded_secs\": {}, \"ratio\": {}}}{comma}",
-            esc(&s.dataset),
-            s.rows,
-            s.shards,
-            esc(&s.boundary),
-            s.balance_permille,
-            s.reps,
-            s.single_secs.render(),
-            s.sharded_secs.render(),
-            s.ratio.render(),
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
-fn finite_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?;
-    let x = v
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a number (got {v:?})"))?;
-    if !x.is_finite() {
-        return Err(format!("{ctx}: key '{key}' is non-finite"));
+record! {
+    /// Sharded-vs-single comparison at one (dataset, size) point: the same
+    /// instance discovered whole and under an N-way key-range shard plan, in
+    /// `reps` interleaved rounds that each time the single-shard baseline and
+    /// both shard plans back to back.
+    #[derive(Debug, Clone)]
+    pub struct ShardedEntry(INLINE) {
+        /// Dataset label.
+        pub dataset: String,
+        /// Instance size.
+        pub rows: usize,
+        /// Shard count of the sharded run (≥ 2).
+        pub shards: usize,
+        /// Boundary placement of the shard plan.
+        pub boundary: Boundary,
+        /// Shard balance of the plan's interval shards, min/max row count in
+        /// permille (1000 = perfectly even). This is the geometry the
+        /// boundary choice controls: on a single-core host the wall-clock
+        /// ratio measures total work, so balance is where a quantile plan's
+        /// advantage on a skewed key is visible and gated.
+        pub balance_permille: u64,
+        /// Paired rounds timed.
+        pub reps: usize,
+        /// Single-shard (whole-instance) time per round, seconds.
+        pub single_secs: Spread,
+        /// N-shard time per round including the Algorithm 2 merge, seconds.
+        pub sharded_secs: Spread,
+        /// Per-round `single / sharded` time — above 1.0 means sharding is
+        /// faster. Summarized over the paired ratios, not divided from the
+        /// two time summaries.
+        pub ratio: Spread,
     }
-    Ok(x)
 }
 
-fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a string"))
+record! {
+    /// The full report the `bench` experiment emits.
+    #[derive(Debug, Clone, Default)]
+    pub struct BenchReport(BLOCK, schema = SCHEMA) {
+        /// Every timed cell.
+        pub records: Vec<BenchRecord>,
+        /// Sharded-vs-single comparisons, one per dataset at its largest size.
+        pub sharded: Vec<ShardedEntry>,
+    }
 }
 
 /// Validates a `BENCH_discovery.json` document. On success, returns a
 /// one-line summary; on failure, a message naming the first violation.
 ///
-/// Checks: the schema tag; a non-empty `records` array whose entries carry
-/// every required key with finite numbers and a known engine label
+/// Checks: the schema tag and every field's type; a non-empty `records`
+/// array with positive sizes, non-negative times and a known engine label
 /// (`moments` or `sharded`); each dataset measured at ≥ 2 sizes with a
 /// `moments` record at each size; and a non-empty `sharded` array whose
-/// cells have ≥ 2 shards, ≥ 1 round, ordered positive spreads and a
-/// boundary label from [`BOUNDARY_CELLS`], with both boundaries measured
-/// for every sharded dataset. At gate scale (`tax` with at least
-/// [`SHARDING_GATE_ROWS`] rows) the quantile plan's balance must beat the
-/// equal-width plan's — equal-width crowds most of the skewed salary key
-/// into one shard — and its ratio's lower quartile must reach
-/// [`MIN_SHARDING_RATIO`].
+/// cells have ≥ 2 shards, ≥ 1 round and ordered positive spreads, with
+/// every [`Boundary`] measured for every sharded dataset. At gate scale
+/// (`tax` with at least [`SHARDING_GATE_ROWS`] rows) the quantile plan's
+/// balance must beat the equal-width plan's — equal-width crowds most of
+/// the skewed salary key into one shard — and its ratio's lower quartile
+/// must reach [`MIN_SHARDING_RATIO`].
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = str_key(&doc, "schema", "document")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'records' missing or not an array")?;
-    if records.is_empty() {
+    let report: BenchReport = parse(text)?;
+    if report.records.is_empty() {
         return Err("'records' is empty".to_string());
     }
-    // (dataset, rows) -> engine labels seen there.
-    let mut cells: Vec<(String, u64, Vec<String>)> = Vec::new();
-    for (i, r) in records.iter().enumerate() {
+    for (i, r) in report.records.iter().enumerate() {
         let ctx = format!("records[{i}]");
-        let dataset = str_key(r, "dataset", &ctx)?.to_string();
-        let engine = str_key(r, "engine", &ctx)?.to_string();
-        if engine != "moments" && engine != "sharded" {
-            return Err(format!("{ctx}: unknown engine '{engine}'"));
+        if r.engine != "moments" && r.engine != "sharded" {
+            return Err(format!("{ctx}: unknown engine '{}'", r.engine));
         }
-        let rows = finite_num(r, "rows", &ctx)?;
-        if rows < 1.0 || rows.fract() != 0.0 {
+        if r.rows == 0 {
             return Err(format!("{ctx}: 'rows' must be a positive integer"));
         }
-        if finite_num(r, "learn_secs", &ctx)? < 0.0 {
+        if r.learn_secs < 0.0 {
             return Err(format!("{ctx}: negative learn_secs"));
         }
-        for key in ["rules", "trained", "rmse"] {
-            finite_num(r, key, &ctx)?;
-        }
-        let rows = rows as u64;
-        match cells
-            .iter_mut()
-            .find(|(d, n, _)| *d == dataset && *n == rows)
-        {
-            Some((_, _, engines)) => engines.push(engine),
-            None => cells.push((dataset, rows, vec![engine])),
-        }
     }
-    let mut datasets: Vec<&str> = Vec::new();
-    for (dataset, rows, engines) in &cells {
-        if !engines.iter().any(|e| e == "moments") {
+    // Distinct (dataset, rows) cells, each needing a whole-instance run.
+    let mut cells: Vec<(&str, usize)> = report
+        .records
+        .iter()
+        .map(|r| (&*r.dataset, r.rows))
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    for &(dataset, rows) in &cells {
+        let moments =
+            |r: &BenchRecord| r.dataset == dataset && r.rows == rows && r.engine == "moments";
+        if !report.records.iter().any(moments) {
             return Err(format!("{dataset}@{rows}: engine 'moments' never measured"));
         }
-        if !datasets.contains(&dataset.as_str()) {
-            datasets.push(dataset);
-        }
     }
+    let mut datasets: Vec<&str> = cells.iter().map(|&(d, _)| d).collect();
+    datasets.dedup();
     for d in &datasets {
-        let sizes = cells.iter().filter(|(name, _, _)| name == d).count();
+        let sizes = cells.iter().filter(|(name, _)| name == d).count();
         if sizes < 2 {
             return Err(format!("dataset '{d}' measured at only {sizes} size(s)"));
         }
     }
 
-    let sharded = doc
-        .get("sharded")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'sharded' missing or not an array")?;
-    if sharded.is_empty() {
+    if report.sharded.is_empty() {
         return Err("'sharded' is empty".to_string());
     }
-    // (dataset, rows, boundary, balance, ratio) per cell.
-    let mut sharded_cells: Vec<(String, u64, String, f64, Spread)> = Vec::new();
-    for (i, s) in sharded.iter().enumerate() {
+    for (i, s) in report.sharded.iter().enumerate() {
         let ctx = format!("sharded[{i}]");
-        let dataset = str_key(s, "dataset", &ctx)?.to_string();
-        let rows = finite_num(s, "rows", &ctx)?;
-        let k = finite_num(s, "shards", &ctx)?;
-        if k < 2.0 || k.fract() != 0.0 {
-            return Err(format!("{ctx}: 'shards' must be an integer >= 2 (got {k})"));
-        }
-        let boundary = str_key(s, "boundary", &ctx)?.to_string();
-        if !BOUNDARY_CELLS.contains(&boundary.as_str()) {
-            return Err(format!("{ctx}: unknown boundary '{boundary}'"));
-        }
-        let balance = finite_num(s, "balance_permille", &ctx)?;
-        if !(1.0..=1000.0).contains(&balance) || balance.fract() != 0.0 {
+        if s.shards < 2 {
             return Err(format!(
-                "{ctx}: 'balance_permille' must be an integer in 1..=1000 (got {balance})"
+                "{ctx}: 'shards' must be an integer >= 2 (got {})",
+                s.shards
             ));
         }
-        let reps = finite_num(s, "reps", &ctx)?;
-        if reps < 1.0 || reps.fract() != 0.0 {
+        if !(1..=1000).contains(&s.balance_permille) {
             return Err(format!(
-                "{ctx}: 'reps' must be a positive integer (got {reps})"
+                "{ctx}: 'balance_permille' must be an integer in 1..=1000 (got {})",
+                s.balance_permille
             ));
         }
-        Spread::parse(s, "single_secs", &ctx)?;
-        Spread::parse(s, "sharded_secs", &ctx)?;
-        let ratio = Spread::parse(s, "ratio", &ctx)?;
-        sharded_cells.push((dataset, rows as u64, boundary, balance, ratio));
+        if s.reps == 0 {
+            return Err(format!("{ctx}: 'reps' must be a positive integer (got 0)"));
+        }
+        s.single_secs.check(&format!("{ctx}.single_secs"))?;
+        s.sharded_secs.check(&format!("{ctx}.sharded_secs"))?;
+        s.ratio.check(&format!("{ctx}.ratio"))?;
     }
     // Every sharded dataset must measure both boundary placements, so the
     // adaptive plan always has its equal-width baseline next to it.
     let mut gated = 0usize;
-    for (dataset, rows, boundary, balance, ratio) in &sharded_cells {
-        let other = |want: &str| {
-            sharded_cells
+    for s in &report.sharded {
+        let (dataset, rows, balance) = (&s.dataset, s.rows, s.balance_permille);
+        let cell = |want: Boundary| {
+            report
+                .sharded
                 .iter()
-                .find(|(d, n, b, _, _)| d == dataset && n == rows && b == want)
+                .find(|c| c.dataset == *dataset && c.rows == rows && c.boundary == want)
         };
-        for want in BOUNDARY_CELLS {
-            if other(want).is_none() {
+        for want in Boundary::ALL {
+            if cell(want).is_none() {
                 return Err(format!(
-                    "sharded {dataset}@{rows}: boundary '{want}' never measured"
+                    "sharded {dataset}@{rows}: boundary '{}' never measured",
+                    want.label()
                 ));
             }
         }
-        if dataset != "tax" || boundary != "quantile" || *rows < SHARDING_GATE_ROWS as u64 {
+        if dataset != "tax" || s.boundary != Boundary::Quantile || rows < SHARDING_GATE_ROWS {
             continue;
         }
         gated += 1;
-        let ew_balance = other("equal_width").map_or(0.0, |c| c.3);
-        if *balance <= ew_balance {
+        let ew_balance = cell(Boundary::EqualWidth).map_or(0, |c| c.balance_permille);
+        if balance <= ew_balance {
             return Err(format!(
                 "sharded tax@{rows}: quantile balance {balance}‰ does not beat \
                  equal-width {ew_balance}‰ on the skewed key"
             ));
         }
-        if ratio.q1 < MIN_SHARDING_RATIO {
+        if s.ratio.q1 < MIN_SHARDING_RATIO {
             return Err(format!(
                 "sharded tax@{rows}: quantile speedup lower quartile {:.3}x is below \
                  the {MIN_SHARDING_RATIO}x floor (median {:.3}x)",
-                ratio.q1, ratio.median
+                s.ratio.q1, s.ratio.median
             ));
         }
     }
     Ok(format!(
         "ok: {} records over {} dataset(s), {} sharded cell(s), {gated} at gate scale",
-        records.len(),
+        report.records.len(),
         datasets.len(),
-        sharded.len(),
+        report.sharded.len(),
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::render;
 
     fn sample() -> BenchReport {
         let mut report = BenchReport::default();
@@ -417,13 +293,17 @@ mod tests {
                     rmse: 0.05,
                 });
             }
-            for boundary in BOUNDARY_CELLS {
+            for boundary in Boundary::ALL {
                 report.sharded.push(ShardedEntry {
                     dataset: dataset.into(),
                     rows: 2000,
                     shards: 4,
-                    boundary: boundary.into(),
-                    balance_permille: if boundary == "quantile" { 980 } else { 410 },
+                    boundary,
+                    balance_permille: if boundary == Boundary::Quantile {
+                        980
+                    } else {
+                        410
+                    },
                     reps: 5,
                     single_secs: Spread::of(&[0.4, 0.41, 0.42, 0.45, 0.5]),
                     sharded_secs: Spread::of(&[0.2, 0.21, 0.22, 0.23, 0.3]),
@@ -492,7 +372,7 @@ mod tests {
             let mut report = sample();
             for s in report.sharded.iter_mut().filter(|s| s.dataset == "tax") {
                 s.rows = SHARDING_GATE_ROWS;
-                if s.boundary == "quantile" {
+                if s.boundary == Boundary::Quantile {
                     s.balance_permille = quantile_balance;
                     s.ratio = Spread::of(&[1.0, q1, 1.9, 2.0, 2.1]);
                 }
@@ -547,18 +427,22 @@ mod tests {
 
     #[test]
     fn sharded_boundary_labels_are_required_and_checked() {
-        let mut report = sample();
-        report.sharded[0].boundary = "fibonacci".into();
-        let err = validate(&render(&report)).expect_err("unknown boundary must fail");
-        assert!(err.contains("fibonacci"), "{err}");
+        let text = render(&sample()).replacen("\"quantile\"", "\"fibonacci\"", 1);
+        let err = validate(&text).expect_err("unknown boundary must fail");
+        assert!(
+            err.contains("sharded[1].boundary: unknown boundary 'fibonacci'"),
+            "{err}"
+        );
 
         let mut report = sample();
-        report.sharded.retain(|s| s.boundary != "quantile");
+        report.sharded.retain(|s| s.boundary != Boundary::Quantile);
         let err = validate(&render(&report)).expect_err("missing quantile cell must fail");
         assert!(err.contains("quantile"), "{err}");
 
         let mut report = sample();
-        report.sharded.retain(|s| s.boundary != "equal_width");
+        report
+            .sharded
+            .retain(|s| s.boundary != Boundary::EqualWidth);
         let err = validate(&render(&report)).expect_err("missing equal-width cell must fail");
         assert!(err.contains("equal_width"), "{err}");
     }
@@ -611,5 +495,12 @@ mod tests {
     fn non_object_documents_are_rejected() {
         assert!(validate("[]").is_err());
         assert!(validate("{").is_err());
+    }
+
+    #[test]
+    fn committed_artifact_round_trips_byte_for_byte() {
+        let text = include_str!("../../../BENCH_discovery.json");
+        let report: BenchReport = parse(text).expect("the committed file parses");
+        assert_eq!(render(&report), text);
     }
 }

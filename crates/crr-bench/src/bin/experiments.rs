@@ -133,7 +133,7 @@
 
 use crr_baselines::{RegTree, RegTreeConfig};
 use crr_bench::*;
-use crr_data::{RowSet, ShardSpec, Table};
+use crr_data::{Boundary, RowSet, ShardSpec, Table};
 use crr_datasets::{abalone, airquality, birdmap, electricity, paper_sizes, tax, GenConfig};
 use crr_discovery::{
     compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, PredicateGen,
@@ -159,26 +159,14 @@ fn run_discovery(
         .run()
 }
 
-/// `--check <path>`: one gate for every tracked artifact. The file's own
-/// `schema` tag picks the validator.
+/// `--check <path>`: one gate for every tracked artifact, through
+/// [`check_artifact`]. The file's own `schema` tag picks the validator.
 ///
 /// Prints the validator's summary and returns on success; prints the first
 /// violation and exits non-zero otherwise.
-fn check_artifact(path: &str) {
+fn check_file(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let schema = bench_json::parse(&text)
-        .ok()
-        .and_then(|doc| doc.get("schema").and_then(|s| s.as_str().map(String::from)));
-    let result = match schema.as_deref() {
-        Some(s) if s.starts_with("crr-bench-discovery-") => bench_json::validate(&text),
-        Some(s) if s.starts_with("crr-metrics-") => metrics_json::validate(&text),
-        Some(s) if s.starts_with("crr-analysis-") => analysis_json::validate(&text),
-        Some(s) if s.starts_with("crr-serving-") => serving_json::validate(&text),
-        Some(s) if s.starts_with("crr-stream-") => stream_json::validate(&text),
-        Some(s) => Err(format!("unrecognized artifact schema '{s}'")),
-        None => Err("no 'schema' tag to dispatch on (is this a tracked artifact?)".to_string()),
-    };
-    match result {
+    match check_artifact(&text) {
         Ok(summary) => println!("{path}: {summary}"),
         Err(e) => {
             eprintln!("{path}: INVALID: {e}");
@@ -349,7 +337,7 @@ fn main() {
             }
             "--check" => {
                 let path = it.next().expect("--check needs an artifact path");
-                check_artifact(path);
+                check_file(path);
                 return;
             }
             "--analysis-json" => {
@@ -1186,8 +1174,8 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                     rows: rows.len(),
                     engine: "moments".to_string(),
                     expected_fault_events: None,
-                    shard_rows: Vec::new(),
-                    snapshot: dm.metrics,
+                    shard_rows: None,
+                    metrics: dm.metrics,
                 });
             }
         }
@@ -1268,7 +1256,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             trained: d.stats.models_trained,
             rmse: rep.rmse,
         });
-        for (pi, boundary) in [(1usize, "equal_width"), (2, "quantile")] {
+        for (pi, boundary) in [(1usize, Boundary::EqualWidth), (2, Boundary::Quantile)] {
             // Plan geometry for the cell: min/max shard size in permille.
             // Planning is deterministic, so one untimed plan reproduces
             // exactly what the timed runs partitioned on.
@@ -1292,7 +1280,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                 dataset: name.to_string(),
                 rows: rows.len(),
                 shards,
-                boundary: boundary.to_string(),
+                boundary,
                 balance_permille: crr_data::balance_permille(&plan),
                 reps: sharded_reps,
                 single_secs: bench_json::Spread::of(&secs[0]),
@@ -1317,9 +1305,10 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                 .run()
                 .expect("metered sharded discovery");
             let m = &dm.metrics;
-            let probes = metrics_json::snapshot_counter(m, "shards", "cross_pool_probes");
-            let hits = metrics_json::snapshot_counter(m, "shards", "cross_pool_hits");
-            let misses = metrics_json::snapshot_counter(m, "shards", "cross_pool_misses");
+            let count = |name: &str| m.count("shards", name).unwrap_or(0);
+            let probes = count("cross_pool_probes");
+            let hits = count("cross_pool_hits");
+            let misses = count("cross_pool_misses");
             assert_eq!(
                 hits + misses,
                 probes,
@@ -1341,8 +1330,8 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                 rows: rows.len(),
                 engine: "sharded".to_string(),
                 expected_fault_events: None,
-                shard_rows,
-                snapshot: dm.metrics,
+                shard_rows: Some(shard_rows),
+                metrics: dm.metrics,
             });
         }
     }
@@ -1361,7 +1350,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             s.rows,
             s.single_secs.median,
             s.shards,
-            s.boundary,
+            s.boundary.label(),
             s.balance_permille,
             s.sharded_secs.median,
             s.ratio.median,
@@ -1370,7 +1359,7 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             s.ratio.max
         );
     }
-    let text = bench_json::render(&report);
+    let text = artifact::render(&report);
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 
     if let Some(mpath) = metrics_out {
@@ -1406,11 +1395,11 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             rows: rows.len(),
             engine: "moments".to_string(),
             expected_fault_events: Some(1),
-            shard_rows: Vec::new(),
-            snapshot,
+            shard_rows: None,
+            metrics: snapshot,
         });
 
-        let mtext = metrics_json::render(&metric_runs);
+        let mtext = artifact::render(&metrics_json::MetricsReport { runs: metric_runs });
         let msummary = metrics_json::validate(&mtext).expect("emitted metrics must validate");
         std::fs::write(mpath, &mtext).unwrap_or_else(|e| panic!("cannot write {mpath}: {e}"));
         println!("wrote {mpath} ({msummary})");
@@ -1434,12 +1423,13 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
 /// `artifact_out`, the repaired artifact's text is persisted for
 /// `--analyze-artifact` / `--mutate-repair-guard`.
 fn analyze_cmd(scale: f64, path: &str, shards: usize, artifact_out: Option<&str>) {
+    use analysis_json::{AnalysisRun, AnalysisRuns};
+
     let cells: [(&str, fn(usize, u64) -> Scenario, usize, usize); 2] = [
         ("electricity", electricity_scenario, 11_520, 255),
         ("tax", tax_scenario, 10_000, 15),
     ];
-    let mut runs: Vec<analysis_json::AnalysisRun> = Vec::new();
-    let mut table_rows = Vec::new();
+    let mut runs: Vec<AnalysisRun> = Vec::new();
     for (name, make, size, per_attr) in cells {
         let sc = make(scaled(size, scale), 42);
         let rows = sc.rows();
@@ -1477,26 +1467,40 @@ fn analyze_cmd(scale: f64, path: &str, shards: usize, artifact_out: Option<&str>
                 "{name}/{source}: analyzer found unsound artifacts: {:#?}",
                 report.findings
             );
-            push_analysis_run(&mut runs, &mut table_rows, name, rows.len(), source, report);
+            runs.push(AnalysisRun::new(name, rows.len(), source, report));
         }
     }
 
     // The repaired cell: a regime-changed Electricity tail driven through
     // crr-stream's repair, analyzed against its bundled obligations.
     let (repaired_rows, repaired_artifact, repaired_report) = repaired_artifact_cell();
-    push_analysis_run(
-        &mut runs,
-        &mut table_rows,
+    runs.push(AnalysisRun::new(
         "electricity",
         repaired_rows,
         "repair",
         repaired_report,
-    );
+    ));
     if let Some(out) = artifact_out {
         std::fs::write(out, repaired_artifact.to_text())
             .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
         println!("wrote {out} (stream-repaired artifact, proof-carrying)");
     }
+    let table_rows: Vec<Vec<String>> = runs
+        .iter()
+        .map(|r| {
+            vec![
+                r.dataset.clone(),
+                r.rows.to_string(),
+                r.source.clone(),
+                r.rules.to_string(),
+                r.conjuncts.to_string(),
+                r.shards.to_string(),
+                r.counters.implication_checks.to_string(),
+                r.summary.redundant.to_string(),
+                r.summary.hygiene.to_string(),
+            ]
+        })
+        .collect();
     print_table(
         "Static analysis: crr-analyze over discovered artifacts",
         &[
@@ -1505,44 +1509,15 @@ fn analyze_cmd(scale: f64, path: &str, shards: usize, artifact_out: Option<&str>
         &table_rows,
     );
     for run in &runs {
-        for f in &run.report.findings {
+        for f in &run.findings {
             println!("  {}@{}/{}: {f}", run.dataset, run.rows, run.source);
         }
     }
-    let text = analysis_json::render(&runs);
+    let text = artifact::render(&AnalysisRuns { runs });
     // Self-check before writing: never persist an artifact CI would reject.
     let summary = analysis_json::validate(&text).expect("emitted analysis must validate");
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path} ({summary})");
-}
-
-/// Appends one analysis run to both the printed table and the JSON runs.
-fn push_analysis_run(
-    runs: &mut Vec<analysis_json::AnalysisRun>,
-    table_rows: &mut Vec<Vec<String>>,
-    name: &str,
-    rows: usize,
-    source: &str,
-    report: crr_analyze::AnalysisReport,
-) {
-    let s = report.summary();
-    table_rows.push(vec![
-        name.to_string(),
-        rows.to_string(),
-        source.to_string(),
-        report.rules.to_string(),
-        report.conjuncts.to_string(),
-        report.shards.to_string(),
-        report.counters.implication_checks.to_string(),
-        s.redundant.to_string(),
-        s.hygiene.to_string(),
-    ]);
-    runs.push(analysis_json::AnalysisRun {
-        dataset: name.to_string(),
-        rows,
-        source: source.to_string(),
-        report,
-    });
 }
 
 /// Builds the proof-carrying repaired artifact for the `analyze` repair
@@ -1610,6 +1585,20 @@ fn repaired_artifact_cell() -> (
     (engine.table().num_rows(), artifact, report)
 }
 
+/// The `"predictions"` field a server answering `/v1/predict` for
+/// `probe_rows` of `table` must return: `rules` evaluated offline over the
+/// same rows, rendered by the server's own formatter.
+fn offline_predictions(rules: &crr_core::RuleSet, table: &Table, probe_rows: &[usize]) -> String {
+    let mut probe = Table::new(table.schema().clone());
+    for &row in probe_rows {
+        probe.push_row(table.row(row)).expect("probe row");
+    }
+    let offline: Vec<Option<f64>> = (0..probe.num_rows())
+        .map(|row| rules.predict(&probe, row))
+        .collect();
+    crr_serve::client::predictions_field(&offline)
+}
+
 /// `serving`: stand up a live `crr-serve` server over an exported
 /// Electricity rule set and measure it end to end — loss-free smoke cells
 /// on `/v1/predict` and `/v1/check`, an overload cell that must shed, and
@@ -1618,7 +1607,7 @@ fn repaired_artifact_cell() -> (
 /// re-checks from the file is asserted in-process first.
 fn serving_cmd(scale: f64, path: &str) {
     use crr_discovery::MetricsSink;
-    use crr_serve::client::{roundtrip, run_load, LoadOptions};
+    use crr_serve::client::{roundtrip, rows_body, run_load, LoadOptions};
     use crr_serve::{RuleStore, ServeConfig, ServeFaultPlan, Server};
     use std::sync::Arc;
     use std::time::Duration;
@@ -1642,44 +1631,11 @@ fn serving_cmd(scale: f64, path: &str) {
     let step = (rows / 240).max(1);
     let probe_rows: Vec<usize> = (0..rows).step_by(step).take(240).collect();
     let batch_rows = probe_rows.len();
-    let mut body = String::from("{\"rows\": [");
-    for (i, &row) in probe_rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push('[');
-        for (j, v) in sc.table().row(row).iter().enumerate() {
-            if j > 0 {
-                body.push_str(", ");
-            }
-            body.push_str(&match v {
-                crr_data::Value::Null => "null".to_string(),
-                crr_data::Value::Int(i) => i.to_string(),
-                crr_data::Value::Float(x) => crr_obs::json::num(*x),
-                crr_data::Value::Str(s) => format!("\"{}\"", crr_obs::json::esc(s)),
-            });
-        }
-        body.push(']');
-    }
-    body.push_str("]}");
+    let body = rows_body(probe_rows.iter().map(|&row| sc.table().row(row)));
 
     // Offline evaluation of the same probe, rendered with the same
     // formatter the server uses — the swap-churn pin.
-    let mut probe = Table::new(sc.table().schema().clone());
-    for &row in &probe_rows {
-        probe.push_row(sc.table().row(row)).expect("probe row");
-    }
-    let mut expected = String::from("\"predictions\": [");
-    for row in 0..probe.num_rows() {
-        if row > 0 {
-            expected.push_str(", ");
-        }
-        match artifact.rules.predict(&probe, row) {
-            Some(x) => expected.push_str(&crr_obs::json::num(x)),
-            None => expected.push_str("null"),
-        }
-    }
-    expected.push(']');
+    let expected = offline_predictions(&artifact.rules, sc.table(), &probe_rows);
 
     let mut records: Vec<serving_json::ServingRecord> = Vec::new();
     let mut table_rows = Vec::new();
@@ -1848,8 +1804,7 @@ fn serving_cmd(scale: f64, path: &str) {
         "  swaps: {} accepted / {} rejected, generation {}, predictions pinned: {}",
         swaps.accepted, swaps.rejected, swaps.generation, swaps.predictions_pinned
     );
-    let report = serving_json::ServingReport { records, swaps };
-    let text = serving_json::render(&report);
+    let text = artifact::render(&serving_json::ServingReport { records, swaps });
     // Self-check before writing: never persist a report CI would reject.
     let summary = serving_json::validate(&text).expect("emitted serving report must validate");
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
@@ -1947,7 +1902,7 @@ fn stream_cell(
     // ... and hot-swap into a live server that keeps serving answers
     // byte-identical to offline evaluation of the repaired rules.
     let swap_served_identical = {
-        use crr_serve::client::roundtrip;
+        use crr_serve::client::{roundtrip, rows_body};
         use crr_serve::{RuleStore, ServeConfig, Server};
         use std::sync::Arc;
 
@@ -1978,39 +1933,8 @@ fn stream_cell(
             .step_by(probe_step)
             .take(240)
             .collect();
-        let mut body = String::from("{\"rows\": [");
-        let mut probe = Table::new(engine.table().schema().clone());
-        for (i, &row) in probe_rows.iter().enumerate() {
-            if i > 0 {
-                body.push_str(", ");
-            }
-            body.push('[');
-            for (j, v) in engine.table().row(row).iter().enumerate() {
-                if j > 0 {
-                    body.push_str(", ");
-                }
-                body.push_str(&match v {
-                    crr_data::Value::Null => "null".to_string(),
-                    crr_data::Value::Int(i) => i.to_string(),
-                    crr_data::Value::Float(x) => crr_obs::json::num(*x),
-                    crr_data::Value::Str(s) => format!("\"{}\"", crr_obs::json::esc(s)),
-                });
-            }
-            body.push(']');
-            probe.push_row(engine.table().row(row)).expect("probe row");
-        }
-        body.push_str("]}");
-        let mut expected = String::from("\"predictions\": [");
-        for row in 0..probe.num_rows() {
-            if row > 0 {
-                expected.push_str(", ");
-            }
-            match artifact.rules.predict(&probe, row) {
-                Some(x) => expected.push_str(&crr_obs::json::num(x)),
-                None => expected.push_str("null"),
-            }
-        }
-        expected.push(']');
+        let body = rows_body(probe_rows.iter().map(|&row| engine.table().row(row)));
+        let expected = offline_predictions(&artifact.rules, engine.table(), &probe_rows);
         let (status, resp) =
             roundtrip(server.addr(), "POST", "/v1/predict", &body).expect("predict roundtrip");
         server.shutdown();
@@ -2089,7 +2013,7 @@ fn stream_cmd(scale: f64, path: &str, artifact_out: Option<&str>) {
         ],
         &table_rows,
     );
-    let text = stream_json::render(&records);
+    let text = artifact::render(&stream_json::StreamReport { records });
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     if let Some(out) = artifact_out {
         let text = exported.expect("stream ran at least one cell");

@@ -11,7 +11,7 @@
 //!   time**, **evaluation time**, **#rules** and **RMSE**;
 //! * table formatting for paper-style console output.
 //!
-//! Four submodules emit the machine-readable artifacts the tracked
+//! Five submodules declare the machine-readable artifacts the tracked
 //! benchmark writes and CI re-validates: [`bench_json`]
 //! (`BENCH_discovery.json` — discovery timings), [`metrics_json`]
 //! (`metrics.json` — observability snapshots from `crr_obs`-instrumented
@@ -21,9 +21,11 @@
 //! (`BENCH_serving.json` — live `crr-serve` latency/throughput cells plus
 //! the hot-swap admission-gate cell) and [`stream_json`]
 //! (`BENCH_stream.json` — incremental maintenance via `crr-stream` against
-//! full rediscovery on appended slices, gated on the speedup floor). All
-//! schemas are documented in `EXPERIMENTS.md`, section "Benchmark
-//! artifact schemas".
+//! full rediscovery on appended slices, gated on the speedup floor). Their
+//! records render and parse through one layer, [`artifact`], and
+//! [`check_artifact`] validates any of them by its schema tag. All schemas
+//! are documented in `EXPERIMENTS.md`, section "Benchmark artifact
+//! schemas".
 
 #![deny(unsafe_code)]
 // Bench/experiment harness: panicking on setup failure is the failure mode
@@ -46,10 +48,39 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub mod analysis_json;
+pub mod artifact;
 pub mod bench_json;
 pub mod metrics_json;
 pub mod serving_json;
 pub mod stream_json;
+
+/// An artifact validator: a one-line summary, or the first violation.
+type Validate = fn(&str) -> Result<String, String>;
+
+/// The tracked artifacts by schema tag, each with its validator.
+const ARTIFACTS: [(&str, Validate); 5] = [
+    (bench_json::SCHEMA, bench_json::validate),
+    (metrics_json::SCHEMA, metrics_json::validate),
+    (analysis_json::SCHEMA, analysis_json::validate),
+    (serving_json::SCHEMA, serving_json::validate),
+    (stream_json::SCHEMA, stream_json::validate),
+];
+
+/// Validates any tracked artifact: the file's own `schema` tag picks the
+/// validator by its family (the tag up to its version), so a stale
+/// version reaches its validator and fails there as an unexpected schema.
+/// Returns the validator's one-line summary or its first violation.
+pub fn check_artifact(text: &str) -> Result<String, String> {
+    let doc = crr_obs::json::parse(text).unwrap_or(crr_obs::json::Json::Null);
+    let schema = doc.get("schema").and_then(|s| s.as_str());
+    let schema = schema.ok_or("no 'schema' tag to dispatch on (is this a tracked artifact?)")?;
+    let family = |tag: &'static str| &tag[..tag.rfind('-').map_or(0, |i| i + 1)];
+    let (_, validate) = ARTIFACTS
+        .iter()
+        .find(|(tag, _)| schema.starts_with(family(tag)))
+        .ok_or_else(|| format!("unrecognized artifact schema '{schema}'"))?;
+    validate(text)
+}
 
 /// Process-wide discovery budget, set once from the CLI
 /// (`--time-budget`/`--max-fits`) and applied to every scenario a runner
@@ -634,6 +665,55 @@ mod tests {
         // Different seed, different split.
         let (_, te3) = holdout_split(&rows, 0.2, 10);
         assert_ne!(te1, te3);
+    }
+
+    #[test]
+    fn check_dispatches_on_the_schema_family() {
+        let err = check_artifact("{\"schema\": \"crr-metrics-v8\", \"runs\": []}").unwrap_err();
+        assert_eq!(
+            err,
+            "unexpected schema 'crr-metrics-v8' (want 'crr-metrics-v9')"
+        );
+        let err = check_artifact("{\"schema\": \"crr-unknown-v1\"}").unwrap_err();
+        assert_eq!(err, "unrecognized artifact schema 'crr-unknown-v1'");
+        let err = check_artifact("{\"records\": []}").unwrap_err();
+        assert!(err.contains("no 'schema' tag"), "{err}");
+    }
+
+    /// Values the per-artifact validators once never read, or read only as
+    /// finite numbers: a negative row count, a fractional fault count and a
+    /// negative rule count.
+    #[test]
+    fn check_rejects_mistyped_fields_in_the_committed_artifacts() {
+        let set_first = |text: &str, key: &str, value: &str| {
+            let at = text.find(&format!("\"{key}\": ")).expect("key present") + key.len() + 4;
+            let end = at + text[at..].find([',', '}', '\n']).expect("value ends");
+            format!("{}{value}{}", &text[..at], &text[end..])
+        };
+        for (text, key, value, path) in [
+            (
+                include_str!("../../../analysis.json"),
+                "rows",
+                "-3",
+                "runs[0].rows",
+            ),
+            (
+                include_str!("../../../metrics.json"),
+                "expected_fault_events",
+                "1.5",
+                ".expected_fault_events",
+            ),
+            (
+                include_str!("../../../BENCH_discovery.json"),
+                "rules",
+                "-2.5",
+                "records[0].rules",
+            ),
+        ] {
+            let err = check_artifact(&set_first(text, key, value)).expect_err(key);
+            let want = format!("{path}: not a non-negative integer ({value})");
+            assert!(err.contains(&want), "{err}");
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! --metrics-out` and re-validated by `--check` so a drifted
 //! emitter or a broken counter invariant fails CI, not a reader.
 //!
-//! Like [`crate::bench_json`], rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. Every metric's
-//! meaning, unit and paper correspondence, and this file's layout, are
-//! documented in `EXPERIMENTS.md`, section "Benchmark artifact schemas".
+//! The runs render and parse through [`crate::artifact`]; a snapshot
+//! parses back by the `crr_obs` metric registry. Every metric's meaning,
+//! unit and paper correspondence, and this file's layout, are documented
+//! in `EXPERIMENTS.md`, section "Benchmark artifact schemas".
 
-use crr_obs::json::{esc, parse, Json};
-use crr_obs::{MetricValue, MetricsSnapshot};
-use std::fmt::Write as _;
+use crate::artifact::{members, parse, record, Field};
+use crr_obs::json::Json;
+use crr_obs::{Counter, MetricValue, MetricsSink, MetricsSnapshot, Section};
 
 /// Schema tag stamped into the file; bump when the layout changes.
 /// v2 added the `shards` section and the `sharded` engine label; v3 added
@@ -31,101 +31,80 @@ use std::fmt::Write as _;
 /// recording never changes a plan).
 pub const SCHEMA: &str = "crr-metrics-v9";
 
-/// Sections every enabled-sink snapshot must carry (the sink always emits
-/// the full schema, zeros included, so file shape is run-independent).
-pub const REQUIRED_SECTIONS: [&str; 12] = [
-    "queue", "pool", "fits", "moments", "budget", "faults", "run", "phases", "shards", "serve",
-    "kernels", "stream",
-];
-
-/// Streaming-maintainer counters that must stay zero in a batch discovery
-/// run — `metrics.json` captures discovery, and any `stream.*` activity in
-/// it means a maintainer leaked into the wrong instrumentation scope.
-/// (`BENCH_stream.json` is where streaming runs are tracked.)
-const STREAM_COUNTERS: [&str; 10] = [
-    "batches",
-    "append_rows",
-    "delete_rows",
-    "routed_pairs",
-    "uncovered_rows",
-    "moments_updates",
-    "violations",
-    "drifted_rules",
-    "repairs",
-    "repaired_rules",
-];
-
-/// One instrumented discovery run and its frozen snapshot.
-#[derive(Debug, Clone)]
-pub struct MetricsRun {
-    /// Dataset label (`electricity`, `tax`).
-    pub dataset: String,
-    /// Instance size |I|.
-    pub rows: usize,
-    /// `moments` for a whole-instance run, or `sharded` for a multi-shard
-    /// run (the same engine under a key-range shard plan).
-    pub engine: String,
-    /// For the fault-harness run: how many injected faults the plan fired,
-    /// which `metrics.faults.injected_failures` must equal. `None` for
-    /// clean runs, which must record zero fault events.
-    pub expected_fault_events: Option<u64>,
-    /// Per-shard row counts in shard order for a `sharded` run, empty
-    /// otherwise. The validator enforces that they sum to `rows` — a
-    /// shard plan that loses or duplicates rows is an emitter bug, not a
-    /// tuning matter.
-    pub shard_rows: Vec<usize>,
-    /// The run's frozen metrics.
-    pub snapshot: MetricsSnapshot,
+record! {
+    /// One instrumented discovery run and its frozen snapshot.
+    #[derive(Debug, Clone)]
+    pub struct MetricsRun(BLOCK) {
+        /// Dataset label (`electricity`, `tax`).
+        pub dataset: String,
+        /// Instance size |I|.
+        pub rows: usize,
+        /// `moments` for a whole-instance run, or `sharded` for a multi-shard
+        /// run (the same engine under a key-range shard plan).
+        pub engine: String,
+        /// For the fault-harness run: how many injected faults the plan fired,
+        /// which `metrics.faults.injected_failures` must equal. `None` for
+        /// clean runs, which must record zero fault events.
+        pub expected_fault_events: Option<u64>,
+        /// Per-shard row counts in shard order for a `sharded` run, `None`
+        /// otherwise. The validator enforces that they sum to `rows` — a
+        /// shard plan that loses or duplicates rows is an emitter bug, not a
+        /// tuning matter.
+        pub shard_rows: Option<Vec<usize>>,
+        /// The run's frozen metrics.
+        pub metrics: MetricsSnapshot,
+    }
 }
 
-/// Renders the runs as pretty-printed JSON with a stable key order.
-pub fn render(runs: &[MetricsRun]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"runs\": [");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"dataset\": \"{}\",", esc(&r.dataset));
-        let _ = writeln!(out, "      \"rows\": {},", r.rows);
-        let _ = writeln!(out, "      \"engine\": \"{}\",", esc(&r.engine));
-        if let Some(n) = r.expected_fault_events {
-            let _ = writeln!(out, "      \"expected_fault_events\": {n},");
-        }
-        if !r.shard_rows.is_empty() {
-            let counts: Vec<String> = r.shard_rows.iter().map(usize::to_string).collect();
-            let _ = writeln!(out, "      \"shard_rows\": [{}],", counts.join(", "));
-        }
-        let _ = writeln!(out, "      \"metrics\": {}", r.snapshot.to_json(6));
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
+record! {
+    /// The `metrics.json` document.
+    #[derive(Debug, Clone)]
+    pub struct MetricsReport(BLOCK, schema = SCHEMA) {
+        /// Every instrumented run.
+        pub runs: Vec<MetricsRun>,
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
-fn uint(obj: &Json, section: &str, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = obj
-        .get(section)
-        .and_then(|s| s.get(key))
-        .ok_or_else(|| format!("{ctx}: missing metric '{section}.{key}'"))?
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: metric '{section}.{key}' is not a number"))?;
-    if !v.is_finite() || v < 0.0 || v.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: metric '{section}.{key}' is not a non-negative integer ({v})"
-        ));
+/// A snapshot renders through [`MetricsSnapshot::to_json`] and parses back
+/// by the `crr_obs` registry — the full schema an enabled sink emits: each
+/// metric must be one the sink emits, a counter or gauge a non-negative
+/// integer and a span finite seconds.
+impl Field for MetricsSnapshot {
+    fn render(&self, indent: usize) -> String {
+        self.to_json(indent)
     }
-    Ok(v as u64)
+
+    fn parse(v: &Json, path: &str) -> Result<Self, String> {
+        let registry = MetricsSink::enabled().snapshot();
+        let mut sections = Vec::new();
+        for (name, metrics) in members(v, path)? {
+            let path = format!("{path}.{name}");
+            let mut entries = Vec::new();
+            for (key, x) in members(metrics, &path)? {
+                let path = format!("{path}.{key}");
+                let value = match registry.get(name, key) {
+                    Some(MetricValue::Count(_)) => MetricValue::Count(u64::parse(x, &path)?),
+                    Some(MetricValue::Gauge(_)) => MetricValue::Gauge(u64::parse(x, &path)?),
+                    Some(MetricValue::Secs(_)) => MetricValue::Secs(f64::parse(x, &path)?),
+                    None => return Err(format!("{path}: not a metric of the crr-obs registry")),
+                };
+                entries.push((key.clone(), value));
+            }
+            sections.push(Section {
+                name: name.clone(),
+                entries,
+            });
+        }
+        Ok(MetricsSnapshot { sections })
+    }
 }
 
 /// Validates a `metrics.json` document. On success, returns a one-line
 /// summary; on failure, a message naming the first violation.
 ///
-/// Beyond shape (schema tag, non-empty `runs`, every required section
-/// present per run), this enforces the counter invariants the
-/// instrumentation promises:
+/// Beyond shape (schema tag, every field's type, non-empty `runs`, every
+/// registry section present per run), this enforces the counter invariants
+/// the instrumentation promises:
 ///
 /// * the engine label is `moments` or `sharded`, and at least one run is
 ///   `sharded`;
@@ -138,142 +117,122 @@ fn uint(obj: &Json, section: &str, key: &str, ctx: &str) -> Result<u64, String> 
 ///   both of its sides through the compiled kernel, so
 ///   `kernels.compiled_scans == 2 × queue.splits`;
 /// * a `sharded` run actually ran at least two shards (`shards.run >= 2`),
-///   carries a `shard_rows` array with one entry per shard run whose sum
-///   equals the run's `rows` (no shard plan may lose or duplicate rows),
-///   and reports a `shards.balance_permille` gauge within `[0, 1000]`;
-///   non-sharded runs must not carry `shard_rows`;
+///   carries a `shard_rows` array with one positive entry per shard run
+///   whose sum equals the run's `rows` (no shard plan may lose or
+///   duplicate rows), and reports a `shards.balance_permille` gauge within
+///   `[0, 1000]`; non-sharded runs must not carry `shard_rows`;
 /// * `faults.injected_failures` equals `expected_fault_events` when the
 ///   run declares one, and zero otherwise;
 /// * every run popped at least one partition;
 /// * every `stream.*` counter is zero — these are batch discovery runs,
 ///   and streaming-maintainer activity belongs in `BENCH_stream.json`.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("document: missing 'schema'")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'runs' missing or not an array")?;
-    if runs.is_empty() {
+    let report: MetricsReport = parse(text)?;
+    if report.runs.is_empty() {
         return Err("'runs' is empty".to_string());
     }
+    let registry = MetricsSink::enabled().snapshot();
     let mut fault_runs = 0usize;
     let mut sharded_runs = 0usize;
-    for (i, r) in runs.iter().enumerate() {
+    for (i, r) in report.runs.iter().enumerate() {
         let ctx = format!("runs[{i}]");
-        let engine = r
-            .get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'engine'"))?;
+        let engine = r.engine.as_str();
         if engine != "moments" && engine != "sharded" {
             return Err(format!("{ctx}: unknown engine '{engine}'"));
         }
-        r.get("dataset")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: missing 'dataset'"))?;
-        let m = r
-            .get("metrics")
-            .ok_or_else(|| format!("{ctx}: missing 'metrics'"))?;
-        for section in REQUIRED_SECTIONS {
-            if m.get(section).is_none() {
-                return Err(format!("{ctx}: metrics missing section '{section}'"));
+        let m = &r.metrics;
+        for section in &registry.sections {
+            if !m.sections.iter().any(|s| s.name == section.name) {
+                return Err(format!("{ctx}: metrics missing section '{}'", section.name));
             }
         }
-        if uint(m, "queue", "pops", &ctx)? == 0 {
+        let count = |section: &str, key: &str| {
+            m.count(section, key)
+                .ok_or_else(|| format!("{ctx}: missing metric '{section}.{key}'"))
+        };
+        if count("queue", "pops")? == 0 {
             return Err(format!("{ctx}: run popped no partitions"));
         }
-        for key in STREAM_COUNTERS {
-            let n = uint(m, "stream", key, &ctx)?;
+        for c in Counter::ALL.iter().filter(|c| c.section() == "stream") {
+            let n = count("stream", c.name())?;
             if n != 0 {
                 return Err(format!(
-                    "{ctx}: discovery run recorded {n} 'stream.{key}' event(s)"
+                    "{ctx}: discovery run recorded {n} 'stream.{}' event(s)",
+                    c.name()
                 ));
             }
         }
-        let probes = uint(m, "shards", "cross_pool_probes", &ctx)?;
-        let hits = uint(m, "shards", "cross_pool_hits", &ctx)?;
-        let misses = uint(m, "shards", "cross_pool_misses", &ctx)?;
+        let probes = count("shards", "cross_pool_probes")?;
+        let hits = count("shards", "cross_pool_hits")?;
+        let misses = count("shards", "cross_pool_misses")?;
         if hits + misses != probes {
             return Err(format!(
                 "{ctx}: cross-shard pool accounting does not reconcile \
                  ({hits} hits + {misses} misses != {probes} probes)"
             ));
         }
-        let splits = uint(m, "queue", "splits", &ctx)?;
-        let cscans = uint(m, "kernels", "compiled_scans", &ctx)?;
+        let splits = count("queue", "splits")?;
+        let cscans = count("kernels", "compiled_scans")?;
         if cscans != 2 * splits {
             return Err(format!(
                 "{ctx}: scan-kernel ledger does not balance \
                  ({cscans} compiled scans != 2 x {splits} splits)"
             ));
         }
-        let rescans = uint(m, "fits", "rescans", &ctx)?;
+        let rescans = count("fits", "rescans")?;
         if rescans != 0 {
             return Err(format!(
                 "{ctx}: {engine} run recorded {rescans} row rescans"
             ));
         }
-        if engine == "sharded" {
-            sharded_runs += 1;
-            let run = uint(m, "shards", "run", &ctx)?;
-            if run < 2 {
-                return Err(format!("{ctx}: sharded run executed fewer than 2 shards"));
-            }
-            let rows = r
-                .get("rows")
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("{ctx}: missing 'rows'"))?;
-            let shard_rows = r
-                .get("shard_rows")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("{ctx}: sharded run missing 'shard_rows'"))?;
-            if shard_rows.len() as u64 != run {
-                return Err(format!(
-                    "{ctx}: 'shard_rows' has {} entries but the run executed {run} shards",
-                    shard_rows.len()
-                ));
-            }
-            let mut sum = 0.0f64;
-            for (j, v) in shard_rows.iter().enumerate() {
-                let n = v
-                    .as_num()
-                    .ok_or_else(|| format!("{ctx}: shard_rows[{j}] is not a number"))?;
-                if !n.is_finite() || n < 1.0 || n.fract() != 0.0 {
+        match (engine, &r.shard_rows) {
+            ("sharded", shard_rows) => {
+                sharded_runs += 1;
+                let run = count("shards", "run")?;
+                if run < 2 {
+                    return Err(format!("{ctx}: sharded run executed fewer than 2 shards"));
+                }
+                let shard_rows = shard_rows
+                    .as_ref()
+                    .ok_or_else(|| format!("{ctx}: sharded run missing 'shard_rows'"))?;
+                if shard_rows.len() as u64 != run {
                     return Err(format!(
-                        "{ctx}: shard_rows[{j}] is not a positive integer ({n})"
+                        "{ctx}: 'shard_rows' has {} entries but the run executed {run} shards",
+                        shard_rows.len()
                     ));
                 }
-                sum += n;
+                if let Some(j) = shard_rows.iter().position(|&n| n == 0) {
+                    return Err(format!(
+                        "{ctx}: shard_rows[{j}] is not a positive integer (0)"
+                    ));
+                }
+                let sum: usize = shard_rows.iter().sum();
+                if sum != r.rows {
+                    return Err(format!(
+                        "{ctx}: shard rows do not sum to the table rows \
+                         ({sum} != {}) — the plan lost or duplicated rows",
+                        r.rows
+                    ));
+                }
+                let balance = count("shards", "balance_permille")?;
+                if balance > 1000 {
+                    return Err(format!(
+                        "{ctx}: shards.balance_permille gauge out of range ({balance})"
+                    ));
+                }
             }
-            if sum != rows {
+            (_, Some(_)) => {
                 return Err(format!(
-                    "{ctx}: shard rows do not sum to the table rows \
-                     ({sum} != {rows}) — the plan lost or duplicated rows"
+                    "{ctx}: '{engine}' run carries 'shard_rows' (sharded runs only)"
                 ));
             }
-            let balance = uint(m, "shards", "balance_permille", &ctx)?;
-            if balance > 1000 {
-                return Err(format!(
-                    "{ctx}: shards.balance_permille gauge out of range ({balance})"
-                ));
-            }
+            (_, None) => {}
         }
-        if engine != "sharded" && r.get("shard_rows").is_some() {
-            return Err(format!(
-                "{ctx}: '{engine}' run carries 'shard_rows' (sharded runs only)"
-            ));
-        }
-        let injected = uint(m, "faults", "injected_failures", &ctx)?;
-        match r.get("expected_fault_events").and_then(Json::as_num) {
+        let injected = count("faults", "injected_failures")?;
+        match r.expected_fault_events {
             Some(expected) => {
                 fault_runs += 1;
-                if injected != expected as u64 {
+                if injected != expected {
                     return Err(format!(
                         "{ctx}: expected {expected} injected fault(s), recorded {injected}"
                     ));
@@ -293,23 +252,19 @@ pub fn validate(text: &str) -> Result<String, String> {
     }
     Ok(format!(
         "ok: {} run(s), {sharded_runs} sharded, {fault_runs} fault-harness",
-        runs.len()
+        report.runs.len()
     ))
-}
-
-/// Convenience for emitters: a snapshot rendered standalone must parse and
-/// expose a counter; used by tests and the `--metrics-out` smoke assert.
-pub fn snapshot_counter(snap: &MetricsSnapshot, section: &str, name: &str) -> u64 {
-    match snap.get(section, name) {
-        Some(MetricValue::Count(v) | MetricValue::Gauge(v)) => v,
-        _ => 0,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crr_obs::{Counter, MetricsSink};
+
+    fn render(runs: &[MetricsRun]) -> String {
+        crate::artifact::render(&MetricsReport {
+            runs: runs.to_vec(),
+        })
+    }
 
     fn snap_with(faults: u64) -> MetricsSnapshot {
         let sink = MetricsSink::enabled();
@@ -336,8 +291,8 @@ mod tests {
             rows: 11520,
             engine: "sharded".into(),
             expected_fault_events: None,
-            shard_rows: vec![2880, 2880, 2880, 2880],
-            snapshot: sharded_sink().snapshot(),
+            shard_rows: Some(vec![2880, 2880, 2880, 2880]),
+            metrics: sharded_sink().snapshot(),
         }
     }
 
@@ -348,16 +303,16 @@ mod tests {
                 rows: 2880,
                 engine: "moments".into(),
                 expected_fault_events: None,
-                shard_rows: Vec::new(),
-                snapshot: snap_with(0),
+                shard_rows: None,
+                metrics: snap_with(0),
             },
             MetricsRun {
                 dataset: "electricity".into(),
                 rows: 2880,
                 engine: "moments".into(),
                 expected_fault_events: Some(1),
-                shard_rows: Vec::new(),
-                snapshot: snap_with(1),
+                shard_rows: None,
+                metrics: snap_with(1),
             },
             sharded_run(),
         ]
@@ -379,7 +334,7 @@ mod tests {
     #[test]
     fn shard_rows_must_sum_to_the_table_rows() {
         let mut run = sharded_run();
-        run.shard_rows = vec![2880, 2880, 2880, 2879];
+        run.shard_rows = Some(vec![2880, 2880, 2880, 2879]);
         let err = validate(&render(&[run])).expect_err("must fail");
         assert!(err.contains("lost or duplicated"), "{err}");
     }
@@ -387,12 +342,12 @@ mod tests {
     #[test]
     fn shard_rows_must_cover_every_shard_run() {
         let mut run = sharded_run();
-        run.shard_rows = vec![5760, 5760];
+        run.shard_rows = Some(vec![5760, 5760]);
         let err = validate(&render(&[run])).expect_err("must fail");
         assert!(err.contains("2 entries"), "{err}");
 
         let mut run = sharded_run();
-        run.shard_rows.clear(); // renders as absent
+        run.shard_rows = None;
         let err = validate(&render(&[run])).expect_err("must fail");
         assert!(err.contains("shard_rows"), "{err}");
     }
@@ -400,7 +355,7 @@ mod tests {
     #[test]
     fn shard_rows_on_an_unsharded_run_are_rejected() {
         let mut runs = sample();
-        runs[0].shard_rows = vec![2880];
+        runs[0].shard_rows = Some(vec![2880]);
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("sharded runs only"), "{err}");
     }
@@ -413,7 +368,7 @@ mod tests {
         sink.add(Counter::QueuePops, 7);
         sink.add(Counter::MomentsSolves, 5);
         sink.add(Counter::CrossShardPoolHits, 1);
-        runs[0].snapshot = sink.snapshot();
+        runs[0].metrics = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("reconcile"), "{err}");
     }
@@ -434,7 +389,7 @@ mod tests {
         let sink = MetricsSink::enabled();
         sink.add(Counter::QueuePops, 7);
         sink.add(Counter::Rescans, 5);
-        runs[0].snapshot = sink.snapshot();
+        runs[0].metrics = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("5 row rescans"), "{err}");
 
@@ -464,7 +419,7 @@ mod tests {
     #[test]
     fn unexpected_faults_on_clean_run_are_rejected() {
         let mut runs = sample();
-        runs[0].snapshot = snap_with(2);
+        runs[0].metrics = snap_with(2);
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("clean run"), "{err}");
     }
@@ -472,7 +427,7 @@ mod tests {
     #[test]
     fn missing_section_is_rejected() {
         let mut runs = sample();
-        runs[0].snapshot.sections.retain(|s| s.name != "budget");
+        runs[0].metrics.sections.retain(|s| s.name != "budget");
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("budget"), "{err}");
     }
@@ -486,7 +441,7 @@ mod tests {
         sink.add(Counter::MomentsSolves, 5);
         sink.add(Counter::Splits, 3);
         sink.add(Counter::KernelCompiledScans, 5);
-        runs[0].snapshot = sink.snapshot();
+        runs[0].metrics = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("scan-kernel ledger"), "{err}");
     }
@@ -498,7 +453,7 @@ mod tests {
         sink.add(Counter::QueuePops, 7);
         sink.add(Counter::MomentsSolves, 5);
         sink.add(Counter::StreamBatches, 1);
-        runs[0].snapshot = sink.snapshot();
+        runs[0].metrics = sink.snapshot();
         let err = validate(&render(&runs)).expect_err("must fail");
         assert!(err.contains("stream.batches"), "{err}");
     }
@@ -511,5 +466,29 @@ mod tests {
         // The v8 tag is stale now that the planner's sink-read fallback
         // counter is gone.
         assert!(validate("{\"schema\": \"crr-metrics-v8\", \"runs\": [1]}").is_err());
+    }
+
+    #[test]
+    fn snapshots_parse_by_the_registry() {
+        let text = render(&sample());
+        let err = validate(&text.replacen("\"pops\": 7", "\"pops\": 7.5", 1))
+            .expect_err("a fractional counter must fail");
+        assert!(
+            err.contains("runs[0].metrics.queue.pops: not a non-negative integer"),
+            "{err}"
+        );
+        let err = validate(&text.replacen("\"pops\": 7", "\"popz\": 7", 1))
+            .expect_err("an unknown metric must fail");
+        assert!(
+            err.contains("queue.popz: not a metric of the crr-obs registry"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn committed_artifact_round_trips_byte_for_byte() {
+        let text = include_str!("../../../metrics.json");
+        let report: MetricsReport = parse(text).expect("the committed file parses");
+        assert_eq!(crate::artifact::render(&report), text);
     }
 }

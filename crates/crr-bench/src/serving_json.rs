@@ -4,13 +4,11 @@
 //! (`scripts/ci.sh`, via `experiments --check`) re-parses and validates it
 //! so a regressed emitter or a degraded serving run fails the build.
 //!
-//! Like the sibling emitters, rendering and parsing ride on the
-//! hand-rolled JSON layer in [`crr_obs::json`] — no serde. The schema is
+//! The records render and parse through [`crate::artifact`]. The schema is
 //! documented field by field in `EXPERIMENTS.md`, section "Benchmark
 //! artifact schemas".
 
-use crr_obs::json::{esc, num, parse, Json};
-use std::fmt::Write as _;
+use crate::artifact::{labels, parse, record};
 
 /// Schema tag stamped into the file; bump when the layout changes.
 pub const SCHEMA: &str = "crr-serving-v1";
@@ -34,6 +32,9 @@ pub enum ServingMode {
 }
 
 impl ServingMode {
+    /// Both modes, in the order the benchmark runs them.
+    pub const ALL: [ServingMode; 2] = [ServingMode::Smoke, ServingMode::Overload];
+
     /// The label written into the artifact.
     pub fn label(self) -> &'static str {
         match self {
@@ -43,153 +44,83 @@ impl ServingMode {
     }
 }
 
-/// One measured load cell: a (dataset, endpoint, mode) point.
-#[derive(Debug, Clone)]
-pub struct ServingRecord {
-    /// Dataset the served rule set was discovered on (`electricity`).
-    pub dataset: String,
-    /// Discovery instance size |I|.
-    pub rows: usize,
-    /// Endpoint driven (`/v1/predict`, `/v1/check`).
-    pub endpoint: String,
-    /// Load mode (see [`ServingMode`]).
-    pub mode: ServingMode,
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Total requests issued across all clients.
-    pub requests: usize,
-    /// Requests answered `200`.
-    pub completed: usize,
-    /// Batch rows per request.
-    pub batch_rows: usize,
-    /// Requests shed with `503` (`serve.shed` delta over the cell).
-    pub shed: u64,
-    /// Requests that tripped their deadline (`serve.timeouts` delta).
-    pub timeouts: u64,
-    /// Transport errors seen by the load generator (resets, hangs).
-    pub errors: usize,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 90th-percentile latency, milliseconds.
-    pub p90_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Worst observed latency, milliseconds.
-    pub max_ms: f64,
-    /// Completed requests per second over the cell's wall time.
-    pub throughput_rps: f64,
-}
+labels!(ServingMode: "mode");
 
-/// The hot-swap churn cell: swaps driven against the live server while
-/// load ran, and whether answers stayed pinned to offline evaluation.
-#[derive(Debug, Clone)]
-pub struct SwapCell {
-    /// Sound candidates admitted (`serve.swap_accepted`).
-    pub accepted: u64,
-    /// Candidates refused by the admission gate (`serve.swap_rejected`).
-    pub rejected: u64,
-    /// Final serving generation (must equal `accepted`).
-    pub generation: u64,
-    /// Whether every sampled in-flight answer was byte-identical to the
-    /// offline evaluation of the same rule set.
-    pub predictions_pinned: bool,
-}
-
-/// The full report the `serving` experiment emits.
-#[derive(Debug, Clone)]
-pub struct ServingReport {
-    /// Every measured load cell.
-    pub records: Vec<ServingRecord>,
-    /// The swap-churn cell.
-    pub swaps: SwapCell,
-}
-
-/// Renders the report as pretty-printed JSON with a stable key order.
-pub fn render(report: &ServingReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(out, "  \"records\": [");
-    for (i, r) in report.records.iter().enumerate() {
-        let comma = if i + 1 < report.records.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            out,
-            "    {{\"dataset\": \"{}\", \"rows\": {}, \"endpoint\": \"{}\", \
-             \"mode\": \"{}\", \"clients\": {}, \"requests\": {}, \"completed\": {}, \
-             \"batch_rows\": {}, \"shed\": {}, \"timeouts\": {}, \"errors\": {}, \
-             \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \
-             \"throughput_rps\": {}}}{comma}",
-            esc(&r.dataset),
-            r.rows,
-            esc(&r.endpoint),
-            r.mode.label(),
-            r.clients,
-            r.requests,
-            r.completed,
-            r.batch_rows,
-            r.shed,
-            r.timeouts,
-            r.errors,
-            num(r.p50_ms),
-            num(r.p90_ms),
-            num(r.p99_ms),
-            num(r.max_ms),
-            num(r.throughput_rps),
-        );
+record! {
+    /// One measured load cell: a (dataset, endpoint, mode) point.
+    #[derive(Debug, Clone)]
+    pub struct ServingRecord(INLINE) {
+        /// Dataset the served rule set was discovered on (`electricity`).
+        pub dataset: String,
+        /// Discovery instance size |I|.
+        pub rows: usize,
+        /// Endpoint driven (`/v1/predict`, `/v1/check`).
+        pub endpoint: String,
+        /// Load mode (see [`ServingMode`]).
+        pub mode: ServingMode,
+        /// Concurrent closed-loop clients.
+        pub clients: usize,
+        /// Total requests issued across all clients.
+        pub requests: usize,
+        /// Requests answered `200`.
+        pub completed: usize,
+        /// Batch rows per request.
+        pub batch_rows: usize,
+        /// Requests shed with `503` (`serve.shed` delta over the cell).
+        pub shed: u64,
+        /// Requests that tripped their deadline (`serve.timeouts` delta).
+        pub timeouts: u64,
+        /// Transport errors seen by the load generator (resets, hangs).
+        pub errors: usize,
+        /// Median request latency, milliseconds.
+        pub p50_ms: f64,
+        /// 90th-percentile latency, milliseconds.
+        pub p90_ms: f64,
+        /// 99th-percentile latency, milliseconds.
+        pub p99_ms: f64,
+        /// Worst observed latency, milliseconds.
+        pub max_ms: f64,
+        /// Completed requests per second over the cell's wall time.
+        pub throughput_rps: f64,
     }
-    let _ = writeln!(out, "  ],");
-    let s = &report.swaps;
-    let _ = writeln!(
-        out,
-        "  \"swaps\": {{\"accepted\": {}, \"rejected\": {}, \"generation\": {}, \
-         \"predictions_pinned\": {}}}",
-        s.accepted, s.rejected, s.generation, s.predictions_pinned
-    );
-    let _ = writeln!(out, "}}");
-    out
 }
 
-fn finite_num(obj: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?;
-    let x = v
-        .as_num()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a number (got {v:?})"))?;
-    if !x.is_finite() {
-        return Err(format!("{ctx}: key '{key}' is non-finite"));
+record! {
+    /// The hot-swap churn cell: swaps driven against the live server while
+    /// load ran, and whether answers stayed pinned to offline evaluation.
+    #[derive(Debug, Clone)]
+    pub struct SwapCell(INLINE) {
+        /// Sound candidates admitted (`serve.swap_accepted`).
+        pub accepted: u64,
+        /// Candidates refused by the admission gate (`serve.swap_rejected`).
+        pub rejected: u64,
+        /// Final serving generation (must equal `accepted`).
+        pub generation: u64,
+        /// Whether every sampled in-flight answer was byte-identical to the
+        /// offline evaluation of the same rule set.
+        pub predictions_pinned: bool,
     }
-    Ok(x)
 }
 
-fn uint(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let x = finite_num(obj, key, ctx)?;
-    if x < 0.0 || x.fract() != 0.0 {
-        return Err(format!(
-            "{ctx}: key '{key}' is not a non-negative integer ({x})"
-        ));
+record! {
+    /// The full report the `serving` experiment emits.
+    #[derive(Debug, Clone)]
+    pub struct ServingReport(BLOCK, schema = SCHEMA) {
+        /// Every measured load cell.
+        pub records: Vec<ServingRecord>,
+        /// The swap-churn cell.
+        pub swaps: SwapCell,
     }
-    Ok(x as u64)
-}
-
-fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key '{key}'"))?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: key '{key}' is not a string"))
 }
 
 /// Validates a `BENCH_serving.json` document. On success, returns a
 /// one-line summary; on failure, a message naming the first violation.
 ///
-/// Shape checks: the schema tag, a non-empty `records` array, and the
-/// `swaps` cell. Per record: finite numbers, `completed <= requests`,
-/// latency quantiles ordered `0 <= p50 <= p90 <= p99 <= max`, and positive
-/// throughput whenever anything completed. Mode semantics:
+/// Shape checks: the schema tag and every field's type, a non-empty
+/// `records` array, and the `swaps` cell. Per record: a `/v1/` endpoint,
+/// `completed <= requests`, latency quantiles ordered `0 <= p50 <= p90 <=
+/// p99 <= max`, and positive throughput whenever anything completed. Mode
+/// semantics:
 ///
 /// * `smoke` cells are loss-free: zero sheds, zero timeouts, zero
 ///   transport errors, `completed == requests`;
@@ -201,57 +132,43 @@ fn str_key<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String> {
 /// of the admission gate exercised), `generation == accepted`, and
 /// `predictions_pinned` true.
 pub fn validate(text: &str) -> Result<String, String> {
-    let doc = parse(text)?;
-    let schema = str_key(&doc, "schema", "document")?;
-    if schema != SCHEMA {
-        return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("document: 'records' missing or not an array")?;
-    if records.is_empty() {
+    let report: ServingReport = parse(text)?;
+    if report.records.is_empty() {
         return Err("'records' is empty".to_string());
     }
     let (mut smoke, mut overload) = (0usize, 0usize);
-    for (i, r) in records.iter().enumerate() {
+    for (i, r) in report.records.iter().enumerate() {
         let ctx = format!("records[{i}]");
-        str_key(r, "dataset", &ctx)?;
-        let endpoint = str_key(r, "endpoint", &ctx)?;
-        if !endpoint.starts_with("/v1/") {
-            return Err(format!("{ctx}: unknown endpoint '{endpoint}'"));
+        if !r.endpoint.starts_with("/v1/") {
+            return Err(format!("{ctx}: unknown endpoint '{}'", r.endpoint));
         }
-        if uint(r, "rows", &ctx)? == 0 || uint(r, "batch_rows", &ctx)? == 0 {
+        if r.rows == 0 || r.batch_rows == 0 {
             return Err(format!("{ctx}: empty instance or batch"));
         }
-        if uint(r, "clients", &ctx)? == 0 {
+        if r.clients == 0 {
             return Err(format!("{ctx}: no clients"));
         }
-        let requests = uint(r, "requests", &ctx)?;
-        let completed = uint(r, "completed", &ctx)?;
+        let (requests, completed) = (r.requests, r.completed);
         if requests == 0 || completed > requests {
             return Err(format!(
                 "{ctx}: implausible request accounting ({completed}/{requests})"
             ));
         }
-        let shed = uint(r, "shed", &ctx)?;
-        let timeouts = uint(r, "timeouts", &ctx)?;
-        let errors = uint(r, "errors", &ctx)?;
-        let p50 = finite_num(r, "p50_ms", &ctx)?;
-        let p90 = finite_num(r, "p90_ms", &ctx)?;
-        let p99 = finite_num(r, "p99_ms", &ctx)?;
-        let max = finite_num(r, "max_ms", &ctx)?;
+        let (p50, p90, p99, max) = (r.p50_ms, r.p90_ms, r.p99_ms, r.max_ms);
         if !(0.0 <= p50 && p50 <= p90 && p90 <= p99 && p99 <= max) {
             return Err(format!(
                 "{ctx}: latency quantiles out of order (p50={p50}, p90={p90}, p99={p99}, max={max})"
             ));
         }
-        let rps = finite_num(r, "throughput_rps", &ctx)?;
-        if completed > 0 && rps <= 0.0 {
-            return Err(format!("{ctx}: completed {completed} but throughput {rps}"));
+        if completed > 0 && r.throughput_rps <= 0.0 {
+            return Err(format!(
+                "{ctx}: completed {completed} but throughput {}",
+                r.throughput_rps
+            ));
         }
-        match str_key(r, "mode", &ctx)? {
-            "smoke" => {
+        let (shed, timeouts, errors) = (r.shed, r.timeouts, r.errors);
+        match r.mode {
+            ServingMode::Smoke => {
                 smoke += 1;
                 if shed != 0 || timeouts != 0 || errors != 0 || completed != requests {
                     return Err(format!(
@@ -260,7 +177,7 @@ pub fn validate(text: &str) -> Result<String, String> {
                     ));
                 }
             }
-            "overload" => {
+            ServingMode::Overload => {
                 overload += 1;
                 if shed == 0 {
                     return Err(format!("{ctx}: overload cell never shed"));
@@ -271,7 +188,6 @@ pub fn validate(text: &str) -> Result<String, String> {
                     ));
                 }
             }
-            other => return Err(format!("{ctx}: unknown mode '{other}'")),
         }
     }
     if smoke == 0 || overload == 0 {
@@ -279,10 +195,12 @@ pub fn validate(text: &str) -> Result<String, String> {
             "need both modes measured (smoke={smoke}, overload={overload})"
         ));
     }
-    let swaps = doc.get("swaps").ok_or("document: missing 'swaps' cell")?;
-    let accepted = uint(swaps, "accepted", "swaps")?;
-    let rejected = uint(swaps, "rejected", "swaps")?;
-    let generation = uint(swaps, "generation", "swaps")?;
+    let SwapCell {
+        accepted,
+        rejected,
+        generation,
+        predictions_pinned,
+    } = report.swaps;
     if accepted == 0 || rejected == 0 {
         return Err(format!(
             "swaps: both gate outcomes must be exercised (accepted={accepted}, rejected={rejected})"
@@ -293,21 +211,20 @@ pub fn validate(text: &str) -> Result<String, String> {
             "swaps: generation {generation} != accepted {accepted}"
         ));
     }
-    match swaps.get("predictions_pinned").and_then(Json::as_bool) {
-        Some(true) => {}
-        Some(false) => return Err("swaps: predictions diverged from offline evaluation".into()),
-        None => return Err("swaps: missing 'predictions_pinned'".into()),
+    if !predictions_pinned {
+        return Err("swaps: predictions diverged from offline evaluation".into());
     }
     Ok(format!(
         "ok: {} cell(s) ({smoke} smoke, {overload} overload), \
          {accepted} swap(s) accepted / {rejected} rejected",
-        records.len()
+        report.records.len()
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::render;
 
     fn record(mode: ServingMode) -> ServingRecord {
         let overload = mode == ServingMode::Overload;
@@ -417,5 +334,18 @@ mod tests {
         assert!(validate("{}").is_err());
         assert!(validate("{\"schema\": \"crr-serving-v1\", \"records\": []}").is_err());
         assert!(validate("{\"schema\": \"other\", \"records\": [1]}").is_err());
+        let text = render(&report()).replacen("\"smoke\"", "\"soak\"", 1);
+        let err = validate(&text).expect_err("unknown mode must fail");
+        assert!(
+            err.contains("records[0].mode: unknown mode 'soak'"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn committed_artifact_round_trips_byte_for_byte() {
+        let text = include_str!("../../../BENCH_serving.json");
+        let report: ServingReport = parse(text).expect("the committed file parses");
+        assert_eq!(render(&report), text);
     }
 }

@@ -49,6 +49,9 @@ pub enum Boundary {
 }
 
 impl Boundary {
+    /// Every placement, in the order artifacts list them.
+    pub const ALL: [Boundary; 2] = [Boundary::EqualWidth, Boundary::Quantile];
+
     /// Stable lowercase label used in artifacts and reports.
     pub fn label(self) -> &'static str {
         match self {

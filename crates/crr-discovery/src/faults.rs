@@ -80,12 +80,12 @@ impl FaultPlan {
             std::thread::sleep(d);
         }
         if let Some(k) = self.panic_every {
-            if n.is_multiple_of(k) {
+            if n % k == 0 {
                 panic!("injected fit panic (fit #{n})");
             }
         }
         if let Some(k) = self.fail_every {
-            if n.is_multiple_of(k) {
+            if n % k == 0 {
                 return Err(DiscoveryError::InjectedFault { fit: n });
             }
         }

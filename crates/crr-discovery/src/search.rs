@@ -1227,7 +1227,7 @@ fn choose_split(
             return Some(idx);
         }
         let score = split_score(yes, no);
-        if best.is_none_or(|(b, _)| score < b) {
+        if best.map_or(true, |(b, _)| score < b) {
             best = Some((score, idx));
         }
     }
@@ -1832,7 +1832,7 @@ mod tests {
                 return Some(idx);
             }
             let score = split_score(yes, no);
-            if best.is_none_or(|(b, _)| score < b) {
+            if best.map_or(true, |(b, _)| score < b) {
                 best = Some((score, idx));
             }
         }

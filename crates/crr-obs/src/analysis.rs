@@ -44,33 +44,6 @@ impl AnalysisCounters {
     pub fn findings(&self) -> u64 {
         self.findings_unsound + self.findings_redundant + self.findings_hygiene
     }
-
-    /// Serializes as a JSON object, indented by `indent` spaces, matching
-    /// the hand-rolled style of [`crate::MetricsSnapshot::to_json`].
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let inner = " ".repeat(indent + 2);
-        let fields = [
-            ("rules", self.rules),
-            ("conjuncts", self.conjuncts),
-            ("shards", self.shards),
-            ("implication_checks", self.implication_checks),
-            ("unsat_checks", self.unsat_checks),
-            ("absdom_transfers", self.absdom_transfers),
-            ("compile_equiv_checks", self.compile_equiv_checks),
-            ("repair_regions", self.repair_regions),
-            ("findings_unsound", self.findings_unsound),
-            ("findings_redundant", self.findings_redundant),
-            ("findings_hygiene", self.findings_hygiene),
-        ];
-        let mut out = String::from("{\n");
-        for (i, (name, v)) in fields.iter().enumerate() {
-            let comma = if i + 1 < fields.len() { "," } else { "" };
-            out.push_str(&format!("{inner}\"{name}\": {v}{comma}\n"));
-        }
-        out.push_str(&format!("{pad}}}"));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -78,34 +51,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_json_round_trip() {
+    fn findings_total_every_severity() {
         let c = AnalysisCounters {
-            rules: 3,
-            conjuncts: 7,
-            shards: 2,
-            implication_checks: 40,
-            unsat_checks: 9,
-            absdom_transfers: 21,
-            compile_equiv_checks: 7,
-            repair_regions: 2,
             findings_unsound: 1,
             findings_redundant: 2,
             findings_hygiene: 3,
+            ..AnalysisCounters::default()
         };
         assert_eq!(c.findings(), 6);
-        let doc = crate::json::parse(&c.to_json(0)).expect("valid json");
-        assert_eq!(doc.get("conjuncts").and_then(|v| v.as_num()), Some(7.0));
-        assert_eq!(
-            doc.get("compile_equiv_checks").and_then(|v| v.as_num()),
-            Some(7.0)
-        );
-        assert_eq!(
-            doc.get("repair_regions").and_then(|v| v.as_num()),
-            Some(2.0)
-        );
-        assert_eq!(
-            doc.get("findings_unsound").and_then(|v| v.as_num()),
-            Some(1.0)
-        );
     }
 }

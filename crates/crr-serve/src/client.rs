@@ -3,6 +3,8 @@
 //! integration test uses. Zero-dependency like the server: one request
 //! per connection, read-to-EOF responses.
 
+use crr_data::Value;
+use crr_obs::json;
 use std::io::{self, Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -66,6 +68,40 @@ pub fn parse_response(raw: &[u8]) -> io::Result<(u16, String)> {
         .map(|(_, b)| b.to_string())
         .unwrap_or_default();
     Ok((status, body))
+}
+
+/// Renders `rows` as a `/v1/*` request body, `{"rows": [[…], …]}`, each
+/// cell written the way a JSON client sends it: `null`, an integer, a
+/// float through [`json::num`], or an escaped string.
+pub fn rows_body<R: AsRef<[Value]>>(rows: impl IntoIterator<Item = R>) -> String {
+    let mut body = String::from("{\"rows\": [");
+    for (i, row) in rows.into_iter().enumerate() {
+        body.push_str(if i > 0 { ", [" } else { "[" });
+        for (j, v) in row.as_ref().iter().enumerate() {
+            if j > 0 {
+                body.push_str(", ");
+            }
+            match v {
+                Value::Null => body.push_str("null"),
+                Value::Int(n) => body.push_str(&n.to_string()),
+                Value::Float(x) => body.push_str(&json::num(*x)),
+                Value::Str(s) => body.push_str(&format!("\"{}\"", json::esc(s))),
+            }
+        }
+        body.push(']');
+    }
+    body.push_str("]}");
+    body
+}
+
+/// The `"predictions": […]` field of a `/v1/predict` answer carrying
+/// `values`, rendered by the server's own formatter — the text an offline
+/// evaluation of the same rows must find in the served answer.
+pub fn predictions_field(values: &[Option<f64>]) -> String {
+    let mut out = String::from("\"predictions\": [");
+    crate::handlers::render_opt_nums(&mut out, values);
+    out.push(']');
+    out
 }
 
 /// Closed-loop load-generator options: `clients` threads each issue
@@ -205,6 +241,23 @@ mod tests {
         assert_eq!(report.throughput_rps(), 50.0);
         assert_eq!(report.status_count(503), 2);
         assert_eq!(report.status_count(500), 0);
+    }
+
+    #[test]
+    fn request_bodies_and_prediction_fields_render_like_a_json_client() {
+        let rows = [
+            vec![Value::Float(2.5), Value::Null],
+            vec![Value::Int(-3), Value::str("a\"b")],
+        ];
+        assert_eq!(
+            rows_body(&rows),
+            "{\"rows\": [[2.5, null], [-3, \"a\\\"b\"]]}"
+        );
+        assert_eq!(rows_body(Vec::<Vec<Value>>::new()), "{\"rows\": []}");
+        assert_eq!(
+            predictions_field(&[Some(1.5), None, Some(-0.25)]),
+            "\"predictions\": [1.5, null, -0.25]"
+        );
     }
 
     #[test]

@@ -68,9 +68,9 @@ impl ServeFaultPlan {
     /// a panic never masks the other injections' bookkeeping.
     pub(crate) fn on_request(&self, cancel: &CancelToken, metrics: &MetricsSink) {
         let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let due = |every: Option<u64>| matches!(every, Some(k) if n.is_multiple_of(k));
+        let due = |every: Option<u64>| matches!(every, Some(k) if n % k == 0);
         if let Some((k, delay)) = self.delay_every {
-            if n.is_multiple_of(k) {
+            if n % k == 0 {
                 self.injected.fetch_add(1, Ordering::Relaxed);
                 metrics.incr(Counter::ServeInjectedSlow);
                 std::thread::sleep(delay);

@@ -332,7 +332,7 @@ fn batch(req: &Request, ctx: &RequestCtx<'_>, kind: BatchKind) -> Response {
     }
 }
 
-fn render_opt_nums(out: &mut String, values: &[Option<f64>]) {
+pub(crate) fn render_opt_nums(out: &mut String, values: &[Option<f64>]) {
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");

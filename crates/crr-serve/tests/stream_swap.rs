@@ -12,10 +12,9 @@ use crr_data::{Table, Value};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{DiscoveryConfig, DiscoverySession, PredicateGen};
 use crr_obs::json;
-use crr_serve::client::roundtrip;
+use crr_serve::client::{predictions_field, roundtrip, rows_body};
 use crr_serve::{RuleStore, ServeConfig, Server};
 use crr_stream::{StreamConfig, StreamEngine};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Rebuilds `a` with every repaired rule's (index ≥ `kept`) conjuncts
@@ -58,16 +57,6 @@ fn strip_repair_guards(a: &crr_discovery::RuleSetArtifact) -> crr_discovery::Rul
         .unwrap()
         .with_repair(repair)
         .unwrap()
-}
-
-/// Renders one table cell the way a JSON client would send it.
-fn render_cell(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => json::num(*x),
-        Value::Str(s) => format!("\"{}\"", json::esc(s)),
-    }
 }
 
 #[test]
@@ -166,21 +155,11 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
 
     // Gate 3: served answers are byte-identical to offline evaluation of
     // the repaired rules on a probe spanning base and repaired regions.
-    let mut expected = String::from("\"predictions\": [");
-    let mut answered = 0usize;
-    for row in 0..probe.num_rows() {
-        if row > 0 {
-            expected.push_str(", ");
-        }
-        match artifact.rules.predict(&probe, row) {
-            Some(x) => {
-                let _ = write!(expected, "{}", json::num(x));
-                answered += 1;
-            }
-            None => expected.push_str("null"),
-        }
-    }
-    expected.push(']');
+    let offline: Vec<Option<f64>> = (0..probe.num_rows())
+        .map(|row| artifact.rules.predict(&probe, row))
+        .collect();
+    let answered = offline.iter().flatten().count();
+    let expected = predictions_field(&offline);
     assert!(
         answered * 2 >= probe.num_rows(),
         "fixture too weak: offline covers {answered}/{}",
@@ -250,18 +229,9 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
 /// A `/v1/*` request body carrying `rows`, and the same rows as a table
 /// over `like`'s schema.
 fn request(like: &Table, rows: &[Vec<Value>]) -> (String, Table) {
-    let mut body = String::from("{\"rows\": [");
     let mut table = Table::new(like.schema().clone());
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        let cells: Vec<String> = row.iter().map(render_cell).collect();
-        body.push('[');
-        body.push_str(&cells.join(", "));
-        body.push(']');
+    for row in rows {
         table.push_row(row.clone()).unwrap();
     }
-    body.push_str("]}");
-    (body, table)
+    (rows_body(rows), table)
 }

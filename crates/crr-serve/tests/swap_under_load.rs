@@ -7,25 +7,13 @@
 // Test harness: panicking on malformed fixtures is the failure mode we want.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crr_data::{Table, Value};
+use crr_data::Table;
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{DiscoveryConfig, DiscoverySession, PredicateGen, RuleSetArtifact};
-use crr_obs::json;
 use crr_obs::MetricsSink;
-use crr_serve::client::roundtrip;
+use crr_serve::client::{predictions_field, roundtrip, rows_body};
 use crr_serve::{RuleStore, ServeConfig, Server};
-use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Renders one table cell the way a JSON client would send it.
-fn render_cell(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(x) => json::num(*x),
-        Value::Str(s) => format!("\"{}\"", json::esc(s)),
-    }
-}
 
 #[test]
 fn predictions_stay_byte_identical_to_offline_while_swaps_churn() {
@@ -48,21 +36,7 @@ fn predictions_stay_byte_identical_to_offline_while_swaps_churn() {
 
     // Probe batch: every 48th row of the workload, sent verbatim.
     let probe_rows: Vec<usize> = (0..t.num_rows()).step_by(48).collect();
-    let mut body = String::from("{\"rows\": [");
-    for (i, &row) in probe_rows.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push('[');
-        for (j, v) in t.row(row).iter().enumerate() {
-            if j > 0 {
-                body.push_str(", ");
-            }
-            body.push_str(&render_cell(v));
-        }
-        body.push(']');
-    }
-    body.push_str("]}");
+    let body = rows_body(probe_rows.iter().map(|&row| t.row(row)));
 
     // Offline evaluation of the same probe over the same rule set,
     // rendered with the same formatter the server uses.
@@ -70,21 +44,11 @@ fn predictions_stay_byte_identical_to_offline_while_swaps_churn() {
     for &row in &probe_rows {
         probe.push_row(t.row(row)).unwrap();
     }
-    let mut expected = String::from("\"predictions\": [");
-    let mut offline_answered = 0usize;
-    for row in 0..probe.num_rows() {
-        if row > 0 {
-            expected.push_str(", ");
-        }
-        match artifact.rules.predict(&probe, row) {
-            Some(x) => {
-                let _ = write!(expected, "{}", json::num(x));
-                offline_answered += 1;
-            }
-            None => expected.push_str("null"),
-        }
-    }
-    expected.push(']');
+    let offline: Vec<Option<f64>> = (0..probe.num_rows())
+        .map(|row| artifact.rules.predict(&probe, row))
+        .collect();
+    let offline_answered = offline.iter().flatten().count();
+    let expected = predictions_field(&offline);
     assert!(
         offline_answered * 2 >= probe.num_rows(),
         "fixture too weak: offline covers {offline_answered}/{}",
