@@ -561,10 +561,10 @@ impl<'a> Pass<'a> {
     ///   a repaired rule reaching outside every affected region would
     ///   overwrite healthy coverage the repair had no license to touch.
     ///
-    /// A guard-free region (an uncovered-append region with no bounding
-    /// box) makes confinement vacuous for the rules it absorbs; that is
-    /// flagged as hygiene, not unsoundness — the repair still tells the
-    /// auditor it claimed everything.
+    /// A guard-free region (a drifted `top` conjunct) makes confinement
+    /// vacuous for the rules it absorbs; that is flagged as hygiene, not
+    /// unsoundness — the repair still tells the auditor it claimed
+    /// everything.
     pub(crate) fn check_repair(&mut self, ob: &RepairObligations) {
         self.counters.repair_regions = ob.regions.len() as u64;
         let n = self.rules.len();

@@ -164,8 +164,7 @@ mod tests {
     use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleSet};
     use crr_data::{AttrId, AttrType, Boundary, Schema, ShardBounds, Value};
     use crr_discovery::{
-        guard_predicates, ProofObligations, RegionOrigin, RepairObligations, RepairRegion,
-        ShardGuard,
+        guard_predicates, ProofObligations, RepairObligations, RepairRegion, ShardGuard,
     };
     use crr_models::{ConstantModel, LinearModel, Model, Translation};
     use std::sync::Arc;
@@ -678,7 +677,8 @@ mod tests {
     fn region(id: usize, guards: Vec<Predicate>) -> RepairRegion {
         RepairRegion {
             region_id: id,
-            origin: RegionOrigin::Uncovered,
+            rule: id,
+            conjunct: 0,
             guards,
         }
     }
@@ -766,8 +766,8 @@ mod tests {
 
     #[test]
     fn guard_free_region_is_hygiene_not_unsound() {
-        // An uncovered-append region may carry no bounding box; every
-        // repaired rule is then vacuously confined.
+        // A drifted `top` conjunct is a region with no guard predicates;
+        // every repaired rule is then vacuously confined.
         let mut rules = RuleSet::new();
         rules.push(rule(Dnf::single(interval(0.0, 10.0)), 0.5, model(1.0)));
         rules.push(rule(Dnf::single(interval(50.0, 60.0)), 0.4, model(2.0)));

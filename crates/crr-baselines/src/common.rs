@@ -6,7 +6,12 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq)]
 pub enum BaselineError {
     /// Not enough rows for the method's minimum.
-    TooFewRows { needed: usize, got: usize },
+    TooFewRows {
+        /// Rows the method needs.
+        needed: usize,
+        /// Rows supplied.
+        got: usize,
+    },
     /// Required attribute missing or of the wrong type.
     BadAttribute(String),
     /// Underlying model fit failed.

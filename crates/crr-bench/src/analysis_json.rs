@@ -210,7 +210,7 @@ mod tests {
     use crr_analyze::analyze_artifact;
     use crr_core::{Conjunction, Crr, Dnf, Predicate, RuleSet};
     use crr_data::{AttrId, AttrType, Schema, Value};
-    use crr_discovery::{RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact};
+    use crr_discovery::{RepairObligations, RepairRegion, RuleSetArtifact};
     use crr_models::{ConstantModel, Model};
     use std::sync::Arc;
 
@@ -253,10 +253,8 @@ mod tests {
                 kept: 1,
                 regions: vec![RepairRegion {
                     region_id: 0,
-                    origin: RegionOrigin::Drifted {
-                        rule: 1,
-                        conjunct: 0,
-                    },
+                    rule: 1,
+                    conjunct: 0,
                     guards: vec![
                         Predicate::ge(x, Value::Float(10.0)),
                         Predicate::lt(x, Value::Float(20.0)),

@@ -179,57 +179,6 @@ fn check_file(path: &str) {
     }
 }
 
-/// Rebuilds `a` with every repaired rule's (index ≥ `kept`) conjuncts
-/// stripped of their predicates: the spliced rules then claim
-/// unconditional coverage while the bundled obligations still claim
-/// bounded regions — the over-claim the verifier's A7 check exists to
-/// catch. Returns `None` when the mutation cannot be caught (no repair
-/// obligations, no regions, no repaired rules, or a guard-free region
-/// that would confine any conjunct vacuously).
-fn strip_repair_guards(
-    a: &crr_discovery::RuleSetArtifact,
-) -> Option<crr_discovery::RuleSetArtifact> {
-    use crr_core::{Conjunction, Crr, Dnf, RuleSet};
-    let repair = a.repair.clone()?;
-    if repair.regions.is_empty()
-        || repair.kept >= a.rules.len()
-        || repair.regions.iter().any(|r| r.guards.is_empty())
-    {
-        return None;
-    }
-    let mut rules = RuleSet::new();
-    for (i, r) in a.rules.rules().iter().enumerate() {
-        if i < repair.kept {
-            rules.push(r.clone());
-            continue;
-        }
-        let conjs: Vec<Conjunction> = r
-            .condition()
-            .conjuncts()
-            .iter()
-            .map(|c| match c.builtin() {
-                Some(t) => Conjunction::with_builtin(Vec::new(), t.clone()),
-                None => Conjunction::top(),
-            })
-            .collect();
-        let stripped = Crr::new(
-            r.inputs().to_vec(),
-            r.target(),
-            std::sync::Arc::clone(r.model()),
-            r.rho(),
-            Dnf::of(conjs),
-        )
-        .expect("stripped rule stays well-formed");
-        rules.push(stripped);
-    }
-    Some(
-        crr_discovery::RuleSetArtifact::new(a.schema.clone(), rules, a.obligations.clone())
-            .expect("mutated artifact keeps valid references")
-            .with_repair(repair)
-            .expect("repair guards keep valid references"),
-    )
-}
-
 /// `--analyze-artifact <path>`: parse a `crr-artifact v1` file, run the
 /// full verifier battery (A1–A7) and fail the process unless the artifact
 /// is sound. The row-free analogue of `--check` for rule-set artifacts.
@@ -268,7 +217,7 @@ fn mutate_repair_guard_cmd(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let artifact = crr_discovery::RuleSetArtifact::from_text(&text)
         .unwrap_or_else(|e| panic!("{path}: not a rule-set artifact: {e}"));
-    let Some(mutated) = strip_repair_guards(&artifact) else {
+    let Some(mutated) = crr_serve::client::strip_repair_guards(&artifact) else {
         eprintln!("{path}: INVALID: artifact carries no strippable repair guards to mutate");
         std::process::exit(1);
     };
@@ -1918,7 +1867,7 @@ fn stream_cell(
         // When the splice is strippable (non-trivial region guards), the
         // same artifact with its repaired rules widened to unconditional
         // coverage must be bounced by the gate's A7 audit.
-        if let Some(mutated) = strip_repair_guards(&artifact) {
+        if let Some(mutated) = crr_serve::client::strip_repair_guards(&artifact) {
             let (status, resp) =
                 roundtrip(server.addr(), "POST", "/admin/swap", &mutated.to_text())
                     .expect("mutated swap roundtrip");

@@ -30,13 +30,13 @@
 //!
 //! A repaired artifact produced by `crr-stream` additionally carries
 //! [`RepairObligations`] — the splice's machine-checkable claims — as a
-//! `repair` line plus one `region` line per affected region, between the
-//! shard guards and the rules:
+//! `repair` line plus one `region` line per affected region (a drifted
+//! conjunct), between the shard guards and the rules:
 //!
 //! ```text
 //! repair kept=12
 //! region id=0 origin=drifted rule=4 conj=0 pred #0 >= f:10 ; pred #0 < f:20
-//! region id=1 origin=uncovered pred #0 >= f:5760 ; pred #0 <= f:6048
+//! region id=1 origin=drifted rule=4 conj=1 pred #0 >= f:5760
 //! ```
 //!
 //! `kept` counts the healthy rules carried over unchanged (they occupy
@@ -52,35 +52,22 @@ use crr_core::{CoreError, Predicate, RuleSet};
 use crr_data::{AttrId, AttrType, Boundary, Schema, ShardBounds};
 use std::fmt::Write as _;
 
-/// Where one repair region came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionOrigin {
-    /// A drifted conjunct of the pre-repair rule set. `rule`/`conjunct`
-    /// index the set the repair *replaced* — provenance for operators,
-    /// not references into the spliced set.
-    Drifted {
-        /// Index of the drifted rule in the pre-repair set.
-        rule: usize,
-        /// Index of the drifted conjunct within that rule's condition.
-        conjunct: usize,
-    },
-    /// The uncovered-append region: rows no pre-repair rule claimed,
-    /// guarded by their bounding box when one was derivable.
-    Uncovered,
-}
-
-/// One affected region a repair re-ran discovery inside.
+/// One affected region a repair re-ran discovery inside: a drifted
+/// conjunct of the pre-repair rule set. `rule`/`conjunct` index the set
+/// the repair *replaced* — provenance for operators, not references into
+/// the spliced set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairRegion {
     /// Dense region index, in emission order.
     pub region_id: usize,
-    /// Provenance of the region.
-    pub origin: RegionOrigin,
-    /// The guard predicates re-ANDed onto every rule rediscovered in
-    /// this region (a drifted conjunct's own predicates, or the bounding
-    /// box of the uncovered appends). May be empty when no guard was
-    /// derivable — the verifier then treats confinement as vacuous and
-    /// flags the region as a hygiene finding.
+    /// Index of the drifted rule in the pre-repair set.
+    pub rule: usize,
+    /// Index of the drifted conjunct within that rule's condition.
+    pub conjunct: usize,
+    /// The drifted conjunct's own predicates, re-ANDed onto every rule
+    /// rediscovered in this region. Empty when the conjunct is `top` —
+    /// the verifier then treats confinement as vacuous and flags the
+    /// region as a hygiene finding.
     pub guards: Vec<Predicate>,
 }
 
@@ -251,13 +238,11 @@ impl RuleSetArtifact {
         if let Some(rep) = &self.repair {
             let _ = writeln!(out, "repair kept={}", rep.kept);
             for r in &rep.regions {
-                let _ = write!(out, "region id={}", r.region_id);
-                match r.origin {
-                    RegionOrigin::Drifted { rule, conjunct } => {
-                        let _ = write!(out, " origin=drifted rule={rule} conj={conjunct}");
-                    }
-                    RegionOrigin::Uncovered => out.push_str(" origin=uncovered"),
-                }
+                let _ = write!(
+                    out,
+                    "region id={} origin=drifted rule={} conj={}",
+                    r.region_id, r.rule, r.conjunct
+                );
                 for (i, p) in r.guards.iter().enumerate() {
                     out.push_str(if i == 0 { " " } else { " ; " });
                     let _ = write!(out, "pred {}", encode_predicate(p));
@@ -373,14 +358,18 @@ fn parse_region(rest: &str) -> Result<RepairRegion> {
         None => (rest, None),
     };
     let mut region_id = None;
-    let mut origin_tok = None;
+    let mut drifted = false;
     let mut rule = None;
     let mut conjunct = None;
     for tok in head.split_whitespace() {
         if let Some(v) = tok.strip_prefix("id=") {
             region_id = v.parse::<usize>().ok();
         } else if let Some(v) = tok.strip_prefix("origin=") {
-            origin_tok = Some(v.to_string());
+            // Every region is a drifted conjunct; no other origin exists.
+            if v != "drifted" {
+                return Err(bad(format!("bad region origin: {rest}")));
+            }
+            drifted = true;
         } else if let Some(v) = tok.strip_prefix("rule=") {
             rule = v.parse::<usize>().ok();
         } else if let Some(v) = tok.strip_prefix("conj=") {
@@ -389,14 +378,9 @@ fn parse_region(rest: &str) -> Result<RepairRegion> {
             return Err(bad(format!("bad region token: {tok}")));
         }
     }
-    let region_id = region_id.ok_or_else(|| bad(format!("region line lacks an id: {rest}")))?;
-    let origin = match origin_tok.as_deref() {
-        Some("drifted") => match (rule, conjunct) {
-            (Some(rule), Some(conjunct)) => RegionOrigin::Drifted { rule, conjunct },
-            _ => return Err(bad(format!("drifted region lacks rule/conj: {rest}"))),
-        },
-        Some("uncovered") => RegionOrigin::Uncovered,
-        _ => return Err(bad(format!("bad region origin: {rest}"))),
+    let (Some(region_id), true, Some(rule), Some(conjunct)) = (region_id, drifted, rule, conjunct)
+    else {
+        return Err(bad(format!("incomplete region line: {rest}")));
     };
     let mut guards = Vec::new();
     if let Some(part) = preds_part {
@@ -409,7 +393,8 @@ fn parse_region(rest: &str) -> Result<RepairRegion> {
     }
     Ok(RepairRegion {
         region_id,
-        origin,
+        rule,
+        conjunct,
         guards,
     })
 }
@@ -614,7 +599,8 @@ mod tests {
                 kept: 1,
                 regions: vec![RepairRegion {
                     region_id: 3,
-                    origin: RegionOrigin::Uncovered,
+                    rule: 0,
+                    conjunct: 0,
                     guards: vec![Predicate::ge(AttrId(9), Value::Float(0.0))],
                 }],
             })
@@ -635,10 +621,8 @@ mod tests {
                 regions: vec![
                     RepairRegion {
                         region_id: 0,
-                        origin: RegionOrigin::Drifted {
-                            rule: 4,
-                            conjunct: 1,
-                        },
+                        rule: 4,
+                        conjunct: 1,
                         guards: vec![
                             Predicate::ge(k, Value::Float(10.0)),
                             Predicate::lt(k, Value::Float(20.0)),
@@ -646,12 +630,14 @@ mod tests {
                     },
                     RepairRegion {
                         region_id: 1,
-                        origin: RegionOrigin::Uncovered,
+                        rule: 4,
+                        conjunct: 2,
                         guards: vec![Predicate::ge(k, Value::Float(5760.0))],
                     },
                     RepairRegion {
                         region_id: 2,
-                        origin: RegionOrigin::Uncovered,
+                        rule: 7,
+                        conjunct: 0,
                         guards: Vec::new(),
                     },
                 ],
@@ -670,7 +656,8 @@ mod tests {
             kept: 0,
             regions: vec![RepairRegion {
                 region_id: 0,
-                origin: RegionOrigin::Uncovered,
+                rule: 0,
+                conjunct: 0,
                 guards: vec![Predicate::ge(AttrId(9), Value::Float(0.0))],
             }],
         });
@@ -684,10 +671,8 @@ mod tests {
                 kept: 1,
                 regions: vec![RepairRegion {
                     region_id: 0,
-                    origin: RegionOrigin::Drifted {
-                        rule: 0,
-                        conjunct: 0,
-                    },
+                    rule: 0,
+                    conjunct: 0,
                     guards: Vec::new(),
                 }],
             })
@@ -696,11 +681,14 @@ mod tests {
         // A region line before any repair line.
         let reordered = good.replace("repair kept=1\n", "");
         assert!(RuleSetArtifact::from_text(&reordered).is_err());
-        // Unknown origins and missing provenance are rejected.
-        assert!(
-            RuleSetArtifact::from_text(&good.replace("origin=drifted", "origin=mystery")).is_err()
-        );
-        assert!(RuleSetArtifact::from_text(&good.replace(" rule=0", "")).is_err());
+        // Every region is a drifted conjunct: any other origin, or a
+        // missing field, is rejected.
+        for origin in ["origin=mystery", "origin=uncovered"] {
+            assert!(RuleSetArtifact::from_text(&good.replace("origin=drifted", origin)).is_err());
+        }
+        for field in [" origin=drifted", " rule=0", " conj=0", "id=0 "] {
+            assert!(RuleSetArtifact::from_text(&good.replace(field, "")).is_err());
+        }
         assert!(RuleSetArtifact::from_text(&good.replace("kept=1", "kept=x")).is_err());
     }
 

@@ -128,7 +128,7 @@ mod search;
 mod session;
 pub mod sharded;
 
-pub use artifact::{RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact};
+pub use artifact::{RepairObligations, RepairRegion, RuleSetArtifact};
 pub use budget::{Budget, CancelToken, DiscoveryOutcome};
 pub use compaction::{compact, compact_on_data, CompactionStats};
 pub use config::{DiscoveryConfig, QueueOrder, SplitStrategy};

@@ -299,7 +299,7 @@ pub(crate) fn run_search(
     // Compile-once cache for the split chooser: every candidate predicate
     // is compiled against this table exactly once per run instead of once
     // per (pop, candidate).
-    let split_scratch = SplitScratch::build(table, space, cfg.target);
+    let split_scratch = SplitScratch::build(table, space);
 
     // Line 4: main loop.
     while let Some(entry) = queue.pop() {
@@ -570,7 +570,7 @@ pub(crate) fn run_search(
         let chosen = choose_split(
             table,
             &rows,
-            cfg.split,
+            (cfg.split, cfg.target),
             space,
             &avail,
             (&fit, &resid),
@@ -922,28 +922,21 @@ pub(crate) fn global_midrange(table: &Table, cfg: &DiscoveryConfig, rows: &RowSe
 }
 
 /// Per-run scratch for the split chooser: every predicate's
-/// [`KernelShape`], compiled against the table exactly once, plus the
-/// target column densified to a flat f64 buffer. The shapes carry the
-/// resolved operator, the coerced constant and the string LUT, with
-/// `Never`/`Always` already folded, so `crr-core::compiled` alone decides
-/// what a predicate selects. NaN in `target` marks a null cell — the
-/// snapshot build already rejected non-finite data cells over the run's
-/// rows, so the sentinel is unambiguous.
+/// [`KernelShape`], compiled against the table exactly once. The shapes
+/// carry the resolved operator, the coerced constant and the string LUT,
+/// with `Never`/`Always` already folded, so `crr-core::compiled` alone
+/// decides what a predicate selects.
 struct SplitScratch {
     shapes: Vec<KernelShape>,
-    target: Vec<f64>,
 }
 
 impl SplitScratch {
-    fn build(table: &Table, space: &PredicateSpace, target: AttrId) -> SplitScratch {
+    fn build(table: &Table, space: &PredicateSpace) -> SplitScratch {
         SplitScratch {
             shapes: space
                 .predicates()
                 .iter()
                 .map(|p| CompiledPred::compile(p, table).shape())
-                .collect(),
-            target: (0..table.num_rows())
-                .map(|r| table.value_f64(r, target).unwrap_or(f64::NAN))
                 .collect(),
         }
     }
@@ -1182,16 +1175,16 @@ impl CandidateBins {
 /// (default) scores each candidate by the weighted variance of the parent
 /// model's residuals (`resid`, one per `fit` row) per side — the
 /// model-tree criterion that surfaces regime attributes; `BestVariance` is
-/// the raw CART criterion \[9\] over the partition's non-null targets;
-/// `FirstApplicable` takes the first separating candidate. The candidates
-/// are every `max(1, ⌊|avail|/64⌋)`-th of `avail` (see
-/// [`MAX_SPLIT_CANDIDATES`]: 64–127 once `|avail| ≥ 64`), all scored from
-/// one binned pass per condition attribute ([`CandidateBins`]); ties go
-/// to the lowest index.
+/// the raw CART criterion \[9\] over the partition's non-null, non-NaN
+/// `target` values, read off the table in row order; `FirstApplicable`
+/// takes the first separating candidate. The candidates are every
+/// `max(1, ⌊|avail|/64⌋)`-th of `avail` (see [`MAX_SPLIT_CANDIDATES`]:
+/// 64–127 once `|avail| ≥ 64`), all scored from one binned pass per
+/// condition attribute ([`CandidateBins`]); ties go to the lowest index.
 fn choose_split(
     table: &Table,
     rows: &RowSet,
-    split: SplitStrategy,
+    (split, target): (SplitStrategy, AttrId),
     space: &PredicateSpace,
     avail: &[u32],
     (fit, resid): (&[u32], &[f64]),
@@ -1207,8 +1200,10 @@ fn choose_split(
         SplitStrategy::BestVariance => {
             by_target = rows
                 .iter()
-                .filter(|&r| !scratch.target[r].is_nan())
-                .map(|r| (r as u32, scratch.target[r]))
+                .filter_map(|r| {
+                    let v = table.value_f64(r, target).filter(|v| !v.is_nan())?;
+                    Some((r as u32, v))
+                })
                 .unzip();
             (&by_target.0, Some(&by_target.1))
         }
@@ -1910,7 +1905,7 @@ mod tests {
             preds.push(Predicate::not_null(attr));
         }
         let space = PredicateSpace::from_predicates(preds);
-        let scratch = SplitScratch::build(&t, &space, y);
+        let scratch = SplitScratch::build(&t, &space);
         assert!(space.len() > 2 * MAX_SPLIT_CANDIDATES);
 
         let (mut on_string, mut strided, mut splits) = (0, 0, 0);
@@ -1951,7 +1946,15 @@ mod tests {
                 SplitStrategy::BestVariance,
                 SplitStrategy::FirstApplicable,
             ] {
-                let got = choose_split(&t, &rows, split, &space, &avail, (&fit, &resid), &scratch);
+                let got = choose_split(
+                    &t,
+                    &rows,
+                    (split, y),
+                    &space,
+                    &avail,
+                    (&fit, &resid),
+                    &scratch,
+                );
                 let want =
                     choose_split_rowwise(&t, &rows, (split, y), &space, &avail, (&fit, &resid));
                 assert_eq!(got, want, "trial {trial}, {split:?}");

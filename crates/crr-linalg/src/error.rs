@@ -18,9 +18,19 @@ pub enum LinalgError {
     /// Cholesky requires a (numerically) positive-definite input.
     NotPositiveDefinite,
     /// The operation requires a square matrix.
-    NotSquare { rows: usize, cols: usize },
+    NotSquare {
+        /// Rows of the operand.
+        rows: usize,
+        /// Columns of the operand.
+        cols: usize,
+    },
     /// The system is under-determined: fewer rows than columns.
-    Underdetermined { rows: usize, cols: usize },
+    Underdetermined {
+        /// Rows (equations) of the system.
+        rows: usize,
+        /// Columns (unknowns) of the system.
+        cols: usize,
+    },
 }
 
 impl fmt::Display for LinalgError {

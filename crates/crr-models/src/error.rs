@@ -4,11 +4,26 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
     /// Not enough samples for the requested model class.
-    TooFewSamples { needed: usize, got: usize },
+    TooFewSamples {
+        /// Samples the model class needs.
+        needed: usize,
+        /// Samples supplied.
+        got: usize,
+    },
     /// Feature vectors had inconsistent lengths.
-    InconsistentFeatures { expected: usize, got: usize },
+    InconsistentFeatures {
+        /// Length of the first feature vector.
+        expected: usize,
+        /// Length of the offending one.
+        got: usize,
+    },
     /// Feature and target counts differ.
-    LengthMismatch { features: usize, targets: usize },
+    LengthMismatch {
+        /// Feature vectors supplied.
+        features: usize,
+        /// Target values supplied.
+        targets: usize,
+    },
     /// The underlying solver failed (singular design, etc.).
     Solver(String),
     /// Inputs contained non-finite values.

@@ -38,26 +38,3 @@ pub struct AnalysisCounters {
     /// Findings emitted at severity `hygiene`.
     pub findings_hygiene: u64,
 }
-
-impl AnalysisCounters {
-    /// Total findings across all severities.
-    pub fn findings(&self) -> u64 {
-        self.findings_unsound + self.findings_redundant + self.findings_hygiene
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn findings_total_every_severity() {
-        let c = AnalysisCounters {
-            findings_unsound: 1,
-            findings_redundant: 2,
-            findings_hygiene: 3,
-            ..AnalysisCounters::default()
-        };
-        assert_eq!(c.findings(), 6);
-    }
-}

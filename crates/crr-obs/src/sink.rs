@@ -187,8 +187,8 @@ metric_enum! {
         /// `(row, rule-conjunction)` coverage pairs routed through the
         /// interval index by delta batches.
         StreamRoutedPairs => ("stream", "routed_pairs"),
-        /// Appended rows no rule condition covers — a coverage gap the
-        /// next repair must close.
+        /// Appended rows no rule condition covers. They stay uncovered,
+        /// as rows discovery cannot cover do at build time.
         StreamUncoveredRows => ("stream", "uncovered_rows"),
         /// Partition-statistics updates: `Moments::add_rows` batches on
         /// append plus `Moments::subtract` calls on delete.

@@ -1,12 +1,17 @@
 //! A tiny loopback HTTP client and a closed-loop load generator — the
 //! measurement side of the serving benchmark, and the driver every
 //! integration test uses. Zero-dependency like the server: one request
-//! per connection, read-to-EOF responses.
+//! per connection, read-to-EOF responses. It also builds the
+//! stripped-guard mutant of a repaired artifact
+//! ([`strip_repair_guards`]), which the swap gate must refuse.
 
+use crr_core::{Conjunction, Crr, Dnf, RuleSet};
 use crr_data::Value;
+use crr_discovery::RuleSetArtifact;
 use crr_obs::json;
 use std::io::{self, Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Sends one request and returns `(status, body)`. The connection is
@@ -102,6 +107,53 @@ pub fn predictions_field(values: &[Option<f64>]) -> String {
     crate::handlers::render_opt_nums(&mut out, values);
     out.push(']');
     out
+}
+
+/// The A7 mutant of a repaired artifact: `a` with every repaired rule's
+/// (index ≥ `kept`) conjuncts stripped of their predicates, built-in
+/// translations kept. The spliced rules then claim unconditional coverage
+/// while the bundled obligations still claim bounded regions — the
+/// over-claim the verifier's A7 check exists to catch, so the swap gate
+/// must refuse the mutant. `None` when no such mutant exists: no repair
+/// obligations, no regions or no repaired rules. Also `None` when a region
+/// carries no guard, which confines every conjunct vacuously; only a
+/// drifted `top` conjunct gives such a region.
+pub fn strip_repair_guards(a: &RuleSetArtifact) -> Option<RuleSetArtifact> {
+    let repair = a.repair.clone()?;
+    if repair.regions.is_empty()
+        || repair.kept >= a.rules.len()
+        || repair.regions.iter().any(|r| r.guards.is_empty())
+    {
+        return None;
+    }
+    let mut rules = RuleSet::new();
+    for (i, r) in a.rules.rules().iter().enumerate() {
+        if i < repair.kept {
+            rules.push(r.clone());
+            continue;
+        }
+        let conjs: Vec<Conjunction> = r
+            .condition()
+            .conjuncts()
+            .iter()
+            .map(|c| match c.builtin() {
+                Some(t) => Conjunction::with_builtin(Vec::new(), t.clone()),
+                None => Conjunction::top(),
+            })
+            .collect();
+        let stripped = Crr::new(
+            r.inputs().to_vec(),
+            r.target(),
+            Arc::clone(r.model()),
+            r.rho(),
+            Dnf::of(conjs),
+        )
+        .ok()?;
+        rules.push(stripped);
+    }
+    RuleSetArtifact::new(a.schema.clone(), rules, a.obligations.clone())
+        .and_then(|m| m.with_repair(repair))
+        .ok()
 }
 
 /// Closed-loop load-generator options: `clients` threads each issue

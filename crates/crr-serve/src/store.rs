@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn repair_with_stripped_region_guard_is_refused() {
         use crr_data::Value;
-        use crr_discovery::{RegionOrigin, RepairObligations, RepairRegion};
+        use crr_discovery::{RepairObligations, RepairRegion};
 
         let schema = Schema::new(vec![("x", AttrType::Float), ("y", AttrType::Float)]);
         let x = AttrId(0);
@@ -319,7 +319,8 @@ mod tests {
             kept: 1,
             regions: vec![RepairRegion {
                 region_id: 0,
-                origin: RegionOrigin::Uncovered,
+                rule: 1,
+                conjunct: 0,
                 guards,
             }],
         };

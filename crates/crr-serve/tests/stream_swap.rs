@@ -12,52 +12,10 @@ use crr_data::{Table, Value};
 use crr_datasets::{electricity, GenConfig};
 use crr_discovery::{DiscoveryConfig, DiscoverySession, PredicateGen};
 use crr_obs::json;
-use crr_serve::client::{predictions_field, roundtrip, rows_body};
+use crr_serve::client::{predictions_field, roundtrip, rows_body, strip_repair_guards};
 use crr_serve::{RuleStore, ServeConfig, Server};
 use crr_stream::{StreamConfig, StreamEngine};
 use std::sync::Arc;
-
-/// Rebuilds `a` with every repaired rule's (index ≥ `kept`) conjuncts
-/// stripped of their predicates — the spliced rules then claim
-/// unconditional coverage while the bundled obligations still claim
-/// bounded regions, exactly the over-claim A7 exists to catch.
-fn strip_repair_guards(a: &crr_discovery::RuleSetArtifact) -> crr_discovery::RuleSetArtifact {
-    use crr_core::{Conjunction, Crr, Dnf, RuleSet};
-    let repair = a.repair.clone().unwrap();
-    assert!(
-        repair.regions.iter().all(|r| !r.guards.is_empty()),
-        "fixture too weak: a guard-free region would confine vacuously"
-    );
-    let mut rules = RuleSet::new();
-    for (i, r) in a.rules.rules().iter().enumerate() {
-        if i < repair.kept {
-            rules.push(r.clone());
-            continue;
-        }
-        let conjs: Vec<Conjunction> = r
-            .condition()
-            .conjuncts()
-            .iter()
-            .map(|c| match c.builtin() {
-                Some(t) => Conjunction::with_builtin(Vec::new(), t.clone()),
-                None => Conjunction::top(),
-            })
-            .collect();
-        let stripped = Crr::new(
-            r.inputs().to_vec(),
-            r.target(),
-            Arc::clone(r.model()),
-            r.rho(),
-            Dnf::of(conjs),
-        )
-        .unwrap();
-        rules.push(stripped);
-    }
-    crr_discovery::RuleSetArtifact::new(a.schema.clone(), rules, a.obligations.clone())
-        .unwrap()
-        .with_repair(repair)
-        .unwrap()
-}
 
 #[test]
 fn repaired_artifact_swaps_in_and_serves_identical_answers() {
@@ -92,7 +50,7 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
 
     // Today's appends arrive under a regime change — the generator's tail
     // with the target rescaled — so covered rows trip the write-time
-    // monitor and uncovered ones queue for repair.
+    // monitor and flag their rules for repair.
     let ty = target.0;
     let tail: Vec<Vec<Value>> = (2_880..t.num_rows())
         .map(|r| {
@@ -147,7 +105,8 @@ fn repaired_artifact_swaps_in_and_serves_identical_answers() {
     // every repaired conjunct widened to unconditional coverage — must be
     // bounced by the swap gate's A7 audit with a 422, leaving the honest
     // repair serving.
-    let mutated = strip_repair_guards(&artifact);
+    let mutated = strip_repair_guards(&artifact)
+        .expect("fixture too weak: no repaired rule, or a guard-free region");
     let (status, resp) = roundtrip(addr, "POST", "/admin/swap", &mutated.to_text()).unwrap();
     assert_eq!(status, 422, "stripped repair guard must be refused: {resp}");
     assert!(resp.contains("unsound"), "{resp}");

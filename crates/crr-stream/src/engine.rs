@@ -6,7 +6,7 @@ use crr_core::{CompiledIndex, Conjunction, Crr, Dnf, Predicate, RuleSet};
 use crr_data::{AttrId, DataError, RowSet, Table, Value};
 use crr_discovery::{
     compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, PredicateSpace,
-    RegionOrigin, RepairObligations, RepairRegion, RuleSetArtifact,
+    RepairObligations, RepairRegion, RuleSetArtifact,
 };
 use crr_models::{Moments, Translation};
 use crr_obs::{Counter as Ctr, Gauge, MetricsSink, Phase};
@@ -59,38 +59,24 @@ impl From<DiscoveryError> for StreamError {
 
 type Result<T> = std::result::Result<T, StreamError>;
 
-/// Tuning knobs of the maintenance loop.
-#[derive(Debug, Clone)]
+/// Absolute slack added to each rule's `ρ` before a residual counts as
+/// drift — both for the per-row write-time monitor and for the
+/// moments-recomputed partition bias. Keeps float noise on exact-fit
+/// (`ρ = 0`) rules from flagging spurious drift.
+const TOLERANCE: f64 = 1e-6;
+
+/// Options of the maintenance loop.
+#[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
-    /// Absolute slack added to each rule's `ρ` before a residual counts
-    /// as drift — both for the per-row write-time monitor and for the
-    /// moments-recomputed partition bias. Keeps float noise on exact-fit
-    /// (`ρ = 0`) rules from flagging spurious drift.
-    pub tolerance: f64,
     /// Structured metrics sink for the `stream.*` counters and gauges.
     /// The no-op default records nothing.
     pub metrics: MetricsSink,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            tolerance: 1e-6,
-            metrics: MetricsSink::disabled(),
-        }
-    }
 }
 
 impl StreamConfig {
     /// Attaches an enabled metrics sink.
     pub fn with_metrics(mut self, sink: MetricsSink) -> Self {
         self.metrics = sink;
-        self
-    }
-
-    /// Sets the drift tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
         self
     }
 }
@@ -104,7 +90,10 @@ pub struct BatchOutcome {
     pub deleted: usize,
     /// `(row, rule)` coverage pairs the interval plan routed.
     pub routed_pairs: usize,
-    /// Appended rows no rule condition covers (queued for repair).
+    /// Appended rows no rule condition covers. They stay uncovered, as at
+    /// build time: a row escapes every rule only through a null or NaN on
+    /// a condition attribute the rules test (discovery's
+    /// `uncoverable_rows`).
     pub uncovered: usize,
     /// Write-time monitor hits: appended rows whose residual exceeded a
     /// covering rule's `ρ` plus the tolerance.
@@ -118,8 +107,6 @@ pub struct BatchOutcome {
 pub struct DriftReport {
     /// Indices of rules currently flagged drifted, ascending.
     pub drifted: Vec<usize>,
-    /// Appended rows currently covered by no rule.
-    pub uncovered_rows: usize,
     /// Worst moments-recomputed residual bias across tracked partitions,
     /// as a ratio of the owning rule's declared `ρ` (1.0 = exactly at the
     /// bound; 0.0 when nothing is tracked).
@@ -143,9 +130,9 @@ pub struct RepairReport {
     /// repair — 0 on a clean repair; non-zero re-flags the violated rules
     /// as drifted.
     pub residual_violations: usize,
-    /// Affected rows no rule can ever cover (null condition attributes) —
-    /// dropped from the repair queue, mirroring discovery's
-    /// `uncoverable_rows`.
+    /// Affected rows no rule covers after the repair (a null or NaN on a
+    /// condition attribute the rediscovery split on). They stay uncovered,
+    /// mirroring discovery's `uncoverable_rows`.
     pub uncoverable_rows: usize,
     /// The repaired, serialization-ready artifact (schema + merged rules),
     /// fit for the `crr-analyze` admission gate and a `crr-serve` swap.
@@ -176,20 +163,17 @@ impl PartState {
     }
 }
 
-/// Re-ANDs a repair region's guard conjunction onto every conjunction of a
-/// rule rediscovered inside that region, keeping only the rediscovered
-/// rule's built-in translations (the guard's, if any, belonged to the
-/// replaced model). `None` means no guard — the rule passes unchanged.
-fn guard_rule(d: &Crr, guard: Option<&Conjunction>) -> Result<Crr> {
-    let Some(g) = guard else {
-        return Ok(d.clone());
-    };
+/// Re-ANDs a repair region's guard predicates onto every conjunction of
+/// a rule rediscovered inside that region, keeping only the rediscovered
+/// rule's built-in translations (the drifted conjunct's, if any, belonged
+/// to the replaced model).
+fn guard_rule(d: &Crr, guards: &[Predicate]) -> Result<Crr> {
     let conjuncts = d
         .condition()
         .conjuncts()
         .iter()
         .map(|cd| {
-            let mut preds = g.preds().to_vec();
+            let mut preds = guards.to_vec();
             preds.extend(cd.preds().iter().cloned());
             match cd.builtin() {
                 Some(t) => Conjunction::with_builtin(preds, t.clone()),
@@ -268,7 +252,6 @@ pub struct StreamEngine {
     plan: IntervalPlan,
     cfg: DiscoveryConfig,
     space: PredicateSpace,
-    opts: StreamConfig,
     /// `states[rule][conjunction]`, parallel to the rule set.
     states: Vec<Vec<PartState>>,
     /// `members[rule][conjunction]`: the table row ids the partition has
@@ -277,8 +260,6 @@ pub struct StreamEngine {
     /// drifted partition's rows in time proportional to the partition.
     members: Vec<Vec<Vec<u32>>>,
     drifted: Vec<bool>,
-    /// Appended rows currently covered by no rule, ascending.
-    uncovered: Vec<u32>,
     metrics: MetricsSink,
 }
 
@@ -303,7 +284,7 @@ impl StreamEngine {
         }
         let live = vec![true; table.num_rows()];
         let live_count = table.num_rows();
-        let metrics = opts.metrics.clone();
+        let metrics = opts.metrics;
         let mut engine = StreamEngine {
             table,
             live,
@@ -312,11 +293,9 @@ impl StreamEngine {
             plan: IntervalPlan::default(),
             cfg,
             space,
-            opts,
             states: Vec::new(),
             members: Vec::new(),
             drifted: Vec::new(),
-            uncovered: Vec::new(),
             metrics,
         };
         engine.rebuild_states();
@@ -368,7 +347,6 @@ impl StreamEngine {
         for &ri in &routed.violated_rules {
             self.drifted[ri] = true;
         }
-        self.uncovered.extend_from_slice(&routed.uncovered);
         let newly_drifted = self.refresh_drift(&routed.violated_rules);
 
         self.metrics.incr(Ctr::StreamBatches);
@@ -422,7 +400,6 @@ impl StreamEngine {
             self.live[r as usize] = false;
         }
         self.live_count -= ids.len();
-        self.uncovered.retain(|r| ids.binary_search(r).is_err());
         let newly_drifted = self.refresh_drift(&[]);
 
         self.metrics.incr(Ctr::StreamBatches);
@@ -447,15 +424,14 @@ impl StreamEngine {
             drifted: (0..self.drifted.len())
                 .filter(|&i| self.drifted[i])
                 .collect(),
-            uncovered_rows: self.uncovered.len(),
             max_drift_ratio: self.max_drift_ratio(),
         }
     }
 
-    /// Whether any rule has drifted or any appended row is uncovered —
-    /// i.e. whether [`StreamEngine::repair`] would do real work.
+    /// Whether any rule has drifted — i.e. whether
+    /// [`StreamEngine::repair`] would do real work.
     pub fn needs_repair(&self) -> bool {
-        self.drifted.iter().any(|&d| d) || !self.uncovered.is_empty()
+        self.drifted.iter().any(|&d| d)
     }
 
     /// The moments-recomputed residual bias of one rule: the worst
@@ -476,19 +452,18 @@ impl StreamEngine {
     }
 
     /// Re-runs Algorithm 1 on the affected partitions only — each drifted
-    /// conjunction's claimed live rows, plus uncovered appends — keeps
-    /// every healthy rule untouched, re-merges with Algorithm 2
-    /// (`compact_on_data`), and swaps the merged set in as the new
-    /// maintained baseline.
+    /// conjunction's claimed live rows — keeps every healthy rule
+    /// untouched, re-merges with Algorithm 2 (`compact_on_data`), and
+    /// swaps the merged set in as the new maintained baseline. Appended
+    /// rows no rule covers are not a repair obligation: they stay
+    /// uncovered, as they do at build time.
     ///
     /// Every rule rediscovered inside a drifted region gets that region's
     /// conjunction re-ANDed onto its condition — the same refinement
     /// structure Algorithm 1 itself uses — so a repaired rule can never
     /// claim rows outside the partition it was learned on (a sub-discovery
     /// root with a trivially-true condition would otherwise claim the
-    /// whole relation). Rules learned on uncovered appends are guarded by
-    /// the region's per-attribute bounding box instead, since no prior
-    /// condition describes those rows.
+    /// whole relation).
     ///
     /// Every step is proportional to the *affected* partitions, never the
     /// relation: regions come from the maintained membership lists, the
@@ -496,22 +471,23 @@ impl StreamEngine {
     /// absorbed every append and shed every delete), Algorithm 2 merges
     /// the repaired rules over the affected rows only, and the final
     /// monitored routing — the exactness gate over everything repair
-    /// touched — walks the affected rows alone. The repaired artifact is
-    /// returned ready for the `crr-analyze` gate, carrying
+    /// touched — walks the affected rows alone. Those are every live row
+    /// a repaired rule covers, since each repaired rule lies inside a
+    /// drifted conjunct whose live rows are all affected. The repaired
+    /// artifact is returned ready for the `crr-analyze` gate, carrying
     /// [`RepairObligations`] (kept-rule count plus per-region guards) so
     /// the verifier's A7 check can re-prove the splice's confinement
-    /// row-free. With nothing drifted and nothing uncovered the rule set
-    /// is re-exported unchanged (`affected_rows == 0`, zero regions).
+    /// row-free. With nothing drifted the rule set is re-exported
+    /// unchanged (`affected_rows == 0`, zero regions).
     pub fn repair(&mut self) -> Result<RepairReport> {
         let span = self.metrics.span();
         let mut cfg = self.cfg.clone();
         cfg.metrics = self.metrics.clone();
 
         // One affected region per drifted conjunction — its claimed live
-        // rows read off the membership lists — each carrying the guard
-        // re-ANDed onto whatever is rediscovered inside it, plus its
-        // provenance for the exported repair obligations.
-        let mut regions: Vec<(Option<Conjunction>, RowSet, RegionOrigin)> = Vec::new();
+        // rows read off the membership lists — whose predicates guard
+        // whatever is rediscovered inside it.
+        let mut regions: Vec<(RepairRegion, RowSet)> = Vec::new();
         for (ri, rule) in self.rules.rules().iter().enumerate() {
             if !self.drifted[ri] {
                 continue;
@@ -523,21 +499,15 @@ impl StreamEngine {
                     .filter(|&r| self.live[r as usize])
                     .collect();
                 if !ids.is_empty() {
-                    regions.push((
-                        Some(conj.clone()),
-                        RowSet::from_sorted(ids),
-                        RegionOrigin::Drifted {
-                            rule: ri,
-                            conjunct: ci,
-                        },
-                    ));
+                    let region = RepairRegion {
+                        region_id: regions.len(),
+                        rule: ri,
+                        conjunct: ci,
+                        guards: conj.preds().to_vec(),
+                    };
+                    regions.push((region, RowSet::from_sorted(ids)));
                 }
             }
-        }
-        if !self.uncovered.is_empty() {
-            let rows = RowSet::from_sorted(self.uncovered.clone());
-            let guard = self.bounding_guard(&rows);
-            regions.push((guard, rows, RegionOrigin::Uncovered));
         }
         if regions.is_empty() {
             // Nothing repaired: the obligations still travel, claiming
@@ -562,7 +532,7 @@ impl StreamEngine {
         // repaired rules on the affected rows.
         let mut repaired: Vec<Crr> = Vec::new();
         let mut affected = RowSet::from_sorted(Vec::new());
-        for (guard, rows, _) in &regions {
+        for (region, rows) in &regions {
             affected = affected.union(rows);
             let sub = DiscoverySession::on(&self.table)
                 .rows(rows.clone())
@@ -570,7 +540,7 @@ impl StreamEngine {
                 .config(cfg.clone())
                 .run()?;
             for d in sub.rules.rules() {
-                repaired.push(guard_rule(d, guard.as_ref())?);
+                repaired.push(guard_rule(d, &region.guards)?);
             }
         }
         let discovered_rules = repaired.len();
@@ -624,10 +594,9 @@ impl StreamEngine {
 
         // Route the affected rows through the repaired set with the
         // monitor on — the exactness gate over everything repair touched.
-        // The guards make over-claiming structurally impossible for
-        // drifted-region rules, but the bounding-box guard on
-        // uncovered-append rules can still admit interior rows — anything
-        // the monitor catches flags its rule drifted for the next round.
+        // The guards confine every repaired rule to the affected rows, so
+        // this routing reaches each live row a repaired rule covers; a
+        // rule the monitor catches is flagged drifted for the next round.
         // Only the repaired rules' partitions accumulate statistics and
         // membership: the healthy rules already hold these rows.
         let ids: Vec<u32> = affected.iter().map(|r| r as u32).collect();
@@ -643,7 +612,6 @@ impl StreamEngine {
         for &ri in &routed.violated_rules {
             self.drifted[ri] = true;
         }
-        self.uncovered.clear();
         self.metrics
             .add(Ctr::StreamDriftedRules, routed.violated_rules.len() as u64);
         self.refresh_gauges();
@@ -655,15 +623,7 @@ impl StreamEngine {
         // confinement row-free at the serving swap gate.
         let repair_obligations = RepairObligations {
             kept: kept_rules,
-            regions: regions
-                .iter()
-                .enumerate()
-                .map(|(k, (guard, _, origin))| RepairRegion {
-                    region_id: k,
-                    origin: *origin,
-                    guards: guard.as_ref().map_or(Vec::new(), |g| g.preds().to_vec()),
-                })
-                .collect(),
+            regions: regions.into_iter().map(|(region, _)| region).collect(),
         };
         let artifact = self.artifact()?.with_repair(repair_obligations)?;
         self.metrics.record(Phase::StreamRepair, span);
@@ -688,47 +648,6 @@ impl StreamEngine {
             self.rules.clone(),
             None,
         )?)
-    }
-
-    /// A per-attribute bounding box over `rows` for every attribute the
-    /// predicate space mentions — the guard for rules learned on uncovered
-    /// appends, which no prior condition describes. Attributes with
-    /// missing or non-numeric values in the region are left unconstrained
-    /// (a bound there would exclude region rows from their own repair).
-    fn bounding_guard(&self, rows: &RowSet) -> Option<Conjunction> {
-        let mut attrs: Vec<AttrId> = Vec::new();
-        for p in self.space.predicates() {
-            if !attrs.contains(&p.attr) {
-                attrs.push(p.attr);
-            }
-        }
-        let mut preds = Vec::new();
-        for attr in attrs {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut complete = true;
-            for r in rows.iter() {
-                match self.table.value_f64(r, attr) {
-                    Some(v) if v.is_finite() => {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                    _ => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            if complete && lo <= hi {
-                preds.push(Predicate::ge(attr, Value::Float(lo)));
-                preds.push(Predicate::le(attr, Value::Float(hi)));
-            }
-        }
-        if preds.is_empty() {
-            None
-        } else {
-            Some(Conjunction::of(preds))
-        }
     }
 
     /// Gathers batch-local columnar buffers for the configured inputs and
@@ -759,7 +678,6 @@ impl StreamEngine {
     /// `monitor` is set) residual-checks every covering rule at write
     /// time. Pure reads — application happens in a second phase.
     fn route(&self, ids: &[u32], batch: &BatchCols, monitor: bool) -> Routed {
-        let tol = self.opts.tolerance;
         let rules = self.rules.rules();
         // A fresh engine per call: appends move column buffers and grow
         // string dictionaries, so compiled kernels never outlive a batch.
@@ -787,7 +705,7 @@ impl StreamEngine {
                 ) else {
                     return; // missing values are vacuously satisfied
                 };
-                if (actual - pred).abs() > rule.rho() + tol {
+                if (actual - pred).abs() > rule.rho() + TOLERANCE {
                     out.violations += 1;
                     if out.violated_rules.last() != Some(&ri) {
                         out.violated_rules.push(ri);
@@ -835,11 +753,10 @@ impl StreamEngine {
     }
 
     /// Rebuilds every partition's statistics and membership list from the
-    /// live relation (used once, at construction), clearing drift flags
-    /// and the uncovered queue. The rebuild routes every live row with the
-    /// write-time monitor on, so it doubles as a relation-wide residual
-    /// audit of the current rule set: rules caught violating are flagged
-    /// drifted immediately.
+    /// live relation (used once, at construction), clearing drift flags.
+    /// The rebuild routes every live row with the write-time monitor on,
+    /// so it doubles as a relation-wide residual audit of the current rule
+    /// set: rules caught violating are flagged drifted immediately.
     fn rebuild_states(&mut self) {
         self.plan = IntervalPlan::build(&self.rules, self.table.schema());
         let d = self.cfg.inputs.len();
@@ -874,10 +791,6 @@ impl StreamEngine {
         for &ri in &routed.violated_rules {
             self.drifted[ri] = true;
         }
-        // Rows no rule covers at (re)build time are uncoverable baseline
-        // rows, not a repair obligation — discovery already covered every
-        // coverable row, so what remains has null condition attributes.
-        self.uncovered.clear();
         self.refresh_gauges();
     }
 
@@ -888,7 +801,7 @@ impl StreamEngine {
             let Some(bias) = self.residual_bias(ri) else {
                 continue;
             };
-            let floor = rule.rho().max(self.opts.tolerance).max(f64::MIN_POSITIVE);
+            let floor = rule.rho().max(TOLERANCE).max(f64::MIN_POSITIVE);
             worst = worst.max(bias / floor);
         }
         worst
@@ -905,7 +818,7 @@ impl StreamEngine {
             if !now {
                 if let Some(bias) = self.residual_bias(ri) {
                     let rho = self.rules.rules()[ri].rho();
-                    now = bias > rho + self.opts.tolerance;
+                    now = bias > rho + TOLERANCE;
                 }
             }
             if now && !was {
@@ -1051,8 +964,9 @@ mod tests {
     #[test]
     fn repair_after_regime_change_covers_and_cleans() {
         let mut e = engine(160);
-        // A new regime: same x range extension with a different slope —
-        // appended rows are either uncovered or violate covering rules.
+        // A new regime past the base range with a different slope: the
+        // rule of the last interval covers the appended rows, and they
+        // violate it.
         let batch: Vec<Vec<Value>> = (160..240).map(|i| row(i as f64, 5.0 * i as f64)).collect();
         e.append(&batch).unwrap();
         assert!(e.needs_repair());
@@ -1236,7 +1150,7 @@ mod tests {
                 else {
                     continue;
                 };
-                if (actual - pred).abs() > rule.rho() + e.opts.tolerance {
+                if (actual - pred).abs() > rule.rho() + TOLERANCE {
                     out.violations += 1;
                     if out.violated_rules.last() != Some(&ri) {
                         out.violated_rules.push(ri);
@@ -1519,5 +1433,190 @@ mod tests {
         assert!(snap.count("stream", "moments_updates").unwrap() > 0);
         assert_eq!(snap.count("stream", "live_rows"), Some(178));
         assert!(snap.secs("phases", "stream_apply_secs").unwrap() > 0.0);
+    }
+
+    /// Appends that no rule covers because a condition attribute is null
+    /// stay uncovered through a repair, and the repaired set holds on
+    /// every live row. Base: 160 rows with `x = z = i`, `y = 2x + 1` below
+    /// 80 and `−x + 400` from 80, inputs `[x]`, conditions on `z` (the
+    /// second case adds a condition `z2 = x` that is never null). Appends:
+    /// 40 rows of a third regime, `y = −3x + 500` at `x = 40..79`, whose
+    /// `z` is null.
+    #[test]
+    fn null_condition_appends_stay_uncovered_through_repair() {
+        for with_z2 in [false, true] {
+            let cells = |x: f64, z: Value, y: f64| {
+                let mut cells = vec![Value::Float(x), z];
+                if with_z2 {
+                    cells.push(Value::Float(x));
+                }
+                cells.push(Value::Float(y));
+                cells
+            };
+            let mut attrs = vec![("x", AttrType::Float), ("z", AttrType::Float)];
+            if with_z2 {
+                attrs.push(("z2", AttrType::Float));
+            }
+            attrs.push(("y", AttrType::Float));
+            let mut t = Table::new(Schema::new(attrs));
+            for i in 0..160 {
+                let x = i as f64;
+                let y = if i < 80 { 2.0 * x + 1.0 } else { -x + 400.0 };
+                t.push_row(cells(x, Value::Float(x), y)).unwrap();
+            }
+            let (x, y) = (t.attr("x").unwrap(), t.attr("y").unwrap());
+            let mut conds = vec![t.attr("z").unwrap()];
+            conds.extend(t.attr("z2"));
+            let space = PredicateGen::binary(7).generate(&t, &conds, y, 1);
+            let cfg = DiscoveryConfig::new(vec![x], y, 0.25);
+            let rules = DiscoverySession::on(&t)
+                .predicates(space.clone())
+                .config(cfg.clone())
+                .run()
+                .unwrap()
+                .rules;
+            let mut e = StreamEngine::new(t, rules, cfg, space, StreamConfig::default()).unwrap();
+            let batch: Vec<Vec<Value>> = (40..80)
+                .map(|i| cells(i as f64, Value::Null, -3.0 * i as f64 + 500.0))
+                .collect();
+            let out = e.append(&batch).unwrap();
+            e.repair().unwrap();
+            let ctx = format!("z2: {with_z2}");
+            assert_eq!(out.uncovered, 40, "{ctx}");
+            assert!(!e.needs_repair(), "{ctx}");
+            let report = crr_core::check(e.rules(), e.table(), &e.live_rows());
+            assert!(
+                report.is_clean(),
+                "{ctx}: {} violations, first {:?}",
+                report.violations.len(),
+                report.violations.first()
+            );
+            assert_eq!(report.uncovered, 40, "{ctx}");
+        }
+    }
+
+    /// `(row, rule)` pairs where a live row strays from a rule covering
+    /// it by more than the rule's `ρ` plus the drift tolerance, yet
+    /// [`StreamEngine::drift`] does not list the rule.
+    fn unflagged_violations(e: &StreamEngine) -> Vec<(usize, usize)> {
+        let drifted = e.drift().drifted;
+        let t = e.table();
+        let mut out = Vec::new();
+        for row in e.live_rows().iter() {
+            for (ri, rule) in e.rules().rules().iter().enumerate() {
+                let (Some(pred), Some(actual)) =
+                    (rule.predict(t, row), t.value_f64(row, rule.target()))
+                else {
+                    continue;
+                };
+                if (actual - pred).abs() > rule.rho() + TOLERANCE
+                    && drifted.binary_search(&ri).is_err()
+                {
+                    out.push((row, ri));
+                }
+            }
+        }
+        out
+    }
+
+    /// A condition cell of the repair property test: null or NaN in
+    /// `missing` percent of appended rows, else `v`.
+    fn condition_cell(rng: &mut Rng, missing: u64, v: f64) -> Value {
+        if !rng.chance(missing) {
+            Value::Float(v)
+        } else if rng.chance(50) {
+            Value::Null
+        } else {
+            Value::Float(f64::NAN)
+        }
+    }
+
+    /// Seeded property test: over append/delete/repair sequences whose
+    /// appends carry null and NaN condition cells, new regimes and `x`
+    /// past the base range, after every step each live row that strays
+    /// from a covering rule by more than `ρ` plus the drift tolerance
+    /// belongs to a rule [`StreamEngine::drift`] lists.
+    #[test]
+    fn every_violated_rule_is_flagged_after_every_step() {
+        // Repairs that rediscovered rules, and appends left uncovered.
+        let mut seen = (0, 0);
+        for seed in 0..48u64 {
+            let mut rng = Rng(seed);
+            let schema = Schema::new(vec![
+                ("x", AttrType::Float),
+                ("z", AttrType::Float),
+                ("w", AttrType::Float),
+                ("y", AttrType::Float),
+            ]);
+            let mut t = Table::new(schema);
+            let n = 80 + rng.below(80);
+            let cut = (20 + rng.below(n - 40)) as f64;
+            let base = |x: f64| if x < cut { 2.0 * x + 1.0 } else { -x + 400.0 };
+            for i in 0..n {
+                let x = i as f64;
+                let w = if rng.chance(10) {
+                    Value::Null
+                } else {
+                    Value::Float((i % 9) as f64)
+                };
+                t.push_row(vec![
+                    Value::Float(x),
+                    Value::Float(x),
+                    w,
+                    Value::Float(base(x)),
+                ])
+                .unwrap();
+            }
+            let (x, z, w, y) = (AttrId(0), AttrId(1), AttrId(2), AttrId(3));
+            let space = PredicateGen::binary(7).generate(&t, &[z, w], y, 1);
+            let cfg = DiscoveryConfig::new(vec![x], y, 0.25);
+            let rules = DiscoverySession::on(&t)
+                .predicates(space.clone())
+                .config(cfg.clone())
+                .run()
+                .unwrap()
+                .rules;
+            let mut e = StreamEngine::new(t, rules, cfg, space, StreamConfig::default()).unwrap();
+            for step in 0..6 {
+                let ctx = format!("seed {seed} step {step}");
+                match rng.below(4) {
+                    0 | 1 => {
+                        // Some rows of another regime, x up to 40 past
+                        // the base range.
+                        let slope = [2.0, -1.0, -3.0][rng.below(3) as usize];
+                        let rows: Vec<Vec<Value>> = (0..1 + rng.below(30))
+                            .map(|_| {
+                                let x = rng.below(n + 40) as f64;
+                                let y = if rng.chance(60) {
+                                    base(x)
+                                } else {
+                                    slope * x + 500.0
+                                };
+                                let zc = condition_cell(&mut rng, 25, x);
+                                let wc = condition_cell(&mut rng, 15, (x as u64 % 9) as f64);
+                                vec![Value::Float(x), zc, wc, Value::Float(y)]
+                            })
+                            .collect();
+                        seen.1 += e.append(&rows).unwrap().uncovered;
+                    }
+                    2 => {
+                        let ids: Vec<usize> =
+                            e.live_rows().iter().filter(|_| rng.chance(20)).collect();
+                        e.delete(&ids).unwrap();
+                    }
+                    _ => {
+                        if e.repair().unwrap().discovered_rules > 0 {
+                            seen.0 += 1;
+                        }
+                    }
+                }
+                let stray = unflagged_violations(&e);
+                assert!(stray.is_empty(), "{ctx}: unflagged (row, rule) {stray:?}");
+            }
+        }
+        assert!(
+            seen.0 > 0 && seen.1 > 0,
+            "repairs, uncovered appends: {seen:?}"
+        );
     }
 }

@@ -13,27 +13,29 @@
 //!    to find, for *every* rule, the first conjunction whose condition
 //!    claims it (not just the first rule: each covering rule's bias bound
 //!    is a separate obligation). The monitor predicts with
-//!    [`crr_core::Crr::predict_at`] under the matched conjunct.
+//!    [`crr_core::Crr::predict_at`] under the matched conjunct. An
+//!    appended row no rule covers stays uncovered, as at build time.
 //! 2. **Delta** — each covering conjunction's partition statistics
 //!    ([`crr_models::Moments`]) absorb the change exactly:
 //!    `Moments::add_rows` on append, `Moments::subtract` on delete —
 //!    O(d²) per row, never a partition rescan.
 //! 3. **Monitor** — appended rows are residual-checked against every
 //!    covering rule at write time (the CRR-as-integrity-constraint view);
-//!    a residual beyond `ρ + tolerance` flags the rule *drifted*. The
-//!    maintained statistics also re-derive each partition's residual bias
-//!    (`Moments::residual_rms`), catching aggregate drift the per-row
-//!    monitor tolerated.
+//!    a residual beyond `ρ` plus a fixed `1e-6` tolerance flags the rule
+//!    *drifted*. The maintained statistics also re-derive each
+//!    partition's residual bias (`Moments::residual_rms`), catching
+//!    aggregate drift the per-row monitor tolerated.
 //! 4. **Repair** — [`StreamEngine::repair`] re-runs Algorithm 1 *only* on
-//!    the rows claimed by drifted rules (plus uncovered appends), keeps
-//!    every healthy rule untouched, re-merges with Algorithm 2
-//!    (`compact_on_data`), and emits a fresh
-//!    [`crr_discovery::RuleSetArtifact`] ready for the `crr-analyze`
-//!    admission gate and a `crr-serve` hot swap. Repaired artifacts are
-//!    *proof-carrying*: they bundle [`RepairObligations`] (the kept-rule
-//!    count plus each affected region's guard predicates and provenance),
-//!    which the verifier's A7 check re-proves row-free — a splice that
-//!    over- or under-claims its regions is rejected at the swap gate.
+//!    the rows claimed by drifted rules, confines what it learns to the
+//!    drifted conjunct it learned it in, keeps every healthy rule
+//!    untouched, re-merges with Algorithm 2 (`compact_on_data`), and
+//!    emits a fresh [`crr_discovery::RuleSetArtifact`] ready for the
+//!    `crr-analyze` admission gate and a `crr-serve` hot swap. Repaired
+//!    artifacts are *proof-carrying*: they bundle [`RepairObligations`]
+//!    (the kept-rule count plus each drifted region's guard predicates
+//!    and provenance), which the verifier's A7 check re-proves row-free —
+//!    a splice that over- or under-claims its regions is rejected at the
+//!    swap gate.
 //!
 //! Everything is observable through the `stream.*` counters and gauges of
 //! [`crr_obs`] (metrics schema v9), and the whole loop is benchmarked in
@@ -87,7 +89,7 @@ pub use engine::{
 };
 // The obligation types repaired artifacts carry, re-exported so stream
 // consumers need not depend on `crr-discovery` directly.
-pub use crr_discovery::{RegionOrigin, RepairObligations, RepairRegion};
+pub use crr_discovery::{RepairObligations, RepairRegion};
 
 /// Crate-level result alias.
 pub type Result<T> = std::result::Result<T, StreamError>;

@@ -40,12 +40,14 @@ echo "==> cargo doc --workspace --no-deps (broken intra-doc links are errors)"
 run "rustdoc intra-doc links" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
   cargo doc --workspace --no-deps --quiet
 
-echo "==> rustdoc missing-docs wall (crr-core, crr-discovery, crr-stream, crr-serve, crr-data, crr-analyze, crr-obs)"
-# The API-bearing crates additionally deny undocumented public items: a
-# new pub fn without a doc comment fails the build here. (Workspace-wide
-# this would punish the harness crates, so the wall is targeted.)
+echo "==> rustdoc missing-docs wall (every library crate but crr-bench)"
+# The library crates additionally deny undocumented public items: a new
+# pub fn or enum-variant field without a doc comment fails the build
+# here. (Workspace-wide this would punish the harness crate and the
+# shims, so the wall names its crates.)
 run "rustdoc missing-docs wall" env RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D missing-docs" \
   cargo doc -p crr-core -p crr-discovery -p crr-stream -p crr-serve -p crr-data -p crr-analyze -p crr-obs \
+  -p crr-linalg -p crr-models -p crr-datasets -p crr-impute -p crr-baselines -p crr \
   --no-deps --quiet
 
 echo "==> criterion smoke (perf_fit_engine + perf_scan_kernels compile and run)"
