@@ -82,6 +82,20 @@ impl NumericSnapshot {
         Ok(snap)
     }
 
+    /// Whether [`NumericSnapshot::build`] accepts `row` of `table`: a row
+    /// missing any of these cells passes (it is just not fit-ready), and a
+    /// complete row passes only if every cell is finite.
+    pub fn accepts(table: &Table, inputs: &[AttrId], target: AttrId, row: usize) -> bool {
+        let mut finite = true;
+        for &a in inputs.iter().chain([&target]) {
+            match table.value_f64(row, a) {
+                None => return true,
+                Some(v) => finite &= v.is_finite(),
+            }
+        }
+        finite
+    }
+
     /// Number of input columns.
     pub fn num_inputs(&self) -> usize {
         self.inputs.len()
@@ -200,6 +214,24 @@ mod tests {
         t.set_null(4, y);
         let snap = NumericSnapshot::build(&t, &[x], y, &t.all_rows()).unwrap();
         assert!(!snap.is_ready(4));
+    }
+
+    #[test]
+    fn accepts_names_exactly_the_rows_build_accepts() {
+        let mut t = table();
+        let (x, y) = (t.attr("x").unwrap(), t.attr("y").unwrap());
+        t.set_value(1, x, Value::Float(f64::NAN));
+        t.set_value(2, y, Value::Float(f64::NEG_INFINITY));
+        t.set_value(3, x, Value::Float(f64::INFINITY));
+        t.set_null(3, y);
+        t.set_null(4, x);
+        t.set_value(4, y, Value::Float(f64::NAN));
+        for r in 0..t.num_rows() {
+            let one = RowSet::from_indices(vec![r as u32]);
+            let built = NumericSnapshot::build(&t, &[x], y, &one).is_ok();
+            assert_eq!(NumericSnapshot::accepts(&t, &[x], y, r), built, "row {r}");
+            assert_eq!(built, ![1, 2].contains(&r), "row {r}");
+        }
     }
 
     #[test]

@@ -45,14 +45,34 @@ impl Table {
     /// Appends a row. Cells must match the schema's arity and types
     /// (`Null` is accepted anywhere).
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
+        // Validate all cells before mutating any column so a failed push
+        // leaves the table unchanged.
+        self.check_row(&row)?;
+        self.push_checked(row);
+        Ok(())
+    }
+
+    /// Appends a batch of rows, all or none: every row is checked as
+    /// [`Table::push_row`] checks it before any is pushed, so a failure
+    /// leaves the table unchanged.
+    pub fn push_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
+        for row in rows {
+            self.check_row(row)?;
+        }
+        for row in rows {
+            self.push_checked(row.clone());
+        }
+        Ok(())
+    }
+
+    /// Checks one row's arity and cell types against the schema.
+    fn check_row(&self, row: &[Value]) -> Result<()> {
         if row.len() != self.schema.len() {
             return Err(DataError::ArityMismatch {
                 expected: self.schema.len(),
                 got: row.len(),
             });
         }
-        // Validate all cells before mutating any column so a failed push
-        // leaves the table unchanged.
         for (i, v) in row.iter().enumerate() {
             let col_ty = self.columns[i].ty();
             let ok = matches!(
@@ -74,11 +94,15 @@ impl Table {
                 });
             }
         }
+        Ok(())
+    }
+
+    /// Pushes a row [`Table::check_row`] accepted.
+    fn push_checked(&mut self, row: Vec<Value>) {
         for (col, v) in self.columns.iter_mut().zip(row) {
             let ok = col.push(v);
             debug_assert!(ok, "push validated above");
         }
-        Ok(())
     }
 
     /// Reads one cell.
@@ -237,6 +261,26 @@ mod tests {
         // Nothing was appended to any column.
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.column(AttrId(0)).len(), 3);
+    }
+
+    #[test]
+    fn push_rows_is_all_or_nothing() {
+        let mut t = bird_table();
+        let good = vec![Value::Float(1.0), Value::Int(3), Value::str("x")];
+        // A bad last row (arity, then type) keeps the good rows out too.
+        for bad in [
+            vec![Value::Int(1)],
+            vec![Value::Float(1.0), Value::str("not a date"), Value::Null],
+        ] {
+            assert!(t.push_rows(&[good.clone(), bad]).is_err());
+            assert_eq!(t.num_rows(), 3);
+            for a in 0..t.num_cols() {
+                assert_eq!(t.column(AttrId(a)).len(), 3);
+            }
+        }
+        t.push_rows(&[good.clone(), good]).unwrap();
+        assert_eq!(t.num_rows(), 5);
+        assert_eq!(t.value(4, t.attr("bird").unwrap()), Value::str("x"));
     }
 
     #[test]

@@ -32,13 +32,16 @@
 //! * a fit solves the cached normal equations in O(d³) instead of an
 //!   O(n·d²) rebuild at every pop (the MLP, which has no sufficient
 //!   statistics, is the one family fitted from materialized rows);
-//! * residual scans (`ρ`, the shared-pool probes, the sharing index) stream
-//!   the columnar buffers, reproducing [`Regressor::predict`] bitwise for
-//!   affine models so every reported `ρ` stays honest.
+//! * residual scans (`ρ`, the shared-pool probes, the sharing index) read
+//!   one dense view per pop — the fit rows' inputs and target copied once
+//!   into contiguous buffers — reproducing [`Regressor::predict`] bitwise
+//!   for affine models so every reported `ρ` stays honest.
 //!
-//! The shared-pool scan short-circuits a probe as soon as its running
-//! maximum deviation exceeds `ρ_M` *and* the remaining rows provably cannot
-//! raise `ind(C)` above the best already seen.
+//! A shared-pool probe writes the residuals and folds their min and max in
+//! one pass, so `δ₀` and the worst deviation `max(|hi − δ₀|, |δ₀ − lo|)`
+//! — hit or miss — are known without a second pass. A hit covers every
+//! row, so only a miss counts its rows within `ρ_M` for `ind(C)`, in one
+//! branch-free pass, and only under a queue order that reads `ind(C)`.
 
 use crate::{
     DiscoveryConfig, DiscoveryError, DiscoveryOutcome, PredicateSpace, QueueOrder, Result,
@@ -252,18 +255,20 @@ pub(crate) fn run_search(
             }
             other => DiscoveryError::Data(other),
         })?;
+    // Global fallback for partitions with no usable (X, Y) pairs at all.
+    let global_fallback = global_midrange(table, cfg, rows);
+    let root_fit = snap.ready_rows(rows);
+    // Recorded before the root accumulation, which `GramAccumulate` times:
+    // the phases never overlap, so their sum never counts it twice.
+    mx.record(Phase::SnapshotBuild, t_snap);
     // Moments apply to the linear family only; the MLP has no sufficient
     // statistics, and with zero features every fit is a constant anyway.
     let use_moments =
         matches!(cfg.fit.kind, ModelKind::Linear | ModelKind::Ridge) && !cfg.inputs.is_empty();
 
-    // Global fallback for partitions with no usable (X, Y) pairs at all.
-    let global_fallback = global_midrange(table, cfg, rows);
-
     // Line 3: the queue starts from the most general condition C = ∅.
     let mut seq = 0u64;
     let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
-    let root_fit = snap.ready_rows(rows);
     let root_moments = if use_moments {
         mx.add(Ctr::MomentsAddRowOps, root_fit.len() as u64);
         Some(accumulate_moments(&snap, &root_fit, mx))
@@ -273,7 +278,6 @@ pub(crate) fn run_search(
     // Kept for the caller: sharded discovery merges per-shard root
     // statistics (O(d²)) instead of re-accumulating the whole instance.
     let root_moments_out = root_moments.clone();
-    mx.record(Phase::SnapshotBuild, t_snap);
     mx.set_gauge(Gauge::FitRows, root_fit.len() as u64);
     mx.set_gauge(Gauge::InputDims, cfg.inputs.len() as u64);
     mx.incr(Ctr::QueuePushes);
@@ -293,7 +297,9 @@ pub(crate) fn run_search(
     let watched = !cfg.budget.is_unlimited() || cfg.cancel.is_some();
     let mut outcome = DiscoveryOutcome::Complete;
 
-    // Residual scratch, reused across pops.
+    // The pop's dense fit-row view and residual scratch, reused across
+    // pops.
+    let mut view = FitView::new(cfg.inputs.len());
     let mut resid: Vec<f64> = Vec::new();
 
     // Compile-once cache for the split chooser: every candidate predicate
@@ -383,40 +389,39 @@ pub(crate) fn run_search(
             continue;
         }
 
+        // Every probe, the post-fit residuals and the MLP's rows read the
+        // fit rows from one dense copy; its gather is pool-scan time.
+        let t_scan = mx.span();
+        view.gather(&snap, &fit);
+
         // Lines 7–10: try to share a pooled model, and in the same pass
         // compute the sharing index ind(C) (line 12). `best_within` counts
-        // rows, not fractions — every probe at this pop shares `fit.len()`,
-        // so integer comparison keeps the short-circuit bound exact.
+        // rows, not fractions — every probe at this pop shares `fit.len()`.
+        // A queue order that never reads ind(C) skips the count.
         let mut best_within = 0usize;
         let mut shared: Option<(usize, f64, f64)> = None; // (pool idx, rho, delta)
         if cfg.share_models && !pool.is_empty() {
             mx.incr(Ctr::PoolScans);
-            let t_scan = mx.span();
             let order_uses_ind = !matches!(cfg.order, QueueOrder::Random(_));
             for (i, f) in pool.iter().enumerate() {
-                let mode = if order_uses_ind {
-                    ScanMode::AbortBelowFloor(best_within)
-                } else {
-                    ScanMode::AbortOnMiss
-                };
-                let p = share_probe(f.as_ref(), &snap, &fit, cfg.rho_max, &mut resid, mode);
+                let p = share_probe(f.as_ref(), &view, cfg.rho_max, &mut resid, order_uses_ind);
                 mx.incr(Ctr::PoolProbes);
-                if p.truncated {
-                    mx.incr(Ctr::PoolShortCircuits);
-                }
                 best_within = best_within.max(p.within);
                 if p.max_dev <= cfg.rho_max {
                     shared = Some((i, p.max_dev, p.delta0));
                     break;
                 }
+                if !order_uses_ind {
+                    mx.incr(Ctr::PoolShortCircuits);
+                }
             }
-            mx.record(Phase::PoolScan, t_scan);
             mx.incr(if shared.is_some() {
                 Ctr::PoolHits
             } else {
                 Ctr::PoolMisses
             });
         }
+        mx.record(Phase::PoolScan, t_scan);
         let ind = best_within as f64 / fit.len() as f64;
 
         // Cross-shard sharing: only after a *complete* local-pool miss is
@@ -431,14 +436,7 @@ pub(crate) fn run_search(
                 mx.incr(Ctr::CrossShardPoolProbes);
                 let t_scan = mx.span();
                 for (_, _, f) in &cp.models {
-                    let p = share_probe(
-                        f.as_ref(),
-                        &snap,
-                        &fit,
-                        cfg.rho_max,
-                        &mut resid,
-                        ScanMode::AbortOnMiss,
-                    );
+                    let p = share_probe(f.as_ref(), &view, cfg.rho_max, &mut resid, false);
                     if p.max_dev <= cfg.rho_max {
                         cross_hit = Some((Arc::clone(f), p.max_dev, p.delta0));
                         break;
@@ -519,7 +517,7 @@ pub(crate) fn run_search(
                 None => {
                     mx.incr(Ctr::DeclinedSingular);
                     Model::Constant(ConstantModel::new(
-                        midrange_of(&snap, &fit),
+                        midrange_of(&view.target),
                         cfg.inputs.len(),
                     ))
                 }
@@ -528,7 +526,7 @@ pub(crate) fn run_search(
             // the partition's materialized rows.
             None => {
                 mx.incr(Ctr::Rescans);
-                let (xs, y) = materialize(&snap, &fit);
+                let (xs, y) = view.materialize();
                 fit_model(&xs, &y, &cfg.fit)?
             }
         };
@@ -540,8 +538,9 @@ pub(crate) fn run_search(
             Model::Mlp(_) => Ctr::FitMlp,
         });
         stats.models_trained += 1;
-        fill_residuals(&model, &snap, &fit, &mut resid);
-        let rho = resid.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+        // The worst |residual| is the larger magnitude of the extremes.
+        let (lo, hi) = fill_residuals(&model, &view, &mut resid);
+        let rho = hi.abs().max(lo.abs());
 
         // Line 14: does it generalize to the whole partition within ρ_M?
         let splittable = fit.len() > min_partition && !avail.is_empty();
@@ -740,144 +739,162 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Rebuilds row-major `(xs, y)` from the snapshot buffers — the raw-row
-/// fit path of the MLP, which has no sufficient statistics.
-fn materialize(snap: &NumericSnapshot, fit: &[u32]) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let d = snap.num_inputs();
-    let mut xs = Vec::with_capacity(fit.len());
-    let mut y = Vec::with_capacity(fit.len());
-    for &r in fit {
-        let r = r as usize;
-        let mut x = vec![0.0; d];
-        snap.gather_x(r, &mut x);
-        xs.push(x);
-        y.push(snap.target()[r]);
-    }
-    (xs, y)
+/// The popped partition's fit rows, copied once into contiguous buffers:
+/// `cols[j][i]` is input `j` and `target[i]` the target of the `i`-th fit
+/// row, in fit order. Every share probe, the post-fit residual fill and
+/// the MLP's row materialization read this view instead of indexing the
+/// snapshot row by row. One view is reused across a run's pops; it peaks
+/// at the root's `|fit| × (d + 1)` values.
+struct FitView {
+    cols: Vec<Vec<f64>>,
+    target: Vec<f64>,
 }
 
-/// Midrange of the target over `fit` rows — the constant fallback when the
-/// moments solve declines, with the same min/max fold [`ConstantModel::fit`]
-/// uses, so the constant is the one `fit_model` would fall back to.
-fn midrange_of(snap: &NumericSnapshot, fit: &[u32]) -> f64 {
-    let ty = snap.target();
+impl FitView {
+    fn new(num_inputs: usize) -> FitView {
+        FitView {
+            cols: vec![Vec::new(); num_inputs],
+            target: Vec::new(),
+        }
+    }
+
+    /// Replaces the view with `fit`'s inputs and target from `snap`.
+    fn gather(&mut self, snap: &NumericSnapshot, fit: &[u32]) {
+        for (j, col) in self.cols.iter_mut().enumerate() {
+            let src = snap.input(j);
+            col.clear();
+            col.extend(fit.iter().map(|&r| src[r as usize]));
+        }
+        let ty = snap.target();
+        self.target.clear();
+        self.target.extend(fit.iter().map(|&r| ty[r as usize]));
+    }
+
+    /// Copies row `i`'s inputs into `x`.
+    fn row(&self, i: usize, x: &mut [f64]) {
+        for (xj, col) in x.iter_mut().zip(&self.cols) {
+            *xj = col[i];
+        }
+    }
+
+    /// Row-major `(xs, y)` — the raw-row fit path of the MLP, which has no
+    /// sufficient statistics.
+    fn materialize(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let xs = (0..self.target.len())
+            .map(|i| {
+                let mut x = vec![0.0; self.cols.len()];
+                self.row(i, &mut x);
+                x
+            })
+            .collect();
+        (xs, self.target.clone())
+    }
+}
+
+/// Midrange of the target values `y` — the constant fallback when the
+/// moments solve declines, with the same min/max fold
+/// [`ConstantModel::fit`] uses, so the constant is the one `fit_model`
+/// would fall back to.
+fn midrange_of(y: &[f64]) -> f64 {
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &r in fit {
-        let v = ty[r as usize];
+    for &v in y {
         lo = lo.min(v);
         hi = hi.max(v);
     }
     (lo + hi) / 2.0
 }
 
-/// Writes `t − f(x)` for every fit row into `out`, streaming the snapshot's
-/// column buffers. For affine models the accumulation order matches
-/// [`crr_linalg::dot`]'s sequential fold exactly, so the residuals are
-/// bitwise what `Regressor::predict` would produce on materialized rows —
-/// required for rule biases to stay honest under `find_violation`.
-fn fill_residuals(f: &Model, snap: &NumericSnapshot, fit: &[u32], out: &mut Vec<f64>) {
+/// Writes `t − f(x)` for every row of `view` into `out` and returns the
+/// residuals' `(min, max)`. For affine models each row accumulates
+/// `acc = 0.0; acc += w[j]·x[j]` (j ascending) and takes `t − (b + acc)`
+/// — [`crr_linalg::dot`]'s sequential fold — so the residuals are
+/// bitwise what `Regressor::predict` would produce on materialized rows,
+/// as rule biases need to stay honest under `find_violation`. The last
+/// step writes each residual and folds min and max over four independent
+/// chains in the same pass; min and max are exact in any order.
+fn fill_residuals(f: &Model, view: &FitView, out: &mut Vec<f64>) -> (f64, f64) {
     out.clear();
-    out.reserve(fit.len());
-    let ty = snap.target();
-    match f.as_affine() {
-        Some((w, b)) => {
-            for &r in fit {
-                let r = r as usize;
-                let mut acc = 0.0;
-                for (j, wj) in w.iter().enumerate() {
-                    acc += wj * snap.input(j)[r];
-                }
-                out.push(ty[r] - (b + acc));
-            }
+    let Some((w, b)) = f.as_affine() else {
+        let mut x = vec![0.0; view.cols.len()];
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (i, t) in view.target.iter().enumerate() {
+            view.row(i, &mut x);
+            let r = t - f.predict(&x);
+            lo = lo.min(r);
+            hi = hi.max(r);
+            out.push(r);
         }
-        None => {
-            let mut x = vec![0.0; snap.num_inputs()];
-            for &r in fit {
-                let r = r as usize;
-                snap.gather_x(r, &mut x);
-                out.push(ty[r] - f.predict(&x));
-            }
+        return (lo, hi);
+    };
+    out.resize(view.target.len(), 0.0);
+    for (wj, col) in w.iter().zip(&view.cols) {
+        for (acc, x) in out.iter_mut().zip(col) {
+            *acc += wj * x;
         }
     }
-}
-
-/// How far a shared-pool probe may cut its deviation scan short.
-#[derive(Clone, Copy)]
-enum ScanMode {
-    /// Evaluate every row: the reference the short-circuit modes are
-    /// tested against.
-    #[cfg(test)]
-    Full,
-    /// Abort as soon as the model provably cannot fit (`max_dev > ρ_M`);
-    /// the order never reads ind(C), so the truncated count is harmless.
-    AbortOnMiss,
-    /// Abort once the model provably cannot fit *and* the rows left cannot
-    /// lift `within` above `floor` (the best count seen so far) — the final
-    /// `max` over probes is provably unchanged, keeping ind(C) exact.
-    AbortBelowFloor(usize),
+    let (mut lo, mut hi) = ([f64::INFINITY; 4], [f64::NEG_INFINITY; 4]);
+    let mut accs = out.chunks_exact_mut(4);
+    let mut ts = view.target.chunks_exact(4);
+    for (acc, t) in accs.by_ref().zip(ts.by_ref()) {
+        for k in 0..4 {
+            acc[k] = t[k] - (b + acc[k]);
+            lo[k] = lo[k].min(acc[k]);
+            hi[k] = hi[k].max(acc[k]);
+        }
+    }
+    for (acc, t) in accs.into_remainder().iter_mut().zip(ts.remainder()) {
+        *acc = t - (b + *acc);
+        lo[0] = lo[0].min(*acc);
+        hi[0] = hi[0].max(*acc);
+    }
+    (
+        lo[0].min(lo[1]).min(lo[2].min(lo[3])),
+        hi[0].max(hi[1]).max(hi[2].max(hi[3])),
+    )
 }
 
 /// One probe's result: Proposition 6's midrange shift, the worst deviation
-/// from it, how many rows land within `ρ_M` (the ind numerator), and
-/// whether the deviation scan stopped before the last row.
+/// from it, and how many rows land within `ρ_M` of it — the ind
+/// numerator: every row on a hit, zero on a miss left uncounted.
 struct ShareProbe {
     delta0: f64,
     max_dev: f64,
     within: usize,
-    truncated: bool,
 }
 
-/// Proposition 6's shared-fit test for one pooled model over the snapshot.
+/// Proposition 6's shared-fit test for one pooled model over the pop's
+/// view. `δ₀ = (lo + hi)/2` and `max_dev = max(|hi − δ₀|, |δ₀ − lo|)`
+/// come from one residual pass: `x ↦ x − δ₀` rounds monotonically, so
+/// that is bit for bit the largest `|r − δ₀|` over the rows.
+///
+/// A hit needs no count: every row lies within `max_dev ≤ ρ_M`. A miss
+/// counts `|r − δ₀| ≤ ρ_M` branch-free, and only when `count` is set —
+/// only a queue order that reads ind(C) needs it.
 fn share_probe(
     f: &Model,
-    snap: &NumericSnapshot,
-    fit: &[u32],
+    view: &FitView,
     rho_max: f64,
     resid: &mut Vec<f64>,
-    mode: ScanMode,
+    count: bool,
 ) -> ShareProbe {
-    debug_assert!(!fit.is_empty());
-    fill_residuals(f, snap, fit, resid);
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for &r in resid.iter() {
-        lo = lo.min(r);
-        hi = hi.max(r);
-    }
+    debug_assert!(!view.target.is_empty());
+    let (lo, hi) = fill_residuals(f, view, resid);
     let delta0 = (lo + hi) / 2.0;
-    let n = resid.len();
-    let mut max_dev = 0.0f64;
-    let mut within = 0usize;
-    let mut truncated = false;
-    for (i, r) in resid.iter().enumerate() {
-        let dev = (r - delta0).abs();
-        max_dev = max_dev.max(dev);
-        if dev <= rho_max {
-            within += 1;
-        }
-        if max_dev > rho_max {
-            match mode {
-                #[cfg(test)]
-                ScanMode::Full => {}
-                ScanMode::AbortOnMiss => {
-                    truncated = i + 1 < n;
-                    break;
-                }
-                ScanMode::AbortBelowFloor(floor) => {
-                    // Even if every remaining row counted, `within` could
-                    // not beat the floor: stop.
-                    if within + (n - i - 1) <= floor {
-                        truncated = i + 1 < n;
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    let max_dev = (hi - delta0).abs().max((delta0 - lo).abs());
+    let within = if max_dev <= rho_max {
+        resid.len()
+    } else if count {
+        resid
+            .iter()
+            .map(|r| usize::from((r - delta0).abs() <= rho_max))
+            .sum()
+    } else {
+        0
+    };
     ShareProbe {
         delta0,
         max_dev,
         within,
-        truncated,
     }
 }
 
@@ -1466,38 +1483,48 @@ mod tests {
         );
     }
 
+    /// The dense view of every fit-ready row of `t` under `cfg`.
+    fn view_of(t: &Table, cfg: &DiscoveryConfig) -> FitView {
+        let snap = NumericSnapshot::build(t, &cfg.inputs, cfg.target, &t.all_rows()).unwrap();
+        let mut view = FitView::new(cfg.inputs.len());
+        view.gather(&snap, &snap.ready_rows(&t.all_rows()));
+        view
+    }
+
+    /// `two_segment_table`'s rows as materialized `(xs, y)`.
+    fn two_segment_rows(t: &Table) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let (x, y) = (t.attr("x").unwrap(), t.attr("y").unwrap());
+        (0..t.num_rows())
+            .map(|r| (vec![t.value_f64(r, x).unwrap()], t.value_f64(r, y).unwrap()))
+            .unzip()
+    }
+
     #[test]
     fn short_circuit_matches_full_probe() {
-        // The ind-bound abort must never change (δ₀, max_dev) and must keep
-        // the *maximum* within-count over the pool exact.
+        // Skipping a miss's count must never change (δ₀, max_dev), and the
+        // counted probes keep the *maximum* within-count over the pool
+        // exact.
         let t = two_segment_table();
         let cfg = cfg_for(&t);
-        let snap = NumericSnapshot::build(&t, &cfg.inputs, cfg.target, &t.all_rows()).unwrap();
-        let fit = snap.ready_rows(&t.all_rows());
+        let view = view_of(&t, &cfg);
+        let (xs, ys) = two_segment_rows(&t);
         let models = [
             Model::Linear(crr_models::LinearModel::new(vec![1.0], 0.0)),
             Model::Linear(crr_models::LinearModel::new(vec![2.0], -5.0)),
             Model::Constant(ConstantModel::new(60.0, 1)),
         ];
         let mut buf = Vec::new();
-        let mut floor = 0usize;
+        let mut best = 0usize;
         let mut full_best = 0usize;
         for m in &models {
-            let full = share_probe(m, &snap, &fit, cfg.rho_max, &mut buf, ScanMode::Full);
-            let cut = share_probe(
-                m,
-                &snap,
-                &fit,
-                cfg.rho_max,
-                &mut buf,
-                ScanMode::AbortBelowFloor(floor),
-            );
-            assert_eq!(full.delta0.to_bits(), cut.delta0.to_bits());
-            assert_eq!(full.max_dev.to_bits(), cut.max_dev.to_bits());
-            full_best = full_best.max(full.within);
-            floor = floor.max(cut.within);
-            // The running max over truncated counts equals the true max.
-            assert_eq!(floor, full_best);
+            let full = share_probe(m, &view, cfg.rho_max, &mut buf, true);
+            let skip = share_probe(m, &view, cfg.rho_max, &mut buf, false);
+            assert_eq!(full.delta0.to_bits(), skip.delta0.to_bits());
+            assert_eq!(full.max_dev.to_bits(), skip.max_dev.to_bits());
+            full_best = full_best.max(share_fit_rowwise(m, &xs, &ys, cfg.rho_max).2);
+            best = best.max(full.within);
+            // The running max over counted probes equals the true max.
+            assert_eq!(best, full_best);
         }
     }
 
@@ -1599,10 +1626,10 @@ mod tests {
         }
     }
 
-    /// Row-major reference for [`share_probe`]: `(δ₀, max |r − δ₀|,
-    /// fraction of rows within ρ_M of f + δ₀)` from `Regressor::predict`
-    /// over materialized rows.
-    fn share_fit_rowwise(f: &Model, xs: &[Vec<f64>], y: &[f64], rho_max: f64) -> (f64, f64, f64) {
+    /// Row-major reference for [`share_probe`]: `(δ₀, max |r − δ₀|, rows
+    /// within ρ_M of f + δ₀)` from `Regressor::predict` over materialized
+    /// rows, folded row by row.
+    fn share_fit_rowwise(f: &Model, xs: &[Vec<f64>], y: &[f64], rho_max: f64) -> (f64, f64, usize) {
         let residuals: Vec<f64> = xs.iter().zip(y).map(|(x, &t)| t - f.predict(x)).collect();
         let lo = residuals.iter().fold(f64::INFINITY, |m, &r| m.min(r));
         let hi = residuals.iter().fold(f64::NEG_INFINITY, |m, &r| m.max(r));
@@ -1616,7 +1643,7 @@ mod tests {
                 within += 1;
             }
         }
-        (delta0, max_dev, within as f64 / residuals.len() as f64)
+        (delta0, max_dev, within)
     }
 
     #[test]
@@ -1625,10 +1652,10 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
         // y = x + 3 exactly: residuals all 3.
         let y: Vec<f64> = xs.iter().map(|x| x[0] + 3.0).collect();
-        let (d0, dev, frac) = share_fit_rowwise(&f, &xs, &y, 0.5);
+        let (d0, dev, within) = share_fit_rowwise(&f, &xs, &y, 0.5);
         assert_eq!(d0, 3.0);
         assert_eq!(dev, 0.0);
-        assert_eq!(frac, 1.0);
+        assert_eq!(within, 4);
     }
 
     #[test]
@@ -1744,25 +1771,145 @@ mod tests {
     fn snapshot_share_fit_matches_row_share_fit() {
         let t = two_segment_table();
         let cfg = cfg_for(&t);
-        let snap = NumericSnapshot::build(&t, &cfg.inputs, cfg.target, &t.all_rows()).unwrap();
-        let fit = snap.ready_rows(&t.all_rows());
-        let (xs, y) = materialize(&snap, &fit);
+        let view = view_of(&t, &cfg);
+        let (xs, ys) = two_segment_rows(&t);
         let f = Model::Linear(crr_models::LinearModel::new(vec![1.0], 0.0));
-        let (d0r, devr, fracr) = share_fit_rowwise(&f, &xs, &y, cfg.rho_max);
-        let p = share_probe(
-            &f,
-            &snap,
-            &fit,
-            cfg.rho_max,
-            &mut Vec::new(),
-            ScanMode::Full,
-        );
+        let (d0r, devr, withinr) = share_fit_rowwise(&f, &xs, &ys, cfg.rho_max);
+        let p = share_probe(&f, &view, cfg.rho_max, &mut Vec::new(), true);
         assert_eq!(d0r.to_bits(), p.delta0.to_bits());
         assert_eq!(devr.to_bits(), p.max_dev.to_bits());
-        assert_eq!(
-            fracr.to_bits(),
-            (p.within as f64 / fit.len() as f64).to_bits()
-        );
+        assert_eq!(withinr, p.within);
+    }
+
+    /// SplitMix64, so every case is reproducible from its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Uniform in `[-scale, scale)`.
+        fn real(&mut self, scale: f64) -> f64 {
+            ((self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * scale
+        }
+    }
+
+    #[test]
+    fn share_probe_matches_rowwise_oracle() {
+        // Constant, linear (d = 1, 2) and MLP pools over partitions of
+        // 1–600 rows, with residual sets that repeat values, are all
+        // equal, hold ±0.0, or sit exactly at δ₀ ± ρ_M. Inputs, weights
+        // and structured residuals are small dyadics, so the affine
+        // predictions are exact and a target built as prediction +
+        // residual reproduces that residual exactly.
+        let rho = 0.5;
+        let mut rng = Rng(0x5EED_0F9B_0B00);
+        let mut seen = [0usize; 4]; // hits, misses, ties on a miss, mixed-sign zeros
+        for case in 0..400u64 {
+            let d = 1 + (case % 2) as usize;
+            let n = 1 + rng.below(600) as usize;
+            let dyadic =
+                |rng: &mut Rng, scale: u64| (rng.below(2 * scale) as f64 - scale as f64) / 4.0;
+            let mut pool = vec![
+                Model::Constant(ConstantModel::new(dyadic(&mut rng, 8), d)),
+                Model::Constant(ConstantModel::new(0.0, d)),
+                Model::Linear(crr_models::LinearModel::new(
+                    (0..d).map(|_| dyadic(&mut rng, 8)).collect(),
+                    dyadic(&mut rng, 8),
+                )),
+            ];
+            let hidden = 3;
+            // w1 ‖ b1 ‖ w2 ‖ b2, then the input means and spreads.
+            let mut params: Vec<f64> = (0..hidden * d + 2 * hidden + 1)
+                .map(|_| rng.real(1.0))
+                .collect();
+            params.extend((0..d).map(|_| rng.real(4.0)));
+            params.extend((0..d).map(|_| 1.0 + rng.real(0.5)));
+            pool.push(Model::Mlp(
+                crr_models::MlpModel::from_flat(d, hidden, &params).unwrap(),
+            ));
+            // The partition's inputs, and a target read as the residual
+            // around one pool model.
+            let cols: Vec<Vec<f64>> = (0..d)
+                .map(|_| (0..n).map(|_| dyadic(&mut rng, 64)).collect())
+                .collect();
+            let base = &pool[rng.below(pool.len() as u64) as usize];
+            let palette: Vec<f64> = (0..1 + rng.below(5)).map(|_| rng.real(3.0)).collect();
+            let target: Vec<f64> = (0..n)
+                .map(|i| {
+                    let x: Vec<f64> = cols.iter().map(|c| c[i]).collect();
+                    let e = match case % 5 {
+                        0 => rng.real(2.0),
+                        // Repeats from a small palette.
+                        1 => palette[rng.below(palette.len() as u64) as usize],
+                        // All equal.
+                        2 => palette[0],
+                        // Exact ties: once 0 and 2 are drawn, δ₀ = 1 and
+                        // 0.5 and 1.5 sit at δ₀ ± ρ_M.
+                        3 => [0.5, 1.5, 0.0, 2.0, 1.0, 0.75][rng.below(6) as usize],
+                        _ => [0.0, -0.0, 0.25, -0.25][rng.below(4) as usize],
+                    };
+                    if case % 5 == 4 {
+                        // Minus the zero constant (pool[1]), a zero
+                        // target is a residual zero of the same sign.
+                        e
+                    } else {
+                        base.predict(&x) + e
+                    }
+                })
+                .collect();
+            if target.iter().any(|v| v.to_bits() == (-0.0f64).to_bits())
+                && target.iter().any(|v| v.to_bits() == 0)
+            {
+                seen[3] += 1;
+            }
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| cols.iter().map(|c| c[i]).collect())
+                .collect();
+            let view = FitView { cols, target };
+            // Every model probed, counted and uncounted, like a scan that
+            // never hits.
+            let mut resid = Vec::new();
+            for f in &pool {
+                let (d0, dev, within) = share_fit_rowwise(f, &xs, &view.target, rho);
+                let full = share_probe(f, &view, rho, &mut resid, true);
+                // A zero shift composes no translation, and min/max may
+                // return either zero of ±0.0: compare zeros unsigned.
+                assert_eq!(
+                    (d0 + 0.0).to_bits(),
+                    (full.delta0 + 0.0).to_bits(),
+                    "case {case}"
+                );
+                assert_eq!(dev.to_bits(), full.max_dev.to_bits(), "case {case}");
+                assert_eq!(within, full.within, "case {case}");
+                let hit = full.max_dev <= rho;
+                seen[usize::from(!hit)] += 1;
+                if !hit
+                    && xs
+                        .iter()
+                        .zip(&view.target)
+                        .any(|(x, t)| ((t - f.predict(x)) - d0).abs() == rho)
+                {
+                    seen[2] += 1;
+                }
+                // The uncounted probe of a random order or a cross pool.
+                let skip = share_probe(f, &view, rho, &mut resid, false);
+                assert_eq!(skip.delta0.to_bits(), full.delta0.to_bits());
+                assert_eq!(skip.max_dev.to_bits(), full.max_dev.to_bits());
+                assert_eq!(skip.within, if hit { n } else { 0 }, "case {case}");
+            }
+        }
+        // Every structure the fixture aims at was reached.
+        assert!(seen.iter().all(|&k| k > 0), "{seen:?}");
     }
 
     /// The `(row, value)` pairs `split` scores: the residual of each fit

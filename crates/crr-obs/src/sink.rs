@@ -65,8 +65,10 @@ metric_enum! {
         PoolHits => ("pool", "hits"),
         /// Scans that probed the whole pool without a hit.
         PoolMisses => ("pool", "misses"),
-        /// Probes that stopped early under a provably-exact bound
-        /// (`ScanMode::AbortOnMiss` / `AbortBelowFloor`).
+        /// Local-pool misses whose within-ρ_M count was skipped: a
+        /// queue order that never reads ind(C) (`QueueOrder::Random`)
+        /// leaves every miss uncounted, so this stays 0 under the
+        /// default order. A hit needs no count.
         PoolShortCircuits => ("pool", "short_circuits"),
         /// Fits solved from cached sufficient statistics (Cholesky on the
         /// augmented Gram matrix).
@@ -254,9 +256,14 @@ metric_enum! {
 metric_enum! {
     /// Wall-time accumulators; snapshots render them as `<name>_secs`.
     pub enum Phase {
-        /// Building the run's columnar `NumericSnapshot` and root moments.
+        /// Building the run's columnar `NumericSnapshot`, the root's
+        /// fit-ready rows and the global fallback constant. The root
+        /// moments are `GramAccumulate` time: no two discovery phases
+        /// overlap, so their sum never counts a span twice.
         SnapshotBuild => ("phases", "snapshot_build"),
-        /// Shared-pool probing (Algorithm 1 lines 7–10), all pops summed.
+        /// Shared-pool probing (Algorithm 1 lines 7–10, local and
+        /// cross-shard pools) plus each pop's gather of its fit rows into
+        /// the dense view every probe reads, all pops summed.
         PoolScan => ("phases", "pool_scan"),
         /// Model training (line 13), all pops summed.
         Fitting => ("phases", "fitting"),

@@ -3,7 +3,7 @@
 
 use crr_core::index::IntervalPlan;
 use crr_core::{CompiledIndex, Conjunction, Crr, Dnf, Predicate, RuleSet};
-use crr_data::{AttrId, DataError, RowSet, Table, Value};
+use crr_data::{AttrId, DataError, NumericSnapshot, RowSet, Table, Value};
 use crr_discovery::{
     compact_on_data, DiscoveryConfig, DiscoveryError, DiscoverySession, PredicateSpace,
     RepairObligations, RepairRegion, RuleSetArtifact,
@@ -116,8 +116,10 @@ pub struct DriftReport {
 /// What a [`StreamEngine::repair`] run did.
 #[derive(Debug, Clone)]
 pub struct RepairReport {
-    /// Live rows in the affected region Algorithm 1 was re-run on (0 when
-    /// nothing had drifted — the rule set is re-exported unchanged).
+    /// Live rows of the drifted conjunctions, re-routed after repair;
+    /// Algorithm 1 re-ran on those of them the numeric snapshot accepts
+    /// (0 when nothing had drifted — the rule set is re-exported
+    /// unchanged).
     pub affected_rows: usize,
     /// Healthy rules carried over untouched.
     pub kept_rules: usize,
@@ -328,14 +330,16 @@ impl StreamEngine {
     /// Appends a batch of rows, routing each through the interval plan:
     /// covering partitions absorb the rows into their `Moments`
     /// (`add_rows`, no rescan), the write-time monitor residual-checks
-    /// every covering rule, and the drift picture is refreshed.
+    /// every covering rule, and the drift picture is refreshed. A batch
+    /// holding a row the schema rejects (arity or cell type) is refused
+    /// whole and leaves the engine unchanged.
     pub fn append(&mut self, rows: &[Vec<Value>]) -> Result<BatchOutcome> {
         let span = self.metrics.span();
         let start = self.table.num_rows() as u32;
-        for row in rows {
-            self.table.push_row(row.clone())?;
-            self.live.push(true);
-        }
+        // All or nothing: a row the schema rejects leaves no earlier row
+        // of the batch in the table, unrouted and unaccounted.
+        self.table.push_rows(rows)?;
+        self.live.resize(self.table.num_rows(), true);
         self.live_count += rows.len();
         let ids: Vec<u32> = (start..start + rows.len() as u32).collect();
         let batch = self.gather(&ids);
@@ -486,17 +490,31 @@ impl StreamEngine {
 
         // One affected region per drifted conjunction — its claimed live
         // rows read off the membership lists — whose predicates guard
-        // whatever is rediscovered inside it.
+        // whatever is rediscovered inside it. A row the numeric snapshot
+        // refuses (a NaN or ±Inf input or target in a complete row) cannot
+        // join a sub-discovery; it stays affected, so the final routing
+        // still claims it, and a region left without rows is skipped.
         let mut regions: Vec<(RepairRegion, RowSet)> = Vec::new();
+        let mut affected = RowSet::from_sorted(Vec::new());
         for (ri, rule) in self.rules.rules().iter().enumerate() {
             if !self.drifted[ri] {
                 continue;
             }
             for (ci, conj) in rule.condition().conjuncts().iter().enumerate() {
-                let ids: Vec<u32> = self.members[ri][ci]
+                let live = RowSet::from_sorted(
+                    self.members[ri][ci]
+                        .iter()
+                        .copied()
+                        .filter(|&r| self.live[r as usize])
+                        .collect(),
+                );
+                affected = affected.union(&live);
+                let ids: Vec<u32> = live
                     .iter()
-                    .copied()
-                    .filter(|&r| self.live[r as usize])
+                    .filter(|&r| {
+                        NumericSnapshot::accepts(&self.table, &self.cfg.inputs, self.cfg.target, r)
+                    })
+                    .map(|r| r as u32)
                     .collect();
                 if !ids.is_empty() {
                     let region = RepairRegion {
@@ -531,9 +549,7 @@ impl StreamEngine {
         // Algorithm 1 inside each region, then Algorithm 2 over the
         // repaired rules on the affected rows.
         let mut repaired: Vec<Crr> = Vec::new();
-        let mut affected = RowSet::from_sorted(Vec::new());
         for (region, rows) in &regions {
-            affected = affected.union(rows);
             let sub = DiscoverySession::on(&self.table)
                 .rows(rows.clone())
                 .predicates(self.space.clone())
@@ -1025,6 +1041,59 @@ mod tests {
             .filter_map(|p| p.moments.as_ref().map(Moments::count))
             .collect();
         assert_eq!(counts, after, "no fit-ready row, no accumulation");
+    }
+
+    /// Every partition's maintained statistics, in rule order.
+    fn all_moments(e: &StreamEngine) -> Vec<Option<Moments>> {
+        e.states
+            .iter()
+            .flatten()
+            .map(|p| p.moments.clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_rejected_append_leaves_the_engine_unchanged() {
+        let mut e = engine(160);
+        let (moments, drift) = (all_moments(&e), e.drift());
+        // A valid first row, then one short of a cell, or of the wrong
+        // type: the batch is refused whole.
+        for bad in [
+            vec![Value::Float(51.0)],
+            vec![Value::Float(51.0), Value::str("y")],
+        ] {
+            assert!(e.append(&[row(50.0, 101.0), bad]).is_err());
+            assert_eq!(e.table().num_rows(), 160);
+            assert_eq!(e.live_count(), 160);
+            assert_eq!(e.live_rows().len(), 160);
+            assert_eq!(all_moments(&e), moments);
+            assert_eq!(e.drift(), drift);
+        }
+        // No half-pushed row 160 exists to delete.
+        match e.delete(&[160]) {
+            Err(StreamError::Mismatch(m)) => assert!(m.contains("out-of-range"), "{m}"),
+            other => panic!("expected an out-of-range Mismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_nan_target_row_does_not_block_repair() {
+        let mut e = engine(160);
+        e.append(&[row(50.0, f64::NAN)]).unwrap();
+        e.append(&[row(51.0, 900.0)]).unwrap();
+        assert!(e.needs_repair());
+        // The NaN row stays out of the region's sub-discovery but not out
+        // of the final routing.
+        let report = e.repair().unwrap();
+        assert_eq!(report.residual_violations, 0);
+        assert!(!e.needs_repair());
+        let analysis = crr_analyze::analyze_artifact_on(&report.artifact, e.table());
+        assert!(analysis.is_sound(), "{analysis:?}");
+        assert!(
+            (report.kept_rules..e.rules().len())
+                .any(|ri| e.members[ri].iter().any(|m| m.contains(&160))),
+            "row 160 joined no repaired rule's membership"
+        );
     }
 
     mod proptests {

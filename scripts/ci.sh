@@ -155,6 +155,11 @@ echo "==> lifecycle benchmark smoke (every perfbench workload, 1 s each)"
 # and runs all four workloads with every output check, so a broken build
 # or a failed lifecycle check fails here rather than in a benchmark run.
 run "perfbench smoke" python3 perfbench/run.py --workload all --seconds 1 --trace 0
+# The traced half's check: with a metrics sink on every op, each draw must
+# repeat the artifact text (rules and ρ bits) and RMSE bits of its untraced
+# ops, so the discovery phase timers never change what is found.
+run "perfbench traced discover-electricity smoke" \
+  python3 perfbench/run.py --workload discover-electricity --seconds 1 --trace 1
 # The traced half's check: with the metrics sink on, every pass must still
 # repeat the repaired artifacts, RMSE and rule count of the untraced ones.
 run "perfbench traced maintain-window smoke" \
