@@ -41,12 +41,14 @@
 //! cargo run --release -p crr-bench --bin experiments -- --check metrics.json
 //! ```
 //!
-//! `--metrics-out` re-runs each bench cell once with an enabled
-//! `MetricsSink` (timed reps stay uninstrumented), adds a fault-harness
-//! cell with one injected fit failure, asserts the counter invariants
-//! in-process (no run rescans rows, cross-shard pool hits + misses
-//! reconcile with probes, the injected-fault count matches the plan), and
-//! writes the snapshots as `metrics.json`.
+//! `--metrics-out` re-runs each bench cell with an enabled `MetricsSink`
+//! (timed reps stay uninstrumented) — 5 times at full scale, keeping the
+//! run whose `phases.total_secs` is the median, once at smoke scales —
+//! adds a fault-harness cell with one injected fit failure, asserts the
+//! counter invariants in-process (every counter repeats across the runs,
+//! no run rescans rows, cross-shard pool hits + misses reconcile with
+//! probes, the injected-fault count matches the plan), and writes the
+//! kept snapshots as `metrics.json`.
 //! `--check` re-validates such a file — see EXPERIMENTS.md,
 //! section "Benchmark artifact schemas", for both layouts.
 //!
@@ -157,6 +159,45 @@ fn run_discovery(
         .predicates(space.clone())
         .config(cfg.clone())
         .run()
+}
+
+/// Runs one instrumented discovery `reps` times and keeps the run whose
+/// `phases.total_secs` is the median. Every counter must repeat exactly
+/// across the runs; gauges may differ (`run.pool_models` is a last-writer
+/// gauge in sharded runs), and the kept run's are the ones written.
+fn median_instrumented(
+    reps: usize,
+    cell: &str,
+    mut run: impl FnMut() -> ShardedDiscovery,
+) -> ShardedDiscovery {
+    use crr_obs::{MetricValue, MetricsSnapshot};
+    let counters = |m: &MetricsSnapshot| -> Vec<(String, String, u64)> {
+        m.sections
+            .iter()
+            .flat_map(|s| {
+                s.entries.iter().filter_map(|(name, v)| match v {
+                    MetricValue::Count(c) => Some((s.name.clone(), name.clone(), *c)),
+                    _ => None,
+                })
+            })
+            .collect()
+    };
+    let mut runs: Vec<ShardedDiscovery> = (0..reps).map(|_| run()).collect();
+    let first = counters(&runs[0].metrics);
+    for (i, r) in runs.iter().enumerate().skip(1) {
+        assert_eq!(
+            counters(&r.metrics),
+            first,
+            "{cell}: instrumented run {i} counted differently from run 0"
+        );
+    }
+    let total = |d: &ShardedDiscovery| {
+        d.metrics
+            .secs("phases", "total_secs")
+            .expect("an instrumented run records phases.total_secs")
+    };
+    runs.sort_by(|a, b| total(a).total_cmp(&total(b)));
+    runs.swap_remove(reps / 2)
 }
 
 /// `--check <path>`: one gate for every tracked artifact, through
@@ -1032,15 +1073,17 @@ fn ablation(scale: f64) {
 /// `--check` / `scripts/ci.sh` re-validate; the same check runs last
 /// here, after both artifacts are on disk.
 ///
-/// With `metrics_out` set, each cell is re-run once with an enabled
-/// [`crr_discovery::MetricsSink`] (kept out of the timed reps), a
-/// fault-harness cell with exactly one injected fit failure is added, and
-/// the snapshots are written as a `metrics.json` document after in-process
-/// invariant checks.
+/// With `metrics_out` set, each cell is re-run with an enabled
+/// [`crr_discovery::MetricsSink`] (kept out of the timed reps; 5 runs at
+/// full scale, of which the median by total time is kept, through
+/// [`median_instrumented`]), a fault-harness cell with exactly one
+/// injected fit failure is added, and the snapshots are written as a
+/// `metrics.json` document after in-process invariant checks.
 fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
     use crr_discovery::MetricsSink;
 
     let reps = if scale >= 1.0 { 3 } else { 1 };
+    let metered_reps = if scale >= 1.0 { 5 } else { 1 };
     // The sharded cells are short (tens of milliseconds at full scale), so
     // they take many paired rounds and record the ratio's spread.
     let sharded_reps = if scale >= 1.0 { 21 } else { 1 };
@@ -1099,12 +1142,15 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
                 rmse: rep.rmse,
             });
             if metrics_out.is_some() {
-                // One extra instrumented run per cell, outside the timed
-                // reps so the tracked numbers stay uninstrumented. The
-                // in-process asserts pin the invariants --check re-verifies
-                // from the file.
-                let cfg = cfg.clone().with_metrics(MetricsSink::enabled());
-                let dm = run_discovery(sc.table(), &rows, &cfg, &space).expect("metered discovery");
+                // Instrumented runs per cell, outside the timed reps so the
+                // tracked numbers stay uninstrumented. The in-process
+                // asserts pin the invariants --check re-verifies from the
+                // file.
+                let cell = format!("{name}@{}", rows.len());
+                let dm = median_instrumented(metered_reps, &cell, || {
+                    let cfg = cfg.clone().with_metrics(MetricsSink::enabled());
+                    run_discovery(sc.table(), &rows, &cfg, &space).expect("metered discovery")
+                });
                 let m = &dm.metrics;
                 assert_eq!(
                     m.count("queue", "rules_emitted"),
@@ -1238,21 +1284,24 @@ fn bench(scale: f64, path: &str, metrics_out: Option<&str>, shards: usize) {
             });
         }
         if metrics_out.is_some() {
-            // One instrumented N-shard run of the adaptive plan, outside
-            // the timed reps: the planner and cross-shard pool counters
-            // land in metrics.json's "shards" section, and the per-shard
-            // row counts ride along for the sum invariant --check re-checks.
-            let mcfg = cfg
-                .clone()
-                .with_shard_threads(shards.min(4))
-                .with_metrics(MetricsSink::enabled());
-            let dm = DiscoverySession::on(sc.table())
-                .rows(rows.clone())
-                .predicates(space.clone())
-                .config(mcfg)
-                .sharded(ShardSpec::by_key(key).quantile().shards(shards))
-                .run()
-                .expect("metered sharded discovery");
+            // Instrumented N-shard runs of the adaptive plan, outside the
+            // timed reps: the planner and cross-shard pool counters land
+            // in metrics.json's "shards" section, and the per-shard row
+            // counts ride along for the sum invariant --check re-checks.
+            let cell = format!("{name}@{} sharded", rows.len());
+            let dm = median_instrumented(metered_reps, &cell, || {
+                let mcfg = cfg
+                    .clone()
+                    .with_shard_threads(shards.min(4))
+                    .with_metrics(MetricsSink::enabled());
+                DiscoverySession::on(sc.table())
+                    .rows(rows.clone())
+                    .predicates(space.clone())
+                    .config(mcfg)
+                    .sharded(ShardSpec::by_key(key).quantile().shards(shards))
+                    .run()
+                    .expect("metered sharded discovery")
+            });
             let m = &dm.metrics;
             let count = |name: &str| m.count("shards", name).unwrap_or(0);
             let probes = count("cross_pool_probes");

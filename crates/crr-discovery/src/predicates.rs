@@ -15,19 +15,25 @@ use crr_core::Predicate;
 use crr_data::{AttrId, AttrType, ColumnStats, RowSet, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// A generated predicate space `ℙ`, with no predicates on the target.
 ///
 /// Alongside the flat predicate list, the space keeps per-attribute sorted
 /// constant tables so that "find *any* predicate separating this
 /// partition" — the coverage-critical fallback of Algorithm 1's split step
-/// — is a binary search instead of a scan over `|ℙ|`.
+/// — is a binary search instead of a scan over `|ℙ|`, and so that split
+/// scoring can rank each run row once among its attribute's constants.
 #[derive(Debug, Clone, Default)]
 pub struct PredicateSpace {
     preds: Vec<Predicate>,
     /// Per numeric attribute: `(constant, index of an `A ≤ c`-style
     /// predicate)` sorted by constant.
     numeric_sorted: Vec<(AttrId, Vec<(f64, u32)>)>,
+    /// Per attribute compared against a number: every numeric constant
+    /// (`Value::as_f64`, NaN left out), sorted by `total_cmp` and
+    /// deduplicated by `==`.
+    numeric_consts: BTreeMap<AttrId, Vec<f64>>,
     /// Per categorical attribute: indices of its equality predicates.
     categorical_eq: Vec<(AttrId, Vec<u32>)>,
 }
@@ -36,21 +42,21 @@ impl PredicateSpace {
     /// Wraps an explicit predicate list.
     #[allow(clippy::expect_used)] // the arm matches numeric values only
     pub fn from_predicates(preds: Vec<Predicate>) -> Self {
-        let mut numeric: std::collections::BTreeMap<AttrId, Vec<(f64, u32)>> =
-            std::collections::BTreeMap::new();
-        let mut categorical: std::collections::BTreeMap<AttrId, Vec<u32>> =
-            std::collections::BTreeMap::new();
+        let mut numeric: BTreeMap<AttrId, Vec<(f64, u32)>> = BTreeMap::new();
+        let mut numeric_consts: BTreeMap<AttrId, Vec<f64>> = BTreeMap::new();
+        let mut categorical: BTreeMap<AttrId, Vec<u32>> = BTreeMap::new();
         for (i, p) in preds.iter().enumerate() {
             match &p.value {
                 Value::Int(_) | Value::Float(_) => {
+                    let c = p.value.as_f64().expect("numeric");
+                    if !c.is_nan() {
+                        numeric_consts.entry(p.attr).or_default().push(c);
+                    }
                     // One entry per upper-bound-style predicate is enough:
                     // `A ≤ c` (or `A < c`) separates any partition whose
                     // values straddle c.
                     if matches!(p.op, crr_core::Op::Le | crr_core::Op::Lt) {
-                        numeric
-                            .entry(p.attr)
-                            .or_default()
-                            .push((p.value.as_f64().expect("numeric"), i as u32));
+                        numeric.entry(p.attr).or_default().push((c, i as u32));
                     }
                 }
                 Value::Str(_) => {
@@ -68,12 +74,27 @@ impl PredicateSpace {
                 (a, v)
             })
             .collect();
+        for cs in numeric_consts.values_mut() {
+            cs.sort_unstable_by(f64::total_cmp);
+            // `==`, not bit equality: −0.0 and 0.0 are one constant.
+            cs.dedup_by(|a, b| a == b);
+        }
         let categorical_eq = categorical.into_iter().collect();
         PredicateSpace {
             preds,
             numeric_sorted,
+            numeric_consts,
             categorical_eq,
         }
+    }
+
+    /// Every numeric comparison constant on `attr` (NaN left out), sorted
+    /// by `total_cmp` and deduplicated by `==`; empty when no predicate
+    /// compares `attr` against a number. A superset of the constants of
+    /// the `attr` predicates' compiled numeric kernels, which coerce with
+    /// the same `as f64` and compile NaN constants to `Never`.
+    pub(crate) fn numeric_constants(&self, attr: AttrId) -> &[f64] {
+        self.numeric_consts.get(&attr).map_or(&[], Vec::as_slice)
     }
 
     /// Finds *some* predicate separating `rows` (both sides non-empty), or
@@ -392,6 +413,7 @@ pub fn selectivity(table: &Table, rows: &RowSet, p: &Predicate) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crr_core::Op;
     use crr_data::Schema;
 
     fn table() -> Table {
@@ -499,6 +521,84 @@ mod tests {
         let v = t.attr("v").unwrap();
         let p = Predicate::le(v, Value::Float(7.0));
         assert_eq!(selectivity(&t, &t.all_rows(), &p), 8);
+    }
+
+    /// Asserts that `space`'s constant lists are sorted, `==`-distinct and
+    /// hold every constant its predicates' numeric kernels compile to.
+    fn assert_lists_cover_kernels(t: &Table, space: &PredicateSpace) -> usize {
+        let mut kernels = 0;
+        for p in space.predicates() {
+            let list = space.numeric_constants(p.attr);
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "{list:?}");
+            if let crr_core::KernelShape::Num { c, .. } =
+                crr_core::CompiledPred::compile(p, t).shape()
+            {
+                assert!(list.contains(&c), "{p:?} compiles to {c}, not in {list:?}");
+                kernels += 1;
+            }
+        }
+        kernels
+    }
+
+    #[test]
+    fn constant_lists_cover_every_numeric_kernel() {
+        let t = table();
+        let (v, d, s, y) = (
+            t.attr("v").unwrap(),
+            t.attr("d").unwrap(),
+            t.attr("s").unwrap(),
+            t.attr("y").unwrap(),
+        );
+        let expert = PredicateGen::expert(vec![
+            ("v".into(), vec![3.5, 7.5, 7.5, 99.0]),
+            ("d".into(), vec![25.0, 62.5]),
+        ]);
+        for gen in [PredicateGen::binary(9), PredicateGen::random(12), expert] {
+            let space = gen.generate(&t, &[v, d, s], y, 5);
+            assert!(assert_lists_cover_kernels(&t, &space) > 0, "{gen:?}");
+        }
+        // A hand-made mix on the int and float columns: int, integral and
+        // fractional float, both zeros, infinities, NaN, null and string
+        // constants, under every operator.
+        let ops = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Eq, Op::Ne];
+        let values = [
+            Value::Int(30),
+            Value::Int(-2),
+            Value::Float(30.0),
+            Value::Float(7.25),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::str("a"),
+        ];
+        let mut preds = Vec::new();
+        for attr in [v, d] {
+            for value in &values {
+                preds.extend(ops.map(|op| Predicate::new(attr, op, value.clone())));
+            }
+            preds.push(Predicate::is_null(attr));
+        }
+        let space = PredicateSpace::from_predicates(preds);
+        // Five distinct numbers once 30 and 30.0, −0.0 and 0.0 merge.
+        assert_eq!(space.numeric_constants(v).len(), 5);
+        assert_eq!(space.numeric_constants(d), space.numeric_constants(v));
+        assert!(space.numeric_constants(s).is_empty());
+        assert_eq!(assert_lists_cover_kernels(&t, &space), 2 * 7 * ops.len());
+        // A confined space and a clone carry lists of their own.
+        let bounds = crr_data::ShardBounds {
+            attr: v,
+            lo: Some(7.0),
+            hi: None,
+            null_keys: false,
+        };
+        let confined = space.confined_to(&bounds).unwrap();
+        assert_lists_cover_kernels(&t, &confined);
+        assert_eq!(
+            space.clone().numeric_constants(d),
+            space.numeric_constants(d)
+        );
     }
 
     #[test]

@@ -42,6 +42,17 @@
 //! — hit or miss — are known without a second pass. A hit covers every
 //! row, so only a miss counts its rows within `ρ_M` for `ind(C)`, in one
 //! branch-free pass, and only under a queue order that reads `ind(C)`.
+//!
+//! # Split scoring
+//!
+//! Line 19 scores its sampled candidates from per-bin sums
+//! ([`AttrBins`]). Each run ranks every row once per numeric condition
+//! attribute among the space's sorted constants on it ([`RankCodes`]:
+//! one binary search per run row); each pop maps those codes to its own
+//! bins through an O(M) table, so binning a scored row is one code load
+//! and one table load. The bins and their ascending row order are those a
+//! per-pop binary search would give, so every sum, and so every chosen
+//! split, is bitwise the same.
 
 use crate::{
     DiscoveryConfig, DiscoveryError, DiscoveryOutcome, PredicateSpace, QueueOrder, Result,
@@ -303,9 +314,12 @@ pub(crate) fn run_search(
     let mut resid: Vec<f64> = Vec::new();
 
     // Compile-once cache for the split chooser: every candidate predicate
-    // is compiled against this table exactly once per run instead of once
-    // per (pop, candidate).
-    let split_scratch = SplitScratch::build(table, space);
+    // is compiled against this table, and every run row ranked among its
+    // numeric attributes' constants, exactly once per run instead of once
+    // per (pop, candidate). Split-selection time.
+    let t_split = mx.span();
+    let split_scratch = SplitScratch::build(table, space, rows);
+    mx.record(Phase::SplitSelection, t_split);
 
     // Line 4: main loop.
     while let Some(entry) = queue.pop() {
@@ -530,6 +544,10 @@ pub(crate) fn run_search(
                 fit_model(&xs, &y, &cfg.fit)?
             }
         };
+        // The new model's ρ is fitting time too: the worst |residual| is
+        // the larger magnitude of the extremes.
+        let (lo, hi) = fill_residuals(&model, &view, &mut resid);
+        let rho = hi.abs().max(lo.abs());
         mx.record(Phase::Fitting, t_fit);
         mx.incr(match &model {
             Model::Constant(_) => Ctr::FitConstant,
@@ -538,9 +556,6 @@ pub(crate) fn run_search(
             Model::Mlp(_) => Ctr::FitMlp,
         });
         stats.models_trained += 1;
-        // The worst |residual| is the larger magnitude of the extremes.
-        let (lo, hi) = fill_residuals(&model, &view, &mut resid);
-        let rho = hi.abs().max(lo.abs());
 
         // Line 14: does it generalize to the whole partition within ρ_M?
         let splittable = fit.len() > min_partition && !avail.is_empty();
@@ -583,17 +598,25 @@ pub(crate) fn run_search(
                 let np = p.negate();
                 // p and ¬p are filtered independently — on a null condition
                 // attribute *both* are false, so this is not a partition.
+                // The children's fit lists are pred-scan time too. When
+                // every row is fit-ready they are the sides themselves.
                 let t_scan = mx.span();
                 let yes = select_side(table, &rows, &p, mx);
                 let no = select_side(table, &rows, &np, mx);
+                let (yes_fit, no_fit) = if fit.len() == rows.len() {
+                    (yes.as_slice().to_vec(), no.as_slice().to_vec())
+                } else {
+                    (
+                        intersect_sorted(&fit, yes.as_slice()),
+                        intersect_sorted(&fit, no.as_slice()),
+                    )
+                };
                 mx.record(Phase::PredScan, t_scan);
                 // Rows satisfying neither side have a null condition
                 // attribute; no condition can ever select them.
                 stats.uncoverable_rows += rows.len() - yes.len() - no.len();
                 let child_avail: Vec<u32> =
                     avail.iter().copied().filter(|&i| i != split_idx).collect();
-                let yes_fit = intersect_sorted(&fit, yes.as_slice());
-                let no_fit = intersect_sorted(&fit, no.as_slice());
                 let (yes_m, no_m) = split_moments(moments, &snap, &fit, &yes_fit, &no_fit, mx);
                 for (child_conj, child_rows, child_fit, child_m) in [
                     (conj.and(p), yes, yes_fit, yes_m),
@@ -938,24 +961,93 @@ pub(crate) fn global_midrange(table: &Table, cfg: &DiscoveryConfig, rows: &RowSe
     }
 }
 
-/// Per-run scratch for the split chooser: every predicate's
-/// [`KernelShape`], compiled against the table exactly once. The shapes
-/// carry the resolved operator, the coerced constant and the string LUT,
-/// with `Never`/`Always` already folded, so `crr-core::compiled` alone
-/// decides what a predicate selects.
-struct SplitScratch {
+/// Per-run scratch for the split chooser, built once per run:
+///
+/// * every predicate's [`KernelShape`], compiled against the table. The
+///   shapes carry the resolved operator, the coerced constant and the
+///   string LUT, with `Never`/`Always` already folded, so
+///   `crr-core::compiled` alone decides what a predicate selects;
+/// * for every numeric attribute some shape tests, each run row's
+///   [`RankCodes`] among the space's sorted constants on it.
+struct SplitScratch<'s> {
     shapes: Vec<KernelShape>,
+    ranks: BTreeMap<AttrId, RankCodes<'s>>,
 }
 
-impl SplitScratch {
-    fn build(table: &Table, space: &PredicateSpace) -> SplitScratch {
-        SplitScratch {
-            shapes: space
-                .predicates()
-                .iter()
-                .map(|p| CompiledPred::compile(p, table).shape())
-                .collect(),
+impl<'s> SplitScratch<'s> {
+    /// Compiles `space` against `table` and ranks every row of `rows` —
+    /// a superset of every partition the run scores — once per numeric
+    /// attribute.
+    fn build(table: &Table, space: &'s PredicateSpace, rows: &RowSet) -> SplitScratch<'s> {
+        let shapes: Vec<KernelShape> = space
+            .predicates()
+            .iter()
+            .map(|p| CompiledPred::compile(p, table).shape())
+            .collect();
+        let mut ranks = BTreeMap::new();
+        for attr in shapes.iter().filter_map(shape_attr) {
+            let col = table.column(attr);
+            if !matches!(col.data(), ColumnData::Str { .. }) {
+                ranks
+                    .entry(attr)
+                    .or_insert_with(|| RankCodes::build(col, space.numeric_constants(attr), rows));
+            }
         }
+        SplitScratch { shapes, ranks }
+    }
+}
+
+/// One numeric attribute's run rows, ranked once among the space's sorted
+/// distinct constants `g₀ < … < g_{M−1}` on it: code `2k` for a value
+/// strictly between `g_{k−1}` and `g_k`, `2k + 1` for one equal to `g_k`,
+/// `2M` for one above every constant, `2M + 1` for NaN and `2M + 2` for
+/// null. An attribute tested only by `IS [NOT] NULL` has no constants, so
+/// its codes read just non-NaN, NaN and null. The buffer is table-length,
+/// like the snapshot's; only the run's rows are coded.
+struct RankCodes<'s> {
+    consts: &'s [f64],
+    codes: Vec<u32>,
+}
+
+impl<'s> RankCodes<'s> {
+    /// One binary search per row of `rows`.
+    fn build(col: &Column, consts: &'s [f64], rows: &RowSet) -> RankCodes<'s> {
+        let m = consts.len();
+        let mut codes = vec![0u32; col.len()];
+        for r in rows.iter() {
+            let code = match col.get_f64(r) {
+                None => 2 * m + 2,
+                Some(v) if v.is_nan() => 2 * m + 1,
+                Some(v) => {
+                    let k = consts.partition_point(|&c| c < v);
+                    2 * k + usize::from(consts.get(k) == Some(&v))
+                }
+            };
+            codes[r] = code as u32;
+        }
+        RankCodes { consts, codes }
+    }
+
+    /// The pop's bin for every code, from one O(M) merge walk against the
+    /// pop's sampled constants `local` (sorted, deduplicated by `==`, each
+    /// one in the space's list): the bins [`AttrBins`] numbers against
+    /// `local` — `2j + 1` for a value equal to `local[j]`, `2j` for one
+    /// above `j` sampled constants and equal to none, then NaN and null.
+    fn pop_bins(&self, local: &[f64]) -> Vec<u32> {
+        let mut lut = Vec::with_capacity(2 * self.consts.len() + 3);
+        let mut j = 0u32;
+        for &g in self.consts {
+            let sampled = local.get(j as usize) == Some(&g);
+            lut.extend([2 * j, 2 * j + u32::from(sampled)]);
+            j += u32::from(sampled);
+        }
+        debug_assert_eq!(
+            j as usize,
+            local.len(),
+            "a sampled constant is not in the space's list"
+        );
+        lut.extend([2 * j, 2 * j + 1, 2 * j + 2]);
+        lut
     }
 }
 
@@ -985,8 +1077,10 @@ impl std::ops::Add for Sums {
 /// Numeric columns bin against the sampled candidates' distinct
 /// constants `c₀ < … < c_{m−1}`: bin `2j + 1` holds the values equal to
 /// `c_j`, bin `2j` those strictly between `c_{j−1}` and `c_j`, and bin
-/// `2m` those above `c_{m−1}`. String columns have one bin per dictionary
-/// code. NaN and null cells fall in buckets of their own.
+/// `2m` those above `c_{m−1}`; each row's bin is one lookup of its
+/// [`RankCodes`] code in the pop's table ([`RankCodes::pop_bins`]).
+/// String columns have one bin per dictionary code. NaN and null cells
+/// fall in buckets of their own.
 ///
 /// Each bin sums its rows in ascending row order. A side that is a range
 /// from the bottom reads `up` (bins summed upward), one from the top reads
@@ -1005,44 +1099,28 @@ struct AttrBins {
 }
 
 impl AttrBins {
-    /// Bins `scored` over `col` against `consts` (the attribute's sampled
-    /// constants, in any order), summing `values` (one per scored row) or,
-    /// without values, counting rows only.
+    /// Bins `scored` into `width` bins plus the NaN bucket `width` and the
+    /// null bucket `width + 1` — row `r` into `bin_of(r)` — summing
+    /// `values` (one per scored row) or, without values, counting rows
+    /// only. `consts` are the sorted sampled constants a numeric
+    /// attribute's bins are numbered against.
     fn build(
-        col: &Column,
-        mut consts: Vec<f64>,
+        consts: Vec<f64>,
+        width: usize,
         scored: &[u32],
         values: Option<&[f64]>,
+        bin_of: impl Fn(usize) -> usize,
     ) -> AttrBins {
-        consts.sort_unstable_by(f64::total_cmp);
-        // `==`, not bit equality: −0.0 and 0.0 are one constant.
-        consts.dedup_by(|a, b| a == b);
-        let width = match col.data() {
-            ColumnData::Str { dict, .. } => dict.len(),
-            _ => 2 * consts.len() + 1,
-        };
-        let (nan, null) = (width, width + 1);
         let mut acc = vec![Sums::default(); width + 2];
-        let numeric_bin = |v: f64| {
-            if v.is_nan() {
-                return nan;
-            }
-            let k = consts.partition_point(|&c| c < v);
-            2 * k + usize::from(consts.get(k) == Some(&v))
-        };
-        let nulls = (col.null_mask(), null);
-        match col.data() {
-            ColumnData::Float(data) => {
-                add_rows(&mut acc, scored, values, nulls, |r| numeric_bin(data[r]))
-            }
-            ColumnData::Int(data) => add_rows(&mut acc, scored, values, nulls, |r| {
-                numeric_bin(data[r] as f64)
-            }),
-            ColumnData::Str { codes, .. } => {
-                add_rows(&mut acc, scored, values, nulls, |r| codes[r] as usize)
+        for (i, &r) in scored.iter().enumerate() {
+            let a = &mut acc[bin_of(r as usize)];
+            a.n += 1;
+            if let Some(values) = values {
+                a.s += values[i];
+                a.q += values[i] * values[i];
             }
         }
-        let (nan, null) = (acc[nan], acc[null]);
+        let (nan, null) = (acc[width], acc[width + 1]);
         acc.truncate(width);
         let mut up = vec![Sums::default(); width + 1];
         for k in 0..width {
@@ -1108,31 +1186,6 @@ impl AttrBins {
     }
 }
 
-/// Adds each scored row's value — or, without values, only the row — to
-/// its bin of `acc`, in ascending row order: `null` for a null cell (a
-/// null string cell holds a sentinel code), else `bin_of(row)`.
-fn add_rows(
-    acc: &mut [Sums],
-    scored: &[u32],
-    values: Option<&[f64]>,
-    (nulls, null): (Option<&[bool]>, usize),
-    bin_of: impl Fn(usize) -> usize,
-) {
-    for (i, &r) in scored.iter().enumerate() {
-        let r = r as usize;
-        let a = &mut acc[if nulls.is_some_and(|m| m[r]) {
-            null
-        } else {
-            bin_of(r)
-        }];
-        a.n += 1;
-        if let Some(values) = values {
-            a.s += values[i];
-            a.q += values[i] * values[i];
-        }
-    }
-}
-
 /// The attribute a kernel reads; `None` for the constant kernels.
 fn shape_attr(shape: &KernelShape) -> Option<AttrId> {
     match shape {
@@ -1153,14 +1206,14 @@ struct CandidateBins {
 impl CandidateBins {
     fn build(
         table: &Table,
-        shapes: &[KernelShape],
+        scratch: &SplitScratch,
         candidates: &[u32],
         scored: &[u32],
         values: Option<&[f64]>,
     ) -> CandidateBins {
         let mut consts: BTreeMap<AttrId, Vec<f64>> = BTreeMap::new();
         for &idx in candidates {
-            let shape = &shapes[idx as usize];
+            let shape = &scratch.shapes[idx as usize];
             if let Some(attr) = shape_attr(shape) {
                 let cs = consts.entry(attr).or_default();
                 if let KernelShape::Num { c, .. } = shape {
@@ -1170,8 +1223,34 @@ impl CandidateBins {
         }
         let attrs = consts
             .into_iter()
-            .map(|(attr, cs)| {
-                let bins = AttrBins::build(table.column(attr), cs, scored, values);
+            .map(|(attr, mut cs)| {
+                let col = table.column(attr);
+                let bins = match col.data() {
+                    ColumnData::Str { codes, dict, .. } => {
+                        let (nulls, null) = (col.null_mask(), dict.len() + 1);
+                        // A null cell holds a sentinel code: the mask first.
+                        AttrBins::build(cs, dict.len(), scored, values, |r| {
+                            if nulls.is_some_and(|m| m[r]) {
+                                null
+                            } else {
+                                codes[r] as usize
+                            }
+                        })
+                    }
+                    _ => {
+                        // Every numeric attribute a shape tests is ranked.
+                        let ranks = &scratch.ranks[&attr];
+                        cs.sort_unstable_by(f64::total_cmp);
+                        // `==`, not bit equality: −0.0 and 0.0 are one
+                        // constant.
+                        cs.dedup_by(|a, b| a == b);
+                        let lut = ranks.pop_bins(&cs);
+                        let width = 2 * cs.len() + 1;
+                        AttrBins::build(cs, width, scored, values, |r| {
+                            lut[ranks.codes[r] as usize] as usize
+                        })
+                    }
+                };
                 (attr, bins)
             })
             .collect();
@@ -1226,7 +1305,7 @@ fn choose_split(
         }
         SplitStrategy::FirstApplicable => (rows.as_slice(), None),
     };
-    let bins = CandidateBins::build(table, &scratch.shapes, &candidates, scored, values);
+    let bins = CandidateBins::build(table, scratch, &candidates, scored, values);
     let mut best: Option<(f64, u32)> = None;
     for &idx in &candidates {
         let Some((yes, no)) = bins.sides(&scratch.shapes[idx as usize]) else {
@@ -1987,16 +2066,20 @@ mod tests {
     #[test]
     fn choose_split_matches_rowwise_oracle() {
         // Nulls in every condition column and in the target, NaN cells in
-        // a float condition column, a dictionary-coded string column,
-        // partitions with gaps, candidate sets above and below the
-        // sampling cap, and all three strategies. Every scored value is
-        // dyadic, so sums are exact in any order: agreement checks which
-        // rows land on which side, not the summation order (the pinned
-        // hashes in `engine_equivalence.rs` cover that).
+        // two float condition columns, ±0.0 cells and constants, a
+        // dictionary-coded string column, a float column tested only by
+        // IS [NOT] NULL, partitions with gaps drawn from a run that leaves
+        // rows out (the rank codes cover only the run), candidate sets
+        // above and below the sampling cap, and all three strategies.
+        // Every scored value is dyadic, so sums are exact in any order:
+        // agreement checks which rows land on which side, not the
+        // summation order (the pinned hashes in `engine_equivalence.rs`
+        // cover that).
         let schema = Schema::new(vec![
             ("x", AttrType::Float),
             ("k", AttrType::Int),
             ("s", AttrType::Str),
+            ("z", AttrType::Float),
             ("y", AttrType::Float),
         ]);
         let mut t = Table::new(schema);
@@ -2012,58 +2095,89 @@ mod tests {
             let x = if i % 7 == 3 {
                 Value::Null
             } else {
-                let v = (next() % 1000) as f64 / 10.0;
-                Value::Float(if i % 19 == 8 { f64::NAN } else { v })
+                let v = (next() % 1000) as f64 / 10.0 - 20.0;
+                Value::Float(match i % 19 {
+                    8 => f64::NAN,
+                    11 => -0.0,
+                    14 => 0.0,
+                    _ => v,
+                })
             };
             let k = if i % 17 == 5 {
                 Value::Null
             } else {
-                Value::Int((next() % 40) as i64)
+                Value::Int((next() % 40) as i64 - 5)
             };
             let s = if i % 11 == 2 {
                 Value::Null
             } else {
                 Value::Str(words[(next() % 5) as usize].into())
             };
+            let z = match i % 9 {
+                1 => Value::Null,
+                4 => Value::Float(f64::NAN),
+                _ => Value::Float((next() % 50) as f64),
+            };
             let y = if i % 13 == 4 {
                 Value::Null
             } else {
                 Value::Float((next() % 2000) as f64 / 8.0 - 100.0)
             };
-            t.push_row(vec![x, k, s, y]).unwrap();
+            t.push_row(vec![x, k, s, z, y]).unwrap();
         }
-        let (x, k, s, y) = (
+        let (x, k, s, z, y) = (
             t.attr("x").unwrap(),
             t.attr("k").unwrap(),
             t.attr("s").unwrap(),
+            t.attr("z").unwrap(),
             t.attr("y").unwrap(),
         );
         let generated = PredicateGen::binary(40).generate(&t, &[x, k, s], y, 3);
         let mut preds = generated.predicates().to_vec();
         preds.extend(generated.predicates().iter().map(|p| p.negate()));
-        // Every numeric operator, several predicates per constant, and the
-        // int column against integral and fractional float constants.
+        // Every numeric operator, several predicates per constant, both
+        // zeros, and the int column against integral and fractional float
+        // constants.
         let ops = [Op::Lt, Op::Le, Op::Gt, Op::Ge, Op::Eq, Op::Ne];
-        for (attr, c) in [(x, 25.0), (x, 50.0), (x, 62.5), (k, 20.0), (k, 19.5)] {
+        for (attr, c) in [
+            (x, 25.0),
+            (x, 50.0),
+            (x, 62.5),
+            (x, -0.0),
+            (x, 0.0),
+            (k, 20.0),
+            (k, 19.5),
+            (k, -0.5),
+            (k, -0.0),
+        ] {
             preds.extend(ops.map(|op| Predicate::new(attr, op, Value::Float(c))));
         }
-        for attr in [x, s] {
+        for attr in [x, s, z] {
             preds.push(Predicate::is_null(attr));
             preds.push(Predicate::not_null(attr));
         }
         let space = PredicateSpace::from_predicates(preds);
-        let scratch = SplitScratch::build(&t, &space);
+        assert!(space.numeric_constants(z).is_empty());
+        // The run: every row but a seventh of them.
+        let run = RowSet::from_indices(
+            (0..t.num_rows() as u32)
+                .filter(|_| next() % 7 != 0)
+                .collect(),
+        );
+        let scratch = SplitScratch::build(&t, &space, &run);
         assert!(space.len() > 2 * MAX_SPLIT_CANDIDATES);
 
         let (mut on_string, mut strided, mut splits) = (0, 0, 0);
         let mut covered = std::collections::HashSet::new();
         for trial in 0..150 {
-            // A gapped partition and its fit-ready rows (x and y present),
-            // thinned further so residual rows are a strict subset.
+            // A gapped partition of the run and its fit-ready rows (x and
+            // y present), thinned further so residual rows are a strict
+            // subset.
             let keep = 20 + next() % 80;
-            let rows = RowSet::from_indices(
-                (0..t.num_rows() as u32)
+            let rows = RowSet::from_sorted(
+                run.iter()
                     .filter(|_| next() % 100 < keep)
+                    .map(|r| r as u32)
                     .collect(),
             );
             let fit: Vec<u32> = rows
@@ -2117,7 +2231,7 @@ mod tests {
                 let (scored, values): (Vec<u32>, Vec<f64>) =
                     pairs.iter().map(|&(r, v)| (r as u32, v)).unzip();
                 let values = (split != SplitStrategy::FirstApplicable).then_some(&values[..]);
-                let bins = CandidateBins::build(&t, &scratch.shapes, &sampled, &scored, values);
+                let bins = CandidateBins::build(&t, &scratch, &sampled, &scored, values);
                 for &idx in &sampled {
                     let p = &space.predicates()[idx as usize];
                     let want = sides_rowwise(&t, p, &pairs);
@@ -2141,12 +2255,92 @@ mod tests {
         for attr in [x, k] {
             expected.extend(ops.map(|op| (attr, op)));
         }
-        for attr in [x, s] {
+        for attr in [x, s, z] {
             expected.extend([(attr, Op::IsNull), (attr, Op::NotNull)]);
         }
         expected.extend([(s, Op::Eq), (s, Op::Ne)]);
         for e in &expected {
             assert!(covered.contains(e), "no candidate {e:?} was checked");
         }
+    }
+
+    /// The per-pop binary search the rank codes replaced: the bin of `v`
+    /// against the sorted, deduplicated sampled constants, `2m + 1` for
+    /// NaN.
+    fn numeric_bin(consts: &[f64], v: f64) -> usize {
+        if v.is_nan() {
+            return 2 * consts.len() + 1;
+        }
+        let k = consts.partition_point(|&c| c < v);
+        2 * k + usize::from(consts.get(k) == Some(&v))
+    }
+
+    #[test]
+    fn pop_bins_match_per_pop_binary_search() {
+        // Spaces of 0–40 constants drawn from a small palette (repeats,
+        // ±0.0, ±Inf, halves), columns whose cells hit the constants, lie
+        // between and beyond them, or are NaN or null, and random sampled
+        // subsets of every size: each coded row's lookup equals the old
+        // binary search over the pop's sampled constants.
+        let mut rng = Rng(0xC0DE_5EED);
+        let palette = |rng: &mut Rng| match rng.below(10) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            _ => (rng.below(40) as f64 - 20.0) / 2.0,
+        };
+        let mut seen = [0usize; 3]; // sampled-equal hits, unsampled-equal, empty spaces
+        for case in 0..300 {
+            let schema = Schema::new(vec![("v", AttrType::Float), ("y", AttrType::Float)]);
+            let mut t = Table::new(schema);
+            for _ in 0..200 {
+                let v = match rng.below(12) {
+                    0 => Value::Null,
+                    1 => Value::Float(f64::NAN),
+                    2 => Value::Float(rng.real(15.0)),
+                    _ => Value::Float(palette(&mut rng)),
+                };
+                t.push_row(vec![v, Value::Float(0.0)]).unwrap();
+            }
+            let v = t.attr("v").unwrap();
+            let preds: Vec<Predicate> = (0..rng.below(41))
+                .map(|_| Predicate::le(v, Value::Float(palette(&mut rng))))
+                .collect();
+            let space = PredicateSpace::from_predicates(preds);
+            let global = space.numeric_constants(v);
+            if global.is_empty() {
+                seen[2] += 1;
+            }
+            let ranks = RankCodes::build(t.column(v), global, &t.all_rows());
+            for _ in 0..4 {
+                // A sampled subset, as the pop collects it: repeats and
+                // either zero, in any order, then sorted and deduplicated.
+                let mut local: Vec<f64> = space
+                    .predicates()
+                    .iter()
+                    .filter(|_| rng.below(3) == 0)
+                    .map(|p| p.value.as_f64().unwrap())
+                    .collect();
+                local.sort_unstable_by(f64::total_cmp);
+                local.dedup_by(|a, b| a == b);
+                let lut = ranks.pop_bins(&local);
+                assert_eq!(lut.len(), 2 * global.len() + 3, "case {case}");
+                for r in 0..t.num_rows() {
+                    let got = lut[ranks.codes[r] as usize] as usize;
+                    let want = match t.column(v).get_f64(r) {
+                        None => 2 * local.len() + 2,
+                        Some(x) => numeric_bin(&local, x),
+                    };
+                    assert_eq!(got, want, "case {case}, row {r}");
+                    if let Some(x) = t.column(v).get_f64(r) {
+                        if global.contains(&x) {
+                            seen[usize::from(!local.contains(&x))] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 0), "{seen:?}");
     }
 }

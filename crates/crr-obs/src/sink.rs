@@ -265,12 +265,16 @@ metric_enum! {
         /// cross-shard pools) plus each pop's gather of its fit rows into
         /// the dense view every probe reads, all pops summed.
         PoolScan => ("phases", "pool_scan"),
-        /// Model training (line 13), all pops summed.
+        /// Model training (line 13) plus the residual pass that measures
+        /// the new model's ρ (line 14), all pops summed.
         Fitting => ("phases", "fitting"),
-        /// Split-predicate selection (line 19), all pops summed.
+        /// Split-predicate selection (line 19), all pops summed, plus the
+        /// run's once-per-run split scratch: the compiled predicate
+        /// shapes and every run row's rank codes.
         SplitSelection => ("phases", "split_selection"),
         /// Predicate scans materializing split row sets (line 20's
-        /// `D_C∧p` / `D_C∧¬p` selections), all splits summed.
+        /// `D_C∧p` / `D_C∧¬p` selections) and the children's fit-ready
+        /// row lists, all splits summed.
         PredScan => ("phases", "pred_scan"),
         /// Gram accumulation over gathered column slices (root build and
         /// child re-accumulations), all batches summed.

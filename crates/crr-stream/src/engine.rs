@@ -527,9 +527,11 @@ impl StreamEngine {
                 }
             }
         }
-        if regions.is_empty() {
-            // Nothing repaired: the obligations still travel, claiming
-            // every rule kept and no regions touched.
+        if !self.needs_repair() {
+            // Nothing drifted: the obligations still travel, claiming
+            // every rule kept and no regions touched. A drifted rule
+            // without regions (no live row, or only refused ones) goes
+            // through the splice below, which drops it.
             let artifact = self.artifact()?.with_repair(RepairObligations {
                 kept: self.rules.len(),
                 regions: Vec::new(),
@@ -1094,6 +1096,51 @@ mod tests {
                 .any(|ri| e.members[ri].iter().any(|m| m.contains(&160))),
             "row 160 joined no repaired rule's membership"
         );
+    }
+
+    /// Drifts the one rule of a 160-row `y = 2x + 1` engine, deletes every
+    /// live row of it except `keep`, and repairs.
+    fn repair_with_only(keep: &[Vec<Value>]) -> (StreamEngine, RepairReport) {
+        let mut e = engine(160);
+        assert_eq!(e.rules().len(), 1);
+        if !keep.is_empty() {
+            e.append(keep).unwrap();
+        }
+        e.append(&[row(51.0, 900.0)]).unwrap();
+        assert!(e.needs_repair());
+        let kept = 160..160 + keep.len();
+        let doomed: Vec<usize> = (0..e.table().num_rows())
+            .filter(|r| !kept.contains(r))
+            .collect();
+        e.delete(&doomed).unwrap();
+        let report = e.repair().unwrap();
+        (e, report)
+    }
+
+    #[test]
+    fn a_drifted_rule_without_live_rows_is_dropped() {
+        let (e, report) = repair_with_only(&[]);
+        assert!(!e.needs_repair());
+        assert_eq!(report.kept_rules, 0);
+        assert_eq!(report.affected_rows, 0);
+        assert!(e.rules().is_empty());
+        let analysis = crr_analyze::analyze_artifact_on(&report.artifact, e.table());
+        assert!(analysis.is_sound(), "{analysis:?}");
+    }
+
+    #[test]
+    fn a_drifted_rule_with_only_refused_rows_is_dropped() {
+        // NaN cells: the rule claims both rows, the snapshot refuses
+        // both, so no region forms.
+        let nan_rows = [row(50.0, f64::NAN), row(f64::NAN, 7.0)];
+        let (e, report) = repair_with_only(&nan_rows);
+        assert!(!e.needs_repair());
+        assert_eq!(report.kept_rules, 0);
+        assert_eq!(report.discovered_rules, 0);
+        assert_eq!(report.affected_rows, 2);
+        assert_eq!(e.live_count(), 2);
+        let analysis = crr_analyze::analyze_artifact_on(&report.artifact, e.table());
+        assert!(analysis.is_sound(), "{analysis:?}");
     }
 
     mod proptests {

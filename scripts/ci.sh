@@ -160,6 +160,10 @@ run "perfbench smoke" python3 perfbench/run.py --workload all --seconds 1 --trac
 # ops, so the discovery phase timers never change what is found.
 run "perfbench traced discover-electricity smoke" \
   python3 perfbench/run.py --workload discover-electricity --seconds 1 --trace 1
+# The same check on the only sharded workload: rules, ρ bits and RMSE bits
+# must repeat with the sink off and on, across 3 shards on 2 threads.
+run "perfbench traced discover-tax-sharded smoke" \
+  python3 perfbench/run.py --workload discover-tax-sharded --seconds 1 --trace 1
 # The traced half's check: with the metrics sink on, every pass must still
 # repeat the repaired artifacts, RMSE and rule count of the untraced ones.
 run "perfbench traced maintain-window smoke" \
